@@ -16,8 +16,8 @@ import numpy as np
 
 from gpattr import (
     ArdSeHyper,
+    attribution_report,
     fit,
-    gpr_attribution,
     marginalized_attribution,
     optimize_hyperparameters,
     rfgp_attribution,
@@ -44,9 +44,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     lo, hi = data.X.min(axis=0), data.X.max(axis=0)
     pairs = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(args.queries)]
-    exact = [
-        [gpr_attribution(model, x, z, i).mean for i in range(data.dim)] for x, z in pairs
-    ]
+    exact = [[a.mean for a in attribution_report(model, x, z).attributions] for x, z in pairs]
 
     m_values = [int(v) for v in args.m_values.split(",")]
     rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpattr import ArdSeHyper, fit, gpr_attribution, optimize_hyperparameters, simulate
+from gpattr import ArdSeHyper, attribution_report, fit, optimize_hyperparameters, simulate
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ def run(cfg: ProfileConfig, direction: np.ndarray) -> list[dict]:
     for t in np.linspace(0.0, cfg.t_max, cfg.steps):
         x = t * direction
         row = {"t": float(t)}
-        for i, name in enumerate(data.feature_names):
-            attr = gpr_attribution(model, x, baseline, i)
+        report = attribution_report(model, x, baseline)
+        for name, attr in zip(data.feature_names, report.attributions):
             row[f"mean_{name}"] = attr.mean
             row[f"std_{name}"] = float(np.sqrt(attr.variance))
         rows.append(row)

@@ -7,16 +7,14 @@ handling, and the command line.
 """
 
 from .attrib_exact import (
-    AttrCoefficients,
     AttributionGaussian,
     AttributionReport,
-    attr_coefficients,
     attribution_report,
     bayes_linear_attribution,
     bayes_linear_posterior,
     gpr_attribution,
-    kernel_slice_attribution,
     prior_attribution_variance,
+    report_from_rows,
     write_report_csv,
     write_report_json_dict,
 )

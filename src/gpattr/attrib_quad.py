@@ -18,9 +18,10 @@ import numpy as np
 
 from .attrib_exact import (
     AttributionGaussian,
-    _baseline_values,
+    _check_index,
     _clamp_variance,
-    gpr_attribution,
+    _query_pair,
+    attribution_report,
 )
 from .gpr import GprModel, jittered_cholesky
 from .kernels import grad_i_cross, hess_ii_cross
@@ -103,13 +104,9 @@ def quad_attribution(
     q_n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
     the exact posterior variance of the discretized functional.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
     hyper = model.hyper
-    if not (x.size == z.size == hyper.dim):
-        raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, model {hyper.dim}")
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    x, z = _query_pair(x, baseline, hyper.dim)
+    _check_index(i, hyper.dim)
     gap = float(x[i] - z[i])
     t, w = nodes_weights(spec)
     path = z[None, :] + t[:, None] * (x - z)[None, :]
@@ -152,11 +149,8 @@ def convergence_sweep(
     queries = np.asarray(queries, dtype=float)
     if queries.ndim == 1:
         queries = queries[None, :]
-    z = _baseline_values(baseline)
     dim = model.hyper.dim
-    exact = [
-        [gpr_attribution(model, xq, z, i, tol) for i in range(dim)] for xq in queries
-    ]
+    exact = [attribution_report(model, xq, baseline, tol).attributions for xq in queries]
     rows: list[SweepRow] = []
     for rule in rules:
         for L in l_values:
@@ -165,7 +159,7 @@ def convergence_sweep(
             var_errs = []
             for qi, xq in enumerate(queries):
                 for i in range(dim):
-                    approx = quad_attribution(model, xq, z, i, spec)
+                    approx = quad_attribution(model, xq, baseline, i, spec)
                     mean_errs.append(abs(approx.mean - exact[qi][i].mean))
                     var_errs.append(abs(approx.variance - exact[qi][i].variance))
             rows.append(
@@ -209,13 +203,9 @@ def mc_attribution_oracle(
     and scaled by (x_i - z_i). Returns the sample mean and variance with
     the standard error of the mean.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
     hyper = model.hyper
-    if not (x.size == z.size == hyper.dim):
-        raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, model {hyper.dim}")
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    x, z = _query_pair(x, baseline, hyper.dim)
+    _check_index(i, hyper.dim)
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if samples < 2:

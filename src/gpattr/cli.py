@@ -27,9 +27,8 @@ import scipy
 from . import __version__
 from .attrib_exact import (
     AttributionGaussian,
-    AttributionReport,
     attribution_report,
-    gpr_attribution,
+    report_from_rows,
     write_report_csv,
     write_report_json_dict,
 )
@@ -57,7 +56,6 @@ from .gpr import (
     load_model_payload,
     log_marginal_likelihood,
     optimize_hyperparameters,
-    predict,
     save_model,
 )
 from .kernels import ArdSeHyper
@@ -377,20 +375,6 @@ def _training_dataset_from_payload(model: GprModel, payload: dict) -> Dataset:
 # ---------------------------------------------------------------- attribute
 
 
-def _report_from_rows(model: GprModel, x, baseline: Baseline, rows) -> AttributionReport:
-    """Assemble a report for engines that produce rows directly. The
-    completeness residual is measured against the exact posterior means, so
-    approximate engines show their true gap rather than zero."""
-    mu_x, _ = predict(model, x)
-    mu_z, _ = predict(model, baseline.values)
-    return AttributionReport(
-        attributions=tuple(rows),
-        completeness_residual=float(abs(sum(r.mean for r in rows) - (mu_x - mu_z))),
-        prediction_mean=mu_x,
-        baseline_prediction_mean=mu_z,
-    )
-
-
 def cmd_attribute(args) -> int:
     out = _out_dir(args)
     payload = load_model_payload(args.model)
@@ -409,7 +393,7 @@ def cmd_attribute(args) -> int:
             quad_attribution(model, x, baseline, i, quad_spec)
             for i in range(model.hyper.dim)
         ]
-        report = _report_from_rows(model, x, baseline, rows)
+        report = report_from_rows(model, x, baseline, rows)
     else:  # rfgp
         train = _training_dataset_from_payload(model, payload)
         if args.rfgp_ensemble > 1:
@@ -430,7 +414,7 @@ def cmd_attribute(args) -> int:
                 rfgp_attribution(rfgp_model, x, baseline, i)
                 for i in range(model.hyper.dim)
             ]
-        report = _report_from_rows(model, x, baseline, rows)
+        report = report_from_rows(model, x, baseline, rows)
 
     doc = write_report_json_dict(report, names)
     doc["engine"] = args.engine
@@ -534,8 +518,7 @@ def cmd_rfgp_compare(args) -> int:
     m_values = _int_list(args.m_values, "--m-values")
 
     features = []
-    for i in range(model.hyper.dim):
-        exact = gpr_attribution(model, x, baseline, i)
+    for i, exact in enumerate(attribution_report(model, x, baseline).attributions):
         per_m = []
         for m in m_values:
             gaps, kls, entries = [], [], []
@@ -620,8 +603,7 @@ def cmd_mc_validate(args) -> int:
     rows = []
     all_ok = True
     for qi, xq in enumerate(queries):
-        for i in range(model.hyper.dim):
-            closed = gpr_attribution(model, xq, baseline, i)
+        for i, closed in enumerate(attribution_report(model, xq, baseline).attributions):
             mc = mc_attribution_oracle(
                 model, xq, baseline, i,
                 grid_points=args.grid_points, samples=args.samples,

@@ -8,6 +8,7 @@ diagonal jitter when the factorization fails.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,12 @@ MODEL_VERSION = 1
 class GprModel:
     """Fitted state: hyperparameters, training inputs, Cholesky factor of
     K + noise*I (lower), representer weights, target offset, and the jitter
-    that had to be added (0.0 when none)."""
+    that had to be added (0.0 when none).
+
+    Construction checks that the arrays agree in shape with each other and
+    with the hyperparameters and that they are finite, then freezes them
+    read-only, so solves can skip rescanning the factor.
+    """
 
     hyper: ArdSeHyper
     x_train: np.ndarray
@@ -46,13 +52,32 @@ class GprModel:
     y_mean_offset: float
     jitter: float = 0.0
 
+    def __post_init__(self) -> None:
+        dim = self.hyper.dim
+        x_shape = np.shape(self.x_train)
+        if len(x_shape) != 2 or x_shape[1] != dim:
+            raise ValueError(f"model x_train has shape {x_shape}, expected (n, {dim})")
+        n = x_shape[0]
+        for name, shape in (("x_train", x_shape), ("chol", (n, n)), ("alpha", (n,))):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"model {name} has shape {arr.shape}, expected {shape} for {n} training rows")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"model {name} holds non-finite values")
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if not math.isfinite(self.y_mean_offset):
+            raise ValueError(f"model y_mean_offset must be finite, got {self.y_mean_offset!r}")
+
     @property
     def n_train(self) -> int:
         return self.x_train.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (K + noise*I) v = b with the stored factor."""
-        return cho_solve((self.chol, True), b)
+        """Solve (K + noise*I) v = b with the stored factor, checked at
+        construction; only b is scanned for non-finite values."""
+        return cho_solve((self.chol, True), np.asarray_chkfinite(b, dtype=float), check_finite=False)
 
 
 def jittered_cholesky(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, float]:
@@ -95,7 +120,7 @@ def fit(data: Dataset, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES, 
     K[np.diag_indices_from(K)] += hyper.noise_variance
     chol, jitter = jittered_cholesky(K, tol)
     offset = float(data.y.mean()) if center else 0.0
-    alpha = cho_solve((chol, True), data.y - offset)
+    alpha = cho_solve((chol, True), data.y - offset, check_finite=False)
     return GprModel(
         hyper=hyper,
         x_train=np.array(data.X, dtype=float, copy=True),
@@ -113,10 +138,10 @@ def predict(model: GprModel, x_star) -> tuple[float, float]:
     var  = k(x_*, x_*) - k_*^T (K + noise*I)^{-1} k_*
     Tiny negative variances (>= -1e-10) from round-off clamp to zero.
     """
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
+    x_star = np.asarray_chkfinite(x_star, dtype=float).reshape(-1)
     k_star = kernel_cross(model.x_train, x_star[None, :], model.hyper)[:, 0]
     mean = model.y_mean_offset + float(k_star @ model.alpha)
-    w = solve_triangular(model.chol, k_star, lower=True)
+    w = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
     var = float(model.hyper.signal_variance - w @ w)
     if var < 0.0:
         if var < -1e-10:
@@ -283,7 +308,9 @@ def load_model_payload(path: str) -> dict:
 
 
 def load_model(path: str) -> GprModel:
-    """Load a model written by save_model, refactoring the kernel matrix."""
+    """Load a model written by save_model, refactoring the kernel matrix.
+    Malformed fields (shapes, non-finite values) raise ValueError naming
+    the field."""
     payload = load_model_payload(path)
     hyper = ArdSeHyper(
         signal_variance=float(payload["hyper"]["signal_variance"]),
@@ -294,11 +321,14 @@ def load_model(path: str) -> GprModel:
     K = kernel_matrix(x_train, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
     chol, jitter = jittered_cholesky(K)
-    return GprModel(
-        hyper=hyper,
-        x_train=x_train,
-        chol=chol,
-        alpha=np.array(payload["alpha"], dtype=float),
-        y_mean_offset=float(payload["y_mean_offset"]),
-        jitter=jitter,
-    )
+    try:
+        return GprModel(
+            hyper=hyper,
+            x_train=x_train,
+            chol=chol,
+            alpha=np.array(payload["alpha"], dtype=float),
+            y_mean_offset=float(payload["y_mean_offset"]),
+            jitter=jitter,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

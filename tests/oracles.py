@@ -1,0 +1,186 @@
+"""Per-feature attribution algebra, kept as a test oracle.
+
+This is the one-feature-at-a-time form of the closed forms in
+gpattr.attrib_exact: scalar integrand coefficients, one slice-attribution
+vector, one prior variance and one training solve per feature. The package
+computes all features in one pass; tests check that pass against these
+functions, and these functions against quadrature and kernel derivatives.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from gpattr.attrib_exact import AttributionGaussian, _baseline_values, _clamp_variance
+from gpattr.attrib_quad import QuadratureSpec, nodes_weights
+from gpattr.gpr import GprModel
+from gpattr.kernels import ArdSeHyper, grad_i_cross, hess_ii_cross
+from gpattr.specfun import DEFAULT_TOLERANCES, Tolerances, erf
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_FALLBACK_PARTITIONS = 256
+
+
+@dataclass(frozen=True)
+class AttrCoefficients:
+    """Coefficients of the path-restricted integrands for one (x, baseline,
+    training point, feature) tuple.
+
+    p2, p1, p0: exponent polynomial p2*t^2 + p1*t + p0 (p2 >= 0).
+    q1, q0: slice prefactor line q1*t + q0 (both zero when x_i = z_i).
+    r2, r0: variance kernel polynomial r0 + r2*u^2 at lag u = s - t.
+    """
+
+    p2: float
+    p1: float
+    p0: float
+    q1: float
+    q0: float
+    r2: float
+    r0: float
+
+
+def _check(x, z, i: int, hyper: ArdSeHyper, *others) -> None:
+    if not all(v.size == hyper.dim for v in (x, z, *others)):
+        raise ValueError(
+            f"dimension mismatch: x {x.size}, baseline {z.size}, "
+            f"others {[v.size for v in others]}, hyperparameters {hyper.dim}"
+        )
+    if not 0 <= i < hyper.dim:
+        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+
+
+def attr_coefficients(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> AttrCoefficients:
+    """Integrand coefficients for the kernel slice k(., x_center) and the
+    variance kernel, along the path from baseline to x, feature i."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    c = np.asarray(x_center, dtype=float).reshape(-1)
+    _check(x, z, i, hyper, c)
+    ls2 = hyper.lengthscales**2
+    delta = x - z
+    r = z - c
+    sv = hyper.signal_variance
+    li2 = ls2[i]
+    return AttrCoefficients(
+        p2=float(np.sum(delta**2 / ls2)),
+        p1=float(2.0 * np.sum(delta * r / ls2)),
+        p0=float(np.sum(r**2 / ls2)),
+        q1=float(-sv * delta[i] ** 2 / li2),
+        q0=float(-sv * delta[i] * r[i] / li2),
+        r2=float(-sv * delta[i] ** 2 / li2**2),
+        r0=float(sv / li2),
+    )
+
+
+def _slice_attribution_closed(
+    p2: float, p1: np.ndarray, p0: np.ndarray, q1: float, q0: np.ndarray
+) -> np.ndarray:
+    """Closed form of integral_0^1 (q1*t + q0) exp(-(p2 t^2 + p1 t + p0)/2) dt,
+    vectorized over training points (p1, p0, q0 are per-point arrays)."""
+    root = math.sqrt(2.0 * p2)
+    half = 0.5 * (p2 + p1)
+    down = np.expm1(-np.maximum(half, 0.0))
+    up = np.expm1(np.minimum(half, 0.0))
+    diff = np.where(
+        half >= 0.0,
+        np.exp(-0.5 * p0) * down,
+        -np.exp(-0.5 * (p0 + p1 + p2)) * up,
+    )
+    exp_part = -(q1 / p2) * diff
+    t0 = p1 / (2.0 * root)
+    t1 = (2.0 * p2 + p1) / (2.0 * root)
+    log_pref = np.minimum(p1**2 / (8.0 * p2) - 0.5 * p0, 0.0)
+    erf_part = (
+        _SQRT_2PI
+        * (p1 * q1 - 2.0 * p2 * q0)
+        / (4.0 * p2**1.5)
+        * np.exp(log_pref)
+        * (erf(t0) - erf(t1))
+    )
+    return exp_part + erf_part
+
+
+def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return nodes_weights(QuadratureSpec(rule="simpson", partitions=_FALLBACK_PARTITIONS))
+
+
+def slice_attribution_vector(
+    x: np.ndarray, z: np.ndarray, centers: np.ndarray, i: int, hyper: ArdSeHyper, tol: Tolerances
+) -> np.ndarray:
+    """Attribution of feature i applied to every kernel slice k(., center)."""
+    ls2 = hyper.lengthscales**2
+    delta = x - z
+    p2 = float(np.sum(delta**2 / ls2))
+    if p2 <= tol.singular_threshold:
+        t, w = _fallback_nodes()
+        path = z[None, :] + t[:, None] * delta[None, :]
+        grads = grad_i_cross(path, centers, i, hyper)
+        return delta[i] * (grads.T @ w)
+    r = z[None, :] - centers
+    p1 = 2.0 * (r / ls2) @ delta
+    p0 = np.sum(r**2 / ls2, axis=1)
+    q1 = float(-hyper.signal_variance * delta[i] ** 2 / ls2[i])
+    q0 = -hyper.signal_variance * delta[i] * r[:, i] / ls2[i]
+    return _slice_attribution_closed(p2, p1, p0, q1, q0)
+
+
+def kernel_slice_attribution(
+    x, baseline, x_center, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
+    """Attribution of feature i applied to the function k(., x_center).
+
+    In one dimension this telescopes to k(x, x_center) - k(z, x_center).
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    center = np.asarray(x_center, dtype=float).reshape(-1)
+    _check(x, z, i, hyper, center)
+    return float(slice_attribution_vector(x, z, center[None, :], i, hyper, tol)[0])
+
+
+def prior_variance_per_feature(
+    x, baseline, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
+    """Prior variance of feature i's attribution, one feature at a time."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    _check(x, z, i, hyper)
+    ls2 = hyper.lengthscales**2
+    delta = x - z
+    p2 = float(np.sum(delta**2 / ls2))
+    sv = hyper.signal_variance
+    if p2 <= tol.singular_threshold:
+        t, w = _fallback_nodes()
+        path = z[None, :] + t[:, None] * delta[None, :]
+        H = hess_ii_cross(path, path, i, hyper)
+        return _clamp_variance(float(delta[i] ** 2 * (w @ H @ w)), "prior attribution")
+    r2 = -sv * delta[i] ** 2 / ls2[i] ** 2
+    r0 = sv / ls2[i]
+    one_minus_exp = -math.expm1(-0.5 * p2)
+    bracket = (
+        _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * (p2 * r0 + r2) / p2**1.5
+        - 2.0 * one_minus_exp * (p2 * r0 + 2.0 * r2) / p2**2
+    )
+    return _clamp_variance(float(delta[i] ** 2 * bracket), "prior attribution")
+
+
+def gpr_attribution_per_feature(
+    model: GprModel, x, baseline, i: int, tol: Tolerances = DEFAULT_TOLERANCES
+) -> AttributionGaussian:
+    """Gaussian law of feature i's attribution with its own training solve.
+
+    mean = slice attributions dotted with the representer weights
+    var  = prior double-integral term
+           - (slice attributions)^T (K + noise*I)^{-1} (slice attributions)
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    _check(x, z, i, model.hyper)
+    a_vec = slice_attribution_vector(x, z, model.x_train, i, model.hyper, tol)
+    mean = float(a_vec @ model.alpha)
+    prior = prior_variance_per_feature(x, z, i, model.hyper, tol)
+    correction = float(a_vec @ model.solve(a_vec))
+    var = _clamp_variance(prior - correction, "attribution")
+    return AttributionGaussian(feature_index=i, mean=mean, variance=var)

@@ -7,15 +7,19 @@ simpson, not this package's quadrature module).
 """
 
 import csv
+import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import gpattr
 from gpattr import (
     ArdSeHyper,
+    GprModel,
     NumericalError,
     ardse_eval,
     ardse_grad_i,
@@ -24,15 +28,16 @@ from gpattr import (
     bayes_linear_posterior,
     fit,
     gpr_attribution,
-    kernel_slice_attribution,
     predict,
     prior_attribution_variance,
     write_report_csv,
     write_report_json_dict,
 )
-from gpattr.attrib_exact import AttrCoefficients, AttributionGaussian, attr_coefficients
+from gpattr.attrib_exact import AttributionGaussian
 from gpattr.data_io import Baseline, Dataset
 from gpattr.kernels import hess_ii_cross
+from gpattr.specfun import DEFAULT_TOLERANCES
+from oracles import attr_coefficients, gpr_attribution_per_feature, kernel_slice_attribution
 
 
 def _draw(rng, dim=3):
@@ -242,6 +247,111 @@ def test_model_attribution_uncertainty_grows_with_distance(sim_model):
     small = gpr_attribution(sim_model, z + np.array([0.1, 0.1]), z, 0).variance
     large = gpr_attribution(sim_model, z + np.array([4.0, 4.0]), z, 0).variance
     assert large > small
+
+
+_CASES = ("generic", "tiny_path", "far_baseline", "feature_at_baseline", "at_baseline")
+
+
+def _equivalence_draw(rng, dim: int, case: str, scale: float):
+    """A fitted model and a (query, baseline) pair for one edge case, with
+    targets and kernel amplitude multiplied by scale."""
+    n = int(rng.integers(10, 40))
+    ls = rng.uniform(0.5, 2.0, size=dim)
+    sv = scale**2 * float(rng.uniform(0.3, 2.0))
+    hyper = ArdSeHyper(sv, ls, sv * float(rng.uniform(0.05, 0.3)))
+    X = rng.uniform(-2.0, 2.0, size=(n, dim))
+    y = scale * (np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n))
+    model = fit(Dataset(X, y, tuple(f"f{j}" for j in range(dim))), hyper)
+    x = rng.uniform(-2.0, 2.0, size=dim)
+    z = rng.uniform(-2.0, 2.0, size=dim)
+    if case == "tiny_path":
+        # nonzero path below the singular threshold: the Simpson fallback
+        step = rng.standard_normal(dim)
+        step *= math.sqrt(0.5 * DEFAULT_TOLERANCES.singular_threshold / np.sum(step**2 / ls**2))
+        x = z + step
+    elif case == "far_baseline":
+        # baseline 30 lengthscales out, query on a training point: p1 << -p2
+        x = X[0].copy()
+        z = X[0] + 30.0 * ls * rng.choice((-1.0, 1.0), size=dim)
+    elif case == "feature_at_baseline":
+        j = int(rng.integers(dim))
+        x[j] = z[j]
+    elif case == "at_baseline":
+        x = z.copy()
+    return model, x, z
+
+
+def test_one_pass_matches_per_feature_oracle():
+    rng = np.random.default_rng(20240311)
+    grid = itertools.product((1, 3, 8), _CASES, (1.0, 1e-6, 1e6, 1e3))
+    for draw, (dim, case, scale) in enumerate(grid):
+        model, x, z = _equivalence_draw(rng, dim, case, scale)
+        sv = model.hyper.signal_variance
+        rows = attribution_report(model, x, z).attributions
+        assert len(rows) == dim
+        for i, got in enumerate(rows):
+            want = gpr_attribution_per_feature(model, x, z, i)
+            where = f"draw {draw} ({case}, d={dim}, scale={scale:g}), feature {i}"
+            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(sv)), where
+            assert abs(got.variance - want.variance) <= 1e-13 * sv, where
+            if case == "tiny_path":
+                # both laws are O(step) here, far below the bounds above
+                assert abs(got.mean - want.mean) <= 1e-10 * abs(want.mean), where
+                assert abs(got.variance - want.variance) <= 1e-10 * want.variance, where
+            if x[i] == z[i]:
+                assert got.mean == 0.0 and got.variance == 0.0, where
+
+
+def _count_calls(monkeypatch):
+    """Record the shape of every GprModel.solve right-hand side and the
+    element count of every erf call, wherever gpattr looks erf up."""
+    solves, erf_sizes = [], []
+    real_solve, real_erf = GprModel.solve, gpattr.specfun.erf
+
+    def solve(self, b):
+        solves.append(np.shape(b))
+        return real_solve(self, b)
+
+    def erf(z):
+        erf_sizes.append(int(np.size(z)))
+        return real_erf(z)
+
+    def predict(*args, **kwargs):
+        raise AssertionError("attribution_report must not call predict")
+
+    monkeypatch.setattr(GprModel, "solve", solve)
+    swaps = ((real_erf, erf), (gpattr.gpr.predict, predict))
+    for module in [gpattr, *(m for m in vars(gpattr).values() if isinstance(m, types.ModuleType))]:
+        for name, value in list(vars(module).items()):
+            for old, new in swaps:
+                if value is old:
+                    monkeypatch.setattr(module, name, new)
+    return solves, erf_sizes
+
+
+def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
+    # the paper's cost claim: d + 2 right-hand sides in one solve, one erf
+    # over the 2n completed-square endpoints, one scalar erf for the prior
+    n, dim = 23, 4
+    X = rng.uniform(-2.0, 2.0, size=(n, dim))
+    data = Dataset(X, np.cos(X).sum(axis=1), tuple(f"f{j}" for j in range(dim)))
+    model = fit(data, ArdSeHyper(0.8, np.full(dim, 1.1), 0.1))
+    solves, erf_sizes = _count_calls(monkeypatch)
+    attribution_report(model, rng.uniform(-2.0, 2.0, size=dim), X.mean(axis=0))
+    assert solves == [(n, dim + 2)]
+    assert sorted(erf_sizes) == [1, 2 * n]
+    # the degenerate path takes the Simpson fallback: still one solve, no erf
+    solves.clear(), erf_sizes.clear()
+    rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
+    assert solves == [(n, dim + 2)] and erf_sizes == []
+    assert all(a.mean == 0.0 and a.variance == 0.0 for a in rep.attributions)
+
+
+def test_report_rejects_non_finite_query(sim_model):
+    with pytest.raises(ValueError):
+        attribution_report(sim_model, [np.nan, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        attribution_report(sim_model, [1.0, 1.0], [np.inf, 0.0])
 
 
 def test_report_fields_and_residual(sim_model):

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpattr
 from gpattr.cli import main
 from gpattr.data_io import simulate
 
@@ -290,3 +295,30 @@ def test_numerical_errors_exit_4(tmp_path, capsys):
                "--out-dir", str(tmp_path / "attr")])
     assert rc == 4
     capsys.readouterr()
+
+
+def test_attribute_rejects_truncated_alpha_at_load(workdir, tmp_path, capsys):
+    payload = json.loads(workdir["model"].read_text())
+    payload["alpha"] = payload["alpha"][:-1]
+    bad = tmp_path / "truncated.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["attribute", "--model", str(bad), "--query", "1,2", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "alpha" in err and "matmul" not in err
+
+
+def test_python_dash_m_runs_the_cli(workdir, tmp_path):
+    src = str(Path(gpattr.__file__).resolve().parent.parent)
+    out = tmp_path / "m"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpattr", "attribute", "--model", str(workdir["model"]),
+         "--query", "7.0,2.5", "--out-dir", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "completeness residual" in proc.stdout
+    assert (out / "attributions.json").is_file()
+    usage = subprocess.run([sys.executable, "-m", "gpattr"], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert usage.returncode == 2 and "usage" in usage.stderr

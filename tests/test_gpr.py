@@ -10,6 +10,7 @@ import pytest
 
 from gpattr import (
     ArdSeHyper,
+    GprModel,
     NumericalError,
     fit,
     kernel_matrix,
@@ -235,3 +236,55 @@ def test_fit_dimension_mismatch():
     data = _dataset(10, seed=16, dim=3)
     with pytest.raises(ValueError):
         fit(data, HYP)
+
+
+def _rebuilt(model, **fields):
+    parts = dict(hyper=model.hyper, x_train=model.x_train, chol=model.chol,
+                 alpha=model.alpha, y_mean_offset=model.y_mean_offset)
+    parts.update(fields)
+    return GprModel(**parts)
+
+
+def test_model_rejects_non_finite_factor():
+    model = fit(_dataset(12, seed=21), HYP)
+    chol = np.array(model.chol)
+    chol[5, 2] = np.nan
+    with pytest.raises(ValueError, match="chol"):
+        _rebuilt(model, chol=chol)
+    x_train = np.array(model.x_train)
+    x_train[0, 1] = np.inf
+    with pytest.raises(ValueError, match="x_train"):
+        _rebuilt(model, x_train=x_train)
+    with pytest.raises(ValueError, match="y_mean_offset"):
+        _rebuilt(model, y_mean_offset=float("nan"))
+
+
+def test_model_rejects_inconsistent_shapes():
+    model = fit(_dataset(12, seed=22), HYP)
+    with pytest.raises(ValueError, match="alpha"):
+        _rebuilt(model, alpha=model.alpha[:-1])
+    with pytest.raises(ValueError, match="chol"):
+        _rebuilt(model, chol=model.chol[:-1, :-1])
+    with pytest.raises(ValueError, match="x_train"):
+        _rebuilt(model, x_train=np.hstack((model.x_train, model.x_train)))
+
+
+def test_model_arrays_are_read_only():
+    model = fit(_dataset(12, seed=23), HYP)
+    with pytest.raises(ValueError):
+        model.chol[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.alpha[0] = 1.0
+    with pytest.raises(ValueError):
+        model.x_train[0, 0] = 1.0
+
+
+def test_load_model_rejects_truncated_alpha(tmp_path):
+    model = fit(_dataset(12, seed=24), HYP)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    payload = json.loads(path.read_text())
+    payload["alpha"] = payload["alpha"][:-1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="alpha"):
+        load_model(str(path))
