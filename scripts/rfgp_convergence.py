@@ -55,21 +55,18 @@ def main() -> None:
         for seed in range(args.seeds):
             approx = rfgp_fit(data, hyper, m, seed)
             for (x, z), ex in zip(pairs, exact):
-                gaps.extend(
-                    abs(rfgp_attribution(approx, x, z, i).mean - ex[i])
-                    for i in range(data.dim)
-                )
+                gaps.extend(abs(a.mean - e) for a, e in zip(rfgp_attribution(approx, x, z), ex))
         med = float(np.median(gaps))
         rows.append({"m_features": m, "median_mean_gap": med})
         print(f"  M = {m:<6d} median gap = {med:.4f}")
 
     x, z = pairs[0]
     print(f"\nensemble of {args.ensemble} frequency draws at M = 100, first query pair")
-    for i in range(data.dim):
-        mix = marginalized_attribution(data, hyper, 100, x, z, i, args.ensemble, seed=0)
+    mixtures = marginalized_attribution(data, hyper, 100, x, z, args.ensemble, seed=0)
+    for name, mix in zip(data.feature_names, mixtures):
         single = float(np.median([c.variance for c in mix.components]))
         print(
-            f"  {data.feature_names[i]}: mixture var {mix.total_variance:.4f}"
+            f"  {name}: mixture var {mix.total_variance:.4f}"
             f"  vs median single-model var {single:.4f}"
         )
 

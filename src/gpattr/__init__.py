@@ -25,7 +25,6 @@ from .attrib_quad import (
     convergence_sweep,
     mc_attribution_oracle,
     nodes_weights,
-    posterior_mean_gradient,
     quad_attribution,
 )
 from .data_io import (

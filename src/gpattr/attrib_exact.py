@@ -116,11 +116,33 @@ def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes_weights(QuadratureSpec(rule="simpson", partitions=_FALLBACK_PARTITIONS))
 
 
-def _slice_matrix(
-    x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, tol: Tolerances
-) -> np.ndarray:
+def _path_quadrature(
+    x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, t: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice attributions (n, d) and prior variances (d,) of every feature
+    by the quadrature rule with nodes t and weights w on the path.
+
+    Two kernel blocks serve every feature. With r + t*delta the offset of
+    the node from a center, d k(path_t, c)/d x_i = -k * (r_i + t*delta_i) / ls_i^2,
+    so the slice matrix needs the weighted sums of K(path, centers) and
+    t * K(path, centers). Between nodes s and t the mixed derivative of
+    feature i is k * (1/ls_i^2 - (s - t)^2 delta_i^2 / ls_i^4), so the prior
+    needs w.K.w and the lagged w.(K o (s - t)^2).w of K(path, path).
+    """
+    ls2 = hyper.lengthscales**2
+    delta = x - z
+    path = z[None, :] + t[:, None] * delta[None, :]
+    K = kernel_cross(path, centers, hyper)
+    A = -(delta / ls2) * ((w @ K)[:, None] * (z[None, :] - centers) + ((w * t) @ K)[:, None] * delta)
+    K = kernel_cross(path, path, hyper)
+    flat = w @ K @ w
+    lagged = w @ (K * (t[:, None] - t[None, :]) ** 2) @ w
+    return A, delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
+
+
+def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
     """Attribution of every feature i applied to every kernel slice
-    k(., center_n), as an (n, d) matrix.
+    k(., center_n), as an (n, d) matrix, for a non-degenerate path.
 
     Along the path the integrand is (q1*t + q0) * exp(-(p2 t^2 + p1 t + p0)/2)
     with p2 shared by all points and features, p1 and p0 per point, q1 per
@@ -136,13 +158,6 @@ def _slice_matrix(
     delta = x - z
     r = z[None, :] - centers
     p2 = float(np.sum(delta**2 / ls2))
-    if p2 <= tol.singular_threshold:
-        # Degenerate path: Simpson over the gradient field, from one kernel
-        # block between path nodes and centers. With r + t*delta the node
-        # offset, d k(path_t, c)/d x_i = -k * (r_i + t*delta_i) / ls_i^2.
-        t, w = _fallback_nodes()
-        K = kernel_cross(z[None, :] + t[:, None] * delta[None, :], centers, hyper)
-        return -(delta / ls2) * ((w @ K)[:, None] * r + ((w * t) @ K)[:, None] * delta)
     p1 = 2.0 * (r / ls2) @ delta
     p0 = np.sum(r**2 / ls2, axis=1)
     q1 = -sv * delta**2 / ls2
@@ -174,31 +189,27 @@ def _slice_matrix(
     return exp_part + erf_part
 
 
-def _prior_variances(x: np.ndarray, z: np.ndarray, hyper: ArdSeHyper, tol: Tolerances) -> np.ndarray:
-    """Prior variance of every feature's attribution: the double path
-    integral of the mixed kernel derivative, scaled by (x_i - z_i)^2.
+def _slices_and_priors(
+    x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice matrix (n, d) and prior variances (d,) of every feature.
 
-    Closed form via the lag substitution u = s - t:
+    The prior variance is the double path integral of the mixed kernel
+    derivative, scaled by (x_i - z_i)^2. Closed form via the lag
+    substitution u = s - t:
         (x_i - z_i)^2 * [ sqrt(2 pi) erf(sqrt(p2/2)) (p2 r0 + r2) / p2^{3/2}
                           - 2 (1 - exp(-p2/2)) (p2 r0 + 2 r2) / p2^2 ]
     with r0 = sv / ls_i^2 and r2 = -sv (x_i - z_i)^2 / ls_i^4, so one scalar
-    erf serves every feature.
+    erf serves every feature. On a degenerate path (p2 ~ 0), where the
+    closed forms divide by ~0, both come from composite Simpson.
     """
     ls2 = hyper.lengthscales**2
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
-    sv = hyper.signal_variance
     if p2 <= tol.singular_threshold:
-        # Simpson over the node-by-node kernel, built once: between path
-        # nodes s, t the mixed derivative of feature i is
-        # k * (1/ls_i^2 - (s - t)^2 delta_i^2 / ls_i^4).
-        t, w = _fallback_nodes()
-        path = z[None, :] + t[:, None] * delta[None, :]
-        K = kernel_cross(path, path, hyper)
-        flat = w @ K @ w
-        lagged = w @ (K * (t[:, None] - t[None, :]) ** 2) @ w
-        bracket = flat / ls2 - delta**2 * lagged / ls2**2
+        A, prior = _path_quadrature(x, z, centers, hyper, *_fallback_nodes())
     else:
+        sv = hyper.signal_variance
         r2 = -sv * delta**2 / ls2**2
         r0 = sv / ls2
         one_minus_exp = -math.expm1(-0.5 * p2)
@@ -206,7 +217,14 @@ def _prior_variances(x: np.ndarray, z: np.ndarray, hyper: ArdSeHyper, tol: Toler
             _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * (p2 * r0 + r2) / p2**1.5
             - 2.0 * one_minus_exp * (p2 * r0 + 2.0 * r2) / p2**2
         )
-    return _clamp_variance(delta**2 * bracket, "prior attribution")
+        A, prior = _slice_matrix(x, z, centers, hyper), delta**2 * bracket
+    return A, _clamp_variance(prior, "prior attribution")
+
+
+def _laws(means: np.ndarray, variances: np.ndarray) -> tuple[AttributionGaussian, ...]:
+    """One AttributionGaussian per feature, in feature order."""
+    pairs = zip(means, variances)
+    return tuple(AttributionGaussian(i, float(m), float(v)) for i, (m, v) in enumerate(pairs))
 
 
 def _exact_laws(
@@ -222,7 +240,7 @@ def _exact_laws(
     """
     hyper = model.hyper
     d = hyper.dim
-    A = _slice_matrix(x, z, model.x_train, hyper, tol)
+    A, prior = _slices_and_priors(x, z, model.x_train, hyper, tol)
     k_xz = kernel_cross(np.stack((x, z)), model.x_train, hyper)
     S = model.solve(np.hstack((A, k_xz.T)))
     for j, where in enumerate(("query", "baseline")):
@@ -230,17 +248,19 @@ def _exact_laws(
         if var < -1e-10:
             raise NumericalError(f"posterior variance {var:.3e} at the {where} below round-off tolerance")
     correction = np.sum(A * S[:, :d], axis=0)
-    variances = _clamp_variance(_prior_variances(x, z, hyper, tol) - correction, "attribution")
+    variances = _clamp_variance(prior - correction, "attribution")
     return model.alpha @ A, variances, k_xz
 
 
 def prior_attribution_variance(
     x, baseline, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """Prior variance of feature i's attribution (see _prior_variances)."""
+    """Prior variance of feature i's attribution, read from the d prior
+    variances of _slices_and_priors (which needs no training centers)."""
     x, z = _query_pair(x, baseline, hyper.dim)
     _check_index(i, hyper.dim)
-    return float(_prior_variances(x, z, hyper, tol)[i])
+    no_centers = np.empty((0, hyper.dim))
+    return float(_slices_and_priors(x, z, no_centers, hyper, tol)[1][i])
 
 
 def gpr_attribution(
@@ -291,10 +311,7 @@ def attribution_report(
     """
     x, z = _query_pair(x, baseline, model.hyper.dim)
     means, variances, k_xz = _exact_laws(model, x, z, tol)
-    rows = [
-        AttributionGaussian(i, float(m), float(v)) for i, (m, v) in enumerate(zip(means, variances))
-    ]
-    return _assemble(model, rows, k_xz)
+    return _assemble(model, _laws(means, variances), k_xz)
 
 
 def report_from_rows(model: GprModel, x, baseline, rows) -> AttributionReport:

@@ -20,6 +20,8 @@ from .attrib_exact import (
     AttributionGaussian,
     _check_index,
     _clamp_variance,
+    _laws,
+    _path_quadrature,
     _query_pair,
     attribution_report,
 )
@@ -31,7 +33,6 @@ __all__ = [
     "QuadratureSpec",
     "nodes_weights",
     "function_evals",
-    "posterior_mean_gradient",
     "quad_attribution",
     "SweepRow",
     "convergence_sweep",
@@ -84,42 +85,25 @@ def function_evals(spec: QuadratureSpec) -> int:
     return 2 * spec.partitions + 1
 
 
-def posterior_mean_gradient(model: GprModel, x, i: int) -> float:
-    """d mu / d x_i at x: kernel gradients dotted with representer weights."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.hyper.dim:
-        raise ValueError(f"x has {x.size} features, model expects {model.hyper.dim}")
-    g = grad_i_cross(x[None, :], model.x_train, i, model.hyper)[0]
-    return float(g @ model.alpha)
-
-
 def quad_attribution(
-    model: GprModel, x, baseline, i: int, spec: QuadratureSpec
-) -> AttributionGaussian:
-    """Quadrature approximation of the attribution law for feature i.
+    model: GprModel, x, baseline, spec: QuadratureSpec
+) -> tuple[AttributionGaussian, ...]:
+    """Quadrature approximation of the attribution law of every feature.
 
-    mean: (x_i - z_i) * sum_l w_l dmu/dx_i(path_l)
-    var:  (x_i - z_i)^2 * w^T H w - q^T (K + noise*I)^{-1} q
-    with H the matrix of mixed kernel derivatives between path nodes and
-    q_n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
-    the exact posterior variance of the discretized functional.
+    mean_i: (x_i - z_i) * sum_l w_l dmu/dx_i(path_l)
+    var_i:  (x_i - z_i)^2 * w^T H_i w - q_i^T (K + noise*I)^{-1} q_i
+    with H_i the matrix of mixed kernel derivatives between path nodes and
+    q_i,n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
+    the exact posterior variance of the discretized functional. The q_i are
+    the columns of one (n, d) matrix built from K(path, train), the priors
+    come from one K(path, path), and one solve with d right-hand sides gives
+    every correction.
     """
-    hyper = model.hyper
-    x, z = _query_pair(x, baseline, hyper.dim)
-    _check_index(i, hyper.dim)
-    gap = float(x[i] - z[i])
-    t, w = nodes_weights(spec)
-    path = z[None, :] + t[:, None] * (x - z)[None, :]
-
-    G = grad_i_cross(path, model.x_train, i, hyper)
-    mean = gap * float(w @ (G @ model.alpha))
-
-    H = hess_ii_cross(path, path, i, hyper)
-    prior = gap**2 * float(w @ H @ w)
-    q = gap * (G.T @ w)
-    correction = float(q @ model.solve(q))
-    var = _clamp_variance(prior - correction, "quadrature attribution")
-    return AttributionGaussian(feature_index=i, mean=mean, variance=var)
+    x, z = _query_pair(x, baseline, model.hyper.dim)
+    A, prior = _path_quadrature(x, z, model.x_train, model.hyper, *nodes_weights(spec))
+    means = model.alpha @ A
+    variances = _clamp_variance(prior - np.sum(A * model.solve(A), axis=0), "quadrature attribution")
+    return _laws(means, variances)
 
 
 @dataclass(frozen=True)
@@ -149,7 +133,6 @@ def convergence_sweep(
     queries = np.asarray(queries, dtype=float)
     if queries.ndim == 1:
         queries = queries[None, :]
-    dim = model.hyper.dim
     exact = [attribution_report(model, xq, baseline, tol).attributions for xq in queries]
     rows: list[SweepRow] = []
     for rule in rules:
@@ -157,11 +140,10 @@ def convergence_sweep(
             spec = QuadratureSpec(rule=rule, partitions=int(L))
             mean_errs = []
             var_errs = []
-            for qi, xq in enumerate(queries):
-                for i in range(dim):
-                    approx = quad_attribution(model, xq, baseline, i, spec)
-                    mean_errs.append(abs(approx.mean - exact[qi][i].mean))
-                    var_errs.append(abs(approx.variance - exact[qi][i].variance))
+            for xq, laws in zip(queries, exact):
+                for approx, law in zip(quad_attribution(model, xq, baseline, spec), laws):
+                    mean_errs.append(abs(approx.mean - law.mean))
+                    var_errs.append(abs(approx.variance - law.variance))
             rows.append(
                 SweepRow(
                     rule=rule,

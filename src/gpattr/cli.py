@@ -107,11 +107,39 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _count(text: str, minimum: int = 1) -> int:
+    """argparse type of every count flag: an integer >= minimum."""
     try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+    return value
+
+
+def _count_list(text: str, flag: str) -> list[int]:
+    try:
+        return [_count(p) for p in text.split(",") if p != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _row_index(spec: str, n: int) -> int:
+    """Row of --query-row among n rows: an integer (negative counts from the
+    end) or 'last'."""
+    if spec == "last":
+        idx = n - 1
+    else:
+        try:
+            idx = int(spec)
+        except ValueError:
+            raise UsageError(f"--query-row must be an integer or 'last', got {spec!r}") from None
+        if idx < 0:
+            idx += n
+    if not 0 <= idx < n:
+        raise DataError(f"--query-row {spec} out of range for {n} rows")
+    return idx
 
 
 def _out_dir(args) -> Path:
@@ -129,8 +157,6 @@ def _load_dataset(args, require: bool = True) -> Dataset | None:
             raise UsageError("--data requires --target")
         return load_csv(args.data, args.target)
     if args.simulate is not None:
-        if args.simulate < 1:
-            raise UsageError("--simulate must be a positive sample count")
         return simulate(args.simulate, noise_scale=args.noise_scale, seed=args.data_seed)
     if require:
         raise UsageError("provide a data source: --data CSV --target COL, or --simulate N")
@@ -140,7 +166,7 @@ def _load_dataset(args, require: bool = True) -> Dataset | None:
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="CSV file with a header row")
     p.add_argument("--target", help="name of the target column in --data")
-    p.add_argument("--simulate", type=int, help="generate N simulated rows instead of reading CSV")
+    p.add_argument("--simulate", type=_count, help="generate N simulated rows instead of reading CSV")
     p.add_argument("--noise-scale", type=float, default=0.5, help="noise scale for --simulate")
     p.add_argument("--data-seed", type=int, default=0, help="seed for --simulate")
 
@@ -171,17 +197,7 @@ def cmd_fit(args) -> int:
 
     holdout = None
     if args.query_row is not None:
-        if args.query_row == "last":
-            idx = data.n - 1
-        else:
-            try:
-                idx = int(args.query_row)
-            except ValueError:
-                raise UsageError(f"--query-row must be an integer or 'last', got {args.query_row!r}")
-            if idx < 0:
-                idx += data.n
-        if not 0 <= idx < data.n:
-            raise DataError(f"--query-row {args.query_row} out of range for {data.n} rows")
+        idx = _row_index(args.query_row, data.n)
         holdout = {
             "row": idx,
             "x": data.X[idx].tolist(),
@@ -198,8 +214,6 @@ def cmd_fit(args) -> int:
 
     hyper = _resolve_hyper(args, data)
     if args.optimize is not None:
-        if args.optimize < 1:
-            raise UsageError("--optimize budget must be >= 1")
         hyper = optimize_hyperparameters(data, hyper, args.optimize)
     model = fit(data, hyper)
 
@@ -288,12 +302,7 @@ def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int) -> np
         data = load_csv(args.data, args.target)
         if data.dim != dim:
             raise DataError(f"{args.data} has {data.dim} features, model expects {dim}")
-        idx = data.n - 1 if args.query_row == "last" else int(args.query_row)
-        if idx < 0:
-            idx += data.n
-        if not 0 <= idx < data.n:
-            raise DataError(f"--query-row {args.query_row} out of range for {data.n} rows")
-        return _model_space_point(data.X[idx], stats)
+        return _model_space_point(data.X[_row_index(args.query_row, data.n)], stats)
     holdout = payload.get("holdout")
     if holdout is not None:
         return _model_space_point(np.array(holdout["x"], dtype=float), stats)
@@ -389,31 +398,21 @@ def cmd_attribute(args) -> int:
     if engine == "exact":
         report = attribution_report(model, x, baseline)
     elif engine == "quad":
-        rows = [
-            quad_attribution(model, x, baseline, i, quad_spec)
-            for i in range(model.hyper.dim)
-        ]
-        report = report_from_rows(model, x, baseline, rows)
+        report = report_from_rows(model, x, baseline, quad_attribution(model, x, baseline, quad_spec))
     else:  # rfgp
         train = _training_dataset_from_payload(model, payload)
         if args.rfgp_ensemble > 1:
-            mixtures = [
-                marginalized_attribution(
-                    train, model.hyper, args.rfgp_features, x, baseline, i,
-                    ensemble_size=args.rfgp_ensemble, seed=args.seed,
-                )
-                for i in range(model.hyper.dim)
-            ]
+            mixtures = marginalized_attribution(
+                train, model.hyper, args.rfgp_features, x, baseline,
+                ensemble_size=args.rfgp_ensemble, seed=args.seed,
+            )
             rows = [
                 AttributionGaussian(m.feature_index, m.mixture_mean, m.total_variance)
                 for m in mixtures
             ]
         else:
             rfgp_model = rfgp_fit(train, model.hyper, args.rfgp_features, args.seed)
-            rows = [
-                rfgp_attribution(rfgp_model, x, baseline, i)
-                for i in range(model.hyper.dim)
-            ]
+            rows = rfgp_attribution(rfgp_model, x, baseline)
         report = report_from_rows(model, x, baseline, rows)
 
     doc = write_report_json_dict(report, names)
@@ -452,12 +451,12 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_quad_sweep(args) -> int:
-    out = _out_dir(args)
-    model = load_model(args.model)
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    l_values = _int_list(args.l_values, "--l-values")
+    l_values = _count_list(args.l_values, "--l-values")
     if not rules or not l_values:
         raise UsageError("--rules and --l-values must be non-empty")
+    out = _out_dir(args)
+    model = load_model(args.model)
 
     rng = np.random.default_rng(args.seed)
     lo = model.x_train.min(axis=0)
@@ -507,6 +506,7 @@ def _sym_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float |
 
 
 def cmd_rfgp_compare(args) -> int:
+    m_values = _count_list(args.m_values, "--m-values")
     out = _out_dir(args)
     payload = load_model_payload(args.model)
     model = load_model(args.model)
@@ -515,42 +515,40 @@ def cmd_rfgp_compare(args) -> int:
     baseline = _resolve_baseline(args, model, stats, payload)
     names = _payload_names(payload, model.hyper.dim)
     train = _training_dataset_from_payload(model, payload)
-    m_values = _int_list(args.m_values, "--m-values")
 
-    features = []
-    for i, exact in enumerate(attribution_report(model, x, baseline).attributions):
-        per_m = []
-        for m in m_values:
-            gaps, kls, entries = [], [], []
-            for s in range(args.seeds):
-                rm = rfgp_fit(train, model.hyper, m, seed=args.seed + s)
-                a = rfgp_attribution(rm, x, baseline, i)
-                gaps.append(abs(a.mean - exact.mean))
-                kl = _sym_kl(a.mean, a.variance, exact.mean, exact.variance)
-                if kl is not None:
-                    kls.append(kl)
-                entries.append({"seed": args.seed + s, "mean": a.mean, "variance": a.variance})
-            per_m.append(
+    exact = attribution_report(model, x, baseline).attributions
+    seeds = [args.seed + s for s in range(args.seeds)]
+    per_m = [[] for _ in exact]
+    for m in m_values:
+        draws = [rfgp_attribution(rfgp_fit(train, model.hyper, m, seed=s), x, baseline) for s in seeds]
+        for i, ex in enumerate(exact):
+            laws = [rows[i] for rows in draws]
+            kls = [_sym_kl(a.mean, a.variance, ex.mean, ex.variance) for a in laws]
+            kls = [k for k in kls if k is not None]
+            per_m[i].append(
                 {
                     "m": m,
-                    "median_abs_mean_gap": float(np.median(gaps)),
+                    "median_abs_mean_gap": float(np.median([abs(a.mean - ex.mean) for a in laws])),
                     "median_sym_kl": float(np.median(kls)) if kls else None,
-                    "draws": entries,
+                    "draws": [
+                        {"seed": s, "mean": a.mean, "variance": a.variance} for s, a in zip(seeds, laws)
+                    ],
                 }
             )
-        mixture = marginalized_attribution(
-            train, model.hyper, args.ensemble_m, x, baseline, i,
-            ensemble_size=args.ensemble, seed=args.seed,
-        )
-        features.append(
-            {
-                "feature": names[i],
-                "feature_index": i,
-                "exact": {"mean": exact.mean, "variance": exact.variance},
-                "per_m": per_m,
-                "mixture": mixture.to_json_dict(),
-            }
-        )
+    mixtures = marginalized_attribution(
+        train, model.hyper, args.ensemble_m, x, baseline,
+        ensemble_size=args.ensemble, seed=args.seed,
+    )
+    features = [
+        {
+            "feature": names[i],
+            "feature_index": i,
+            "exact": {"mean": ex.mean, "variance": ex.variance},
+            "per_m": per_m[i],
+            "mixture": mixture.to_json_dict(),
+        }
+        for i, (ex, mixture) in enumerate(zip(exact, mixtures))
+    ]
 
     doc = {
         "format": "gpattr-rfgp-compare",
@@ -677,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a GP and write model.json")
     _add_data_flags(p_fit)
     p_fit.add_argument("--normalize", action="store_true", help="z-score features before fitting")
-    p_fit.add_argument("--optimize", type=int, help="hyperparameter search budget (evaluations)")
+    p_fit.add_argument("--optimize", type=_count, help="hyperparameter search budget (evaluations)")
     p_fit.add_argument("--query-row", help="row index (or 'last') to hold out as the query point")
     p_fit.add_argument("--signal-variance", type=float)
     p_fit.add_argument("--lengthscales", help="comma-separated, one per feature")
@@ -695,9 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mean | values:v1,v2,... | filter:LO:HI (default mean)")
     p_attr.add_argument("--engine", default="exact",
                         help="exact | quad:RULE:L | rfgp (default exact)")
-    p_attr.add_argument("--rfgp-features", type=int, default=100,
+    p_attr.add_argument("--rfgp-features", type=_count, default=100,
                         help="frequency count M for --engine rfgp")
-    p_attr.add_argument("--rfgp-ensemble", type=int, default=1,
+    p_attr.add_argument("--rfgp-ensemble", type=_count, default=1,
                         help="ensemble size for --engine rfgp (>1 marginalizes)")
     p_attr.add_argument("--seed", type=int, default=0)
     p_attr.add_argument("--out-dir", default=".")
@@ -707,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--model", required=True)
     p_sweep.add_argument("--rules", default="right_hand,trapezoid,simpson")
     p_sweep.add_argument("--l-values", default="8,16,32,64,128,256,512,1024")
-    p_sweep.add_argument("--queries", type=int, default=20)
+    p_sweep.add_argument("--queries", type=_count, default=20)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.set_defaults(func=cmd_quad_sweep)
@@ -720,9 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--query-row")
     p_cmp.add_argument("--baseline", default="mean")
     p_cmp.add_argument("--m-values", default="10,100,1000")
-    p_cmp.add_argument("--seeds", type=int, default=20, help="frequency draws per M")
-    p_cmp.add_argument("--ensemble", type=int, default=100, help="mixture ensemble size")
-    p_cmp.add_argument("--ensemble-m", type=int, default=100, help="M used for the mixture")
+    p_cmp.add_argument("--seeds", type=_count, default=20, help="frequency draws per M")
+    p_cmp.add_argument("--ensemble", type=_count, default=100, help="mixture ensemble size")
+    p_cmp.add_argument("--ensemble-m", type=_count, default=100, help="M used for the mixture")
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out-dir", default=".")
     p_cmp.set_defaults(func=cmd_rfgp_compare)
@@ -731,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--model", required=True)
     p_mc.add_argument("--samples", type=int, default=10_000)
     p_mc.add_argument("--grid-points", type=int, default=257)
-    p_mc.add_argument("--queries", type=int, default=5)
+    p_mc.add_argument("--queries", type=lambda text: _count(text, minimum=0), default=5,
+                      help="random queries besides the baseline itself")
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--out-dir", default=".")
     p_mc.set_defaults(func=cmd_mc_validate)

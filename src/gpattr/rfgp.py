@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .attrib_exact import AttributionGaussian, _baseline_values
+from .attrib_exact import AttributionGaussian, _baseline_values, _laws
 from .data_io import Dataset
 from .kernels import ArdSeHyper
 from .specfun import NumericalError
@@ -138,16 +138,18 @@ def rfgp_predict(model: RfgpModel, x) -> tuple[float, float]:
 
 
 def feature_gradient_integral(
-    x, baseline, i: int, frequencies: np.ndarray, rel_tol: float = 1e-10
+    x, baseline, frequencies: np.ndarray, rel_tol: float = 1e-10
 ) -> np.ndarray:
-    """Path integral of each trig feature's partial derivative d/dx_i,
-    averaged over the straight path from baseline to x. Length 2M.
+    """Path integral of each trig feature's partial derivatives, averaged
+    over the straight path from baseline to x: a (2M, d) matrix whose
+    column i holds the d/dx_i integrals.
 
     With u_m = v_m . (x - baseline) and c_m = v_m . baseline:
         sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
         cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
+    The quotients do not depend on i, so column i is V[:, i] times them.
     When |u_m| <= rel_tol * |v_m| * |x - baseline| the quotient switches
-    to its limit, v_mi * cos(c_m) and -v_mi * sin(c_m).
+    to its limit, cos(c_m) and -sin(c_m).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
@@ -156,14 +158,11 @@ def feature_gradient_integral(
         raise ValueError(
             f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}"
         )
-    if not 0 <= i < V.shape[1]:
-        raise IndexError(f"feature index {i} out of range for dimension {V.shape[1]}")
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     delta = x - z
     u = V @ delta
     c = V @ z
-    vi = V[:, i]
     thresholds = rel_tol * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
     degenerate = np.abs(u) <= thresholds
 
@@ -179,29 +178,30 @@ def feature_gradient_integral(
         sin_rows[degenerate] = np.cos(cd)
         cos_rows[degenerate] = -np.sin(cd)
 
-    out = np.empty(2 * V.shape[0])
-    out[0::2] = vi * sin_rows
-    out[1::2] = vi * cos_rows
+    out = np.empty((2 * V.shape[0], V.shape[1]))
+    out[0::2] = V * sin_rows[:, None]
+    out[1::2] = V * cos_rows[:, None]
     return out
 
 
-def rfgp_attribution(model: RfgpModel, x, baseline, i: int) -> AttributionGaussian:
-    """Attribution law of feature i under the random-feature posterior.
+def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian, ...]:
+    """Attribution law of every feature under the random-feature posterior.
 
-    mean = (x_i - z_i) * integral_vector . weights
-    var  = (x_i - z_i)^2 * noise_variance * integral_vector^T A^{-1} integral_vector
+    mean_i = (x_i - z_i) * zeta_i . weights
+    var_i  = (x_i - z_i)^2 * noise_variance * zeta_i^T A^{-1} zeta_i
+    with zeta_i column i of the integral matrix, so one triangular solve
+    with d right-hand sides gives every variance.
 
     Completeness holds exactly within the feature class because the
     integral vectors telescope to feature_map(x) - feature_map(baseline).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
-    zeta = feature_gradient_integral(x, z, i, model.frequencies)
-    gap = float(x[i] - z[i])
-    mean = gap * float(zeta @ model.weights)
+    zeta = feature_gradient_integral(x, z, model.frequencies)
+    gap = x - z
+    means = gap * (model.weights @ zeta)
     half = solve_triangular(model.a_factor, zeta, lower=True)
-    var = gap**2 * model.hyper.noise_variance * float(half @ half)
-    return AttributionGaussian(feature_index=i, mean=mean, variance=var)
+    return _laws(means, gap**2 * model.hyper.noise_variance * np.sum(half * half, axis=0))
 
 
 @dataclass(frozen=True)
@@ -232,30 +232,28 @@ def marginalized_attribution(
     m_features: int,
     x,
     baseline,
-    i: int,
     ensemble_size: int,
     seed: int = 0,
-) -> AttributionMixture:
-    """Average the attribution law over an ensemble of frequency draws.
+) -> tuple[AttributionMixture, ...]:
+    """Average the attribution law of every feature over an ensemble of
+    frequency draws.
 
-    Fits ensemble_size models with consecutive seeds. The mixture mean is
-    the average component mean; the total variance adds the spread of the
-    component means to the average component variance (law of total
-    variance for an equal-weight mixture).
+    Fits ensemble_size models with consecutive seeds, each attributing all
+    features. Per feature, the mixture mean is the average component mean;
+    the total variance adds the spread of the component means to the
+    average component variance (law of total variance for an equal-weight
+    mixture).
     """
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    components = []
-    for r in range(ensemble_size):
-        model = rfgp_fit(data, hyper, m_features, seed + r)
-        components.append(rfgp_attribution(model, x, baseline, i))
-    means = np.array([c.mean for c in components])
-    variances = np.array([c.variance for c in components])
-    mixture_mean = float(np.mean(means))
-    total_variance = float(np.mean(variances) + np.var(means))
-    return AttributionMixture(
-        feature_index=i,
-        components=tuple(components),
-        mixture_mean=mixture_mean,
-        total_variance=total_variance,
-    )
+    draws = [
+        rfgp_attribution(rfgp_fit(data, hyper, m_features, seed + r), x, baseline)
+        for r in range(ensemble_size)
+    ]
+    mixtures = []
+    for i, components in enumerate(zip(*draws)):
+        means = np.array([c.mean for c in components])
+        variances = np.array([c.variance for c in components])
+        total_variance = float(np.mean(variances) + np.var(means))
+        mixtures.append(AttributionMixture(i, components, float(np.mean(means)), total_variance))
+    return tuple(mixtures)

@@ -1,21 +1,26 @@
 """Per-feature attribution algebra, kept as a test oracle.
 
-This is the one-feature-at-a-time form of the closed forms in
-gpattr.attrib_exact: scalar integrand coefficients, one slice-attribution
-vector, one prior variance and one training solve per feature. The package
-computes all features in one pass; tests check that pass against these
-functions, and these functions against quadrature and kernel derivatives.
+This is the one-feature-at-a-time form of every engine: the closed forms in
+gpattr.attrib_exact (scalar integrand coefficients, one slice-attribution
+vector, one prior variance and one training solve per feature), the
+quadrature engine (one gradient block, one Hessian block and one solve per
+feature) and the random-feature engine (one gradient-integral vector and one
+triangular solve per feature). The package computes all features in one
+pass; tests check that pass against these functions, and these functions
+against quadrature and kernel derivatives.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from gpattr.attrib_exact import AttributionGaussian, _baseline_values, _clamp_variance
 from gpattr.attrib_quad import QuadratureSpec, nodes_weights
 from gpattr.gpr import GprModel
 from gpattr.kernels import ArdSeHyper, grad_i_cross, hess_ii_cross
+from gpattr.rfgp import RfgpModel
 from gpattr.specfun import DEFAULT_TOLERANCES, Tolerances, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -183,4 +188,103 @@ def gpr_attribution_per_feature(
     prior = prior_variance_per_feature(x, z, i, model.hyper, tol)
     correction = float(a_vec @ model.solve(a_vec))
     var = _clamp_variance(prior - correction, "attribution")
+    return AttributionGaussian(feature_index=i, mean=mean, variance=var)
+
+
+def posterior_mean_gradient(model: GprModel, x, i: int) -> float:
+    """d mu / d x_i at x: kernel gradients dotted with representer weights."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != model.hyper.dim:
+        raise ValueError(f"x has {x.size} features, model expects {model.hyper.dim}")
+    g = grad_i_cross(x[None, :], model.x_train, i, model.hyper)[0]
+    return float(g @ model.alpha)
+
+
+def quad_attribution_per_feature(
+    model: GprModel, x, baseline, i: int, spec: QuadratureSpec
+) -> AttributionGaussian:
+    """Quadrature approximation of the attribution law for feature i.
+
+    mean: (x_i - z_i) * sum_l w_l dmu/dx_i(path_l)
+    var:  (x_i - z_i)^2 * w^T H w - q^T (K + noise*I)^{-1} q
+    with H the matrix of mixed kernel derivatives between path nodes and
+    q_n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    _check(x, z, i, model.hyper)
+    gap = float(x[i] - z[i])
+    t, w = nodes_weights(spec)
+    path = z[None, :] + t[:, None] * (x - z)[None, :]
+
+    G = grad_i_cross(path, model.x_train, i, model.hyper)
+    mean = gap * float(w @ (G @ model.alpha))
+
+    H = hess_ii_cross(path, path, i, model.hyper)
+    prior = gap**2 * float(w @ H @ w)
+    q = gap * (G.T @ w)
+    correction = float(q @ model.solve(q))
+    var = _clamp_variance(prior - correction, "quadrature attribution")
+    return AttributionGaussian(feature_index=i, mean=mean, variance=var)
+
+
+def feature_gradient_integral_per_feature(
+    x, baseline, i: int, frequencies: np.ndarray, rel_tol: float = 1e-10
+) -> np.ndarray:
+    """Path integral of each trig feature's partial derivative d/dx_i,
+    averaged over the straight path from baseline to x. Length 2M.
+
+    With u_m = v_m . (x - baseline) and c_m = v_m . baseline:
+        sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
+        cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
+    When |u_m| <= rel_tol * |v_m| * |x - baseline| the quotient switches
+    to its limit, v_mi * cos(c_m) and -v_mi * sin(c_m).
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    V = np.asarray(frequencies, dtype=float)
+    if not (x.size == z.size == V.shape[1]):
+        raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}")
+    if not 0 <= i < V.shape[1]:
+        raise IndexError(f"feature index {i} out of range for dimension {V.shape[1]}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    delta = x - z
+    u = V @ delta
+    c = V @ z
+    vi = V[:, i]
+    thresholds = rel_tol * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
+    degenerate = np.abs(u) <= thresholds
+
+    sin_rows = np.empty(V.shape[0])
+    cos_rows = np.empty(V.shape[0])
+    safe = ~degenerate
+    if np.any(safe):
+        us, cs = u[safe], c[safe]
+        sin_rows[safe] = (np.sin(cs + us) - np.sin(cs)) / us
+        cos_rows[safe] = (np.cos(cs + us) - np.cos(cs)) / us
+    if np.any(degenerate):
+        cd = c[degenerate]
+        sin_rows[degenerate] = np.cos(cd)
+        cos_rows[degenerate] = -np.sin(cd)
+
+    out = np.empty(2 * V.shape[0])
+    out[0::2] = vi * sin_rows
+    out[1::2] = vi * cos_rows
+    return out
+
+
+def rfgp_attribution_per_feature(model: RfgpModel, x, baseline, i: int) -> AttributionGaussian:
+    """Attribution law of feature i under the random-feature posterior.
+
+    mean = (x_i - z_i) * integral_vector . weights
+    var  = (x_i - z_i)^2 * noise_variance * integral_vector^T A^{-1} integral_vector
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    zeta = feature_gradient_integral_per_feature(x, z, i, model.frequencies)
+    gap = float(x[i] - z[i])
+    mean = gap * float(zeta @ model.weights)
+    half = solve_triangular(model.a_factor, zeta, lower=True)
+    var = gap**2 * model.hyper.noise_variance * float(half @ half)
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)

@@ -1,23 +1,30 @@
 """Quadrature rules, the discretized attribution, and the MC validator."""
 
+import itertools
+import math
+import types
+
 import numpy as np
 import pytest
 
+import gpattr
 from gpattr import (
     ArdSeHyper,
+    GprModel,
     QuadratureSpec,
     convergence_sweep,
     fit,
     gpr_attribution,
     mc_attribution_oracle,
     nodes_weights,
-    posterior_mean_gradient,
     predict,
+    prior_attribution_variance,
     quad_attribution,
 )
 from gpattr.attrib_quad import function_evals
 from gpattr.data_io import Dataset
 from gpattr.specfun import DEFAULT_TOLERANCES
+from oracles import posterior_mean_gradient, quad_attribution_per_feature
 
 
 def test_right_hand_rule_layout():
@@ -90,7 +97,7 @@ def test_mean_gradient_vanishes_far_from_data(sim_model):
 def test_single_panel_right_hand_is_endpoint_gradient(sim_model):
     x = np.array([6.0, 3.0])
     z = np.array([2.0, 5.0])
-    a = quad_attribution(sim_model, x, z, 0, QuadratureSpec("right_hand", 1))
+    a = quad_attribution(sim_model, x, z, QuadratureSpec("right_hand", 1))[0]
     want = (x[0] - z[0]) * posterior_mean_gradient(sim_model, x, 0)
     assert a.mean == pytest.approx(want, rel=1e-12)
 
@@ -98,7 +105,7 @@ def test_single_panel_right_hand_is_endpoint_gradient(sim_model):
 def test_quad_zero_at_baseline(sim_model):
     z = np.array([4.0, 4.0])
     for rule in ("right_hand", "trapezoid", "simpson"):
-        a = quad_attribution(sim_model, z, z, 1, QuadratureSpec(rule, 8))
+        a = quad_attribution(sim_model, z, z, QuadratureSpec(rule, 8))[1]
         assert a.mean == 0.0 and a.variance == 0.0
 
 
@@ -107,9 +114,10 @@ def test_fine_simpson_agrees_with_closed_form(sim_model, rng):
     for _ in range(3):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
+        rows = quad_attribution(sim_model, x, z, spec)
         for i in range(2):
             exact = gpr_attribution(sim_model, x, z, i)
-            approx = quad_attribution(sim_model, x, z, i, spec)
+            approx = rows[i]
             assert approx.mean == pytest.approx(exact.mean, rel=1e-7, abs=1e-9)
             assert approx.variance == pytest.approx(exact.variance, rel=1e-5, abs=1e-9)
 
@@ -118,7 +126,7 @@ def test_quad_variance_nonnegative(sim_model, rng):
     for _ in range(10):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        a = quad_attribution(sim_model, x, z, 0, QuadratureSpec("trapezoid", 16))
+        a = quad_attribution(sim_model, x, z, QuadratureSpec("trapezoid", 16))[0]
         assert a.variance >= 0.0
 
 
@@ -192,5 +200,86 @@ def test_quad_matches_exact_on_inert_feature(rng):
     X = rng.uniform(-2.0, 2.0, size=(25, 2))
     y = np.sin(X[:, 0]) + 0.2 * rng.standard_normal(25)
     model = fit(Dataset(X, y, ("a", "inert")), hyper)
-    a = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], 1, QuadratureSpec("simpson", 64))
+    a = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], QuadratureSpec("simpson", 64))[1]
     assert abs(a.mean) <= 1e-9 and a.variance <= 1e-9
+
+
+def _quad_draw(rng, dim: int, case: str, scale: float):
+    """A fitted model and a (query, baseline) pair, with targets and kernel
+    amplitude multiplied by scale."""
+    n = int(rng.integers(10, 40))
+    ls = rng.uniform(0.5, 2.0, size=dim)
+    sv = scale**2 * float(rng.uniform(0.3, 2.0))
+    hyper = ArdSeHyper(sv, ls, sv * float(rng.uniform(0.05, 0.3)))
+    X = rng.uniform(-2.0, 2.0, size=(n, dim))
+    y = scale * (np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n))
+    model = fit(Dataset(X, y, tuple(f"f{j}" for j in range(dim))), hyper)
+    x = rng.uniform(-2.0, 2.0, size=dim)
+    z = rng.uniform(-2.0, 2.0, size=dim)
+    if case == "feature_at_baseline":
+        j = int(rng.integers(dim))
+        x[j] = z[j]
+    elif case == "at_baseline":
+        x = z.copy()
+    return model, x, z
+
+
+def test_all_features_match_per_feature_oracle():
+    rng = np.random.default_rng(20240412)
+    cases = ("generic", "feature_at_baseline", "at_baseline")
+    rules = ("right_hand", "trapezoid", "simpson")
+    grid = itertools.product(rules, (1, 8, 64), (1, 3, 8), cases, (1.0, 1e6))
+    for draw, (rule, L, dim, case, scale) in enumerate(grid):
+        model, x, z = _quad_draw(rng, dim, case, scale)
+        spec = QuadratureSpec(rule, L)
+        rows = quad_attribution(model, x, z, spec)
+        assert len(rows) == dim
+        for i, got in enumerate(rows):
+            want = quad_attribution_per_feature(model, x, z, i, spec)
+            prior = prior_attribution_variance(x, z, i, model.hyper)
+            where = f"draw {draw} ({rule}, L={L}, d={dim}, {case}, scale={scale:g}), feature {i}"
+            assert got.feature_index == i, where
+            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
+            assert abs(got.variance - want.variance) <= 1e-12 * max(want.variance, prior), where
+            if x[i] == z[i]:
+                assert got.mean == 0.0 and got.variance == 0.0, where
+
+
+def test_quad_costs_two_kernel_blocks_and_one_solve(rng, monkeypatch):
+    # every feature shares K(path, train), K(path, path) and one solve with
+    # d right-hand sides; no per-feature derivative blocks
+    n, dim, L = 17, 3, 8
+    X = rng.uniform(-2.0, 2.0, size=(n, dim))
+    data = Dataset(X, np.cos(X).sum(axis=1), ("a", "b", "c"))
+    model = fit(data, ArdSeHyper(0.8, np.full(dim, 1.1), 0.1))
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, len(args[0]), len(args[1])))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_solve = GprModel.solve
+
+    def solve(self, b):
+        calls.append(("solve", *np.shape(b)))
+        return real_solve(self, b)
+
+    monkeypatch.setattr(GprModel, "solve", solve)
+    swaps = []
+    for name in ("kernel_cross", "grad_i_cross", "hess_ii_cross"):
+        fn = getattr(gpattr.kernels, name)
+        swaps.append((fn, counting(name, fn)))
+    for module in [gpattr, *(m for m in vars(gpattr).values() if isinstance(m, types.ModuleType))]:
+        for attr, value in list(vars(module).items()):
+            for old, new in swaps:
+                if value is old:
+                    monkeypatch.setattr(module, attr, new)
+    for rule, nodes in (("right_hand", L), ("trapezoid", L + 1), ("simpson", 2 * L + 1)):
+        calls.clear()
+        x = rng.uniform(-2.0, 2.0, size=dim)
+        quad_attribution(model, x, X.mean(axis=0), QuadratureSpec(rule, L))
+        want = [("kernel_cross", nodes, n), ("kernel_cross", nodes, nodes), ("solve", n, dim)]
+        assert sorted(calls) == sorted(want), rule

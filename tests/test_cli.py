@@ -262,6 +262,77 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+    # bad row specs and counts fail before any work, naming the flag
+    model = ["--model", str(workdir["model"])]
+    attr = ["attribute", *model, "--query", "1,2"]
+    named = [
+        ("--query-row", ["fit", "--data", str(workdir["csv"]), "--target", "y", "--query-row", "abc"]),
+        ("--query-row", ["attribute", *model, "--data", str(workdir["csv"]), "--target", "y",
+                         "--query-row", "abc"]),
+        ("--query-row", ["attribute", *model, "--data", str(workdir["csv"]), "--target", "y",
+                         "--query-row", "1.5"]),
+        ("--simulate", ["fit", "--simulate", "0"]),
+        ("--optimize", ["fit", "--simulate", "10", "--optimize", "0"]),
+        ("--queries", ["quad-sweep", *model, "--queries", "0"]),
+        ("--queries", ["quad-sweep", *model, "--queries", "-1"]),
+        ("--queries", ["mc-validate", *model, "--queries", "-1"]),
+        ("--l-values", ["quad-sweep", *model, "--l-values", "8,0"]),
+        ("--seeds", ["rfgp-compare", *model, "--query", "1,2", "--seeds", "0"]),
+        ("--ensemble", ["rfgp-compare", *model, "--query", "1,2", "--ensemble", "0"]),
+        ("--ensemble-m", ["rfgp-compare", *model, "--query", "1,2", "--ensemble-m", "0"]),
+        ("--m-values", ["rfgp-compare", *model, "--query", "1,2", "--m-values", "10,-5"]),
+        ("--rfgp-features", [*attr, "--engine", "rfgp", "--rfgp-features", "0"]),
+        ("--rfgp-ensemble", [*attr, "--engine", "rfgp", "--rfgp-ensemble", "0"]),
+        ("--rfgp-ensemble", [*attr, "--engine", "rfgp", "--rfgp-ensemble", "two"]),
+    ]
+    for flag, argv in named:
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2, argv
+        assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "rfgp_compare.json").exists()
+
+
+def test_mc_validate_zero_queries_checks_the_baseline(workdir):
+    out = workdir["root"] / "mc0"
+    rc = main(["mc-validate", "--model", str(workdir["model"]), "--samples", "50",
+               "--grid-points", "9", "--queries", "0", "--out-dir", str(out)])
+    assert rc == 0
+    rows = json.loads((out / "mc_validation.json").read_text())["rows"]
+    assert [r["query_index"] for r in rows] == [0, 0]
+
+
+def _count_rfgp_fits(monkeypatch) -> list:
+    """Record the seed of every rfgp_fit call, wherever gpattr looks it up."""
+    seeds, real = [], gpattr.rfgp.rfgp_fit
+
+    def counting(data, hyper, m_features, seed):
+        seeds.append(seed)
+        return real(data, hyper, m_features, seed)
+
+    for module in (gpattr, gpattr.rfgp, gpattr.cli):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counting)
+    return seeds
+
+
+def test_rfgp_engines_fit_once_per_draw(workdir, monkeypatch, capsys):
+    # one fit serves every feature: E fits for an E-member ensemble, and
+    # |M| * seeds + ensemble fits for rfgp-compare, whatever d is
+    seeds = _count_rfgp_fits(monkeypatch)
+    base = ["--model", str(workdir["model"]), "--query", "7.0,2.5"]
+    out = workdir["root"] / "fit_counts"
+    assert main(["attribute", *base, "--engine", "rfgp", "--rfgp-features", "30",
+                 "--rfgp-ensemble", "4", "--seed", "3", "--out-dir", str(out / "ens")]) == 0
+    assert seeds == [3, 4, 5, 6]
+    seeds.clear()
+    assert main(["attribute", *base, "--engine", "rfgp", "--rfgp-features", "30",
+                 "--out-dir", str(out / "one")]) == 0
+    assert seeds == [0]
+    seeds.clear()
+    assert main(["rfgp-compare", *base, "--m-values", "10,20,30", "--seeds", "2", "--ensemble", "3",
+                 "--ensemble-m", "15", "--out-dir", str(out / "cmp")]) == 0
+    assert sorted(seeds) == sorted([0, 1] * 3 + [0, 1, 2])
+    capsys.readouterr()
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -1,6 +1,9 @@
 """Random trigonometric feature tests: spectral sampling, kernel estimate,
 ridge fit, per-feature path integrals, and the ensemble mixture."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -11,6 +14,7 @@ from gpattr import (
     ardse_eval,
     feature_map,
     marginalized_attribution,
+    prior_attribution_variance,
     rfgp_attribution,
     rfgp_fit,
     rfgp_predict,
@@ -18,6 +22,7 @@ from gpattr import (
 )
 from gpattr.data_io import Dataset, simulate
 from gpattr.rfgp import design_matrix, feature_gradient_integral
+from oracles import feature_gradient_integral_per_feature, rfgp_attribution_per_feature
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
 
@@ -136,8 +141,9 @@ def test_gradient_integral_matches_simpson_per_row(rng):
     z = rng.uniform(-1.5, 1.5, size=3)
     ts = np.linspace(0.0, 1.0, 2049)
     path = z[None, :] + ts[:, None] * (x - z)[None, :]
+    integrals = feature_gradient_integral(x, z, V)
     for i in range(3):
-        zeta = feature_gradient_integral(x, z, i, V)
+        zeta = integrals[:, i]
         for m in range(20):
             phase = path @ V[m]
             want_sin = simpson(V[m, i] * np.cos(phase), x=ts)
@@ -153,7 +159,7 @@ def test_gradient_integral_degenerate_direction_uses_limit():
     z = np.array([0.4, 0.1])
     delta = np.array([1.0, 1.0])  # orthogonal to row 0
     x = z + delta
-    zeta = feature_gradient_integral(x, z, 0, V)
+    zeta = feature_gradient_integral(x, z, V)[:, 0]
     c0 = V[0] @ z
     assert zeta[0] == pytest.approx(V[0, 0] * np.cos(c0), rel=1e-12)
     assert zeta[1] == pytest.approx(-V[0, 0] * np.sin(c0), rel=1e-12)
@@ -165,7 +171,7 @@ def test_gradient_integral_continuous_across_branch():
     # nudge the projection just above the switching threshold
     for eps in (1e-9, 1e-7):
         x = z + np.array([1.0 + eps, 1.0])
-        zeta = feature_gradient_integral(x, z, 0, V)
+        zeta = feature_gradient_integral(x, z, V)[:, 0]
         limit = V[0, 0] * np.cos(V[0] @ z)
         assert zeta[0] == pytest.approx(limit, rel=1e-6)
 
@@ -173,11 +179,9 @@ def test_gradient_integral_continuous_across_branch():
 def test_gradient_integral_validation():
     V = np.ones((3, 2))
     with pytest.raises(ValueError):
-        feature_gradient_integral([0.0], [0.0, 0.0], 0, V)
-    with pytest.raises(IndexError):
-        feature_gradient_integral([0.0, 0.0], [1.0, 1.0], 3, V)
+        feature_gradient_integral([0.0], [0.0, 0.0], V)
     with pytest.raises(ValueError):
-        feature_gradient_integral([0.0, 0.0], [1.0, 1.0], 0, V, rel_tol=0.0)
+        feature_gradient_integral([0.0, 0.0], [1.0, 1.0], V, rel_tol=0.0)
 
 
 def test_attribution_completeness_within_feature_class(rng):
@@ -186,7 +190,7 @@ def test_attribution_completeness_within_feature_class(rng):
     for _ in range(10):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        total = sum(rfgp_attribution(model, x, z, i).mean for i in range(2))
+        total = sum(a.mean for a in rfgp_attribution(model, x, z))
         want = rfgp_predict(model, x)[0] - rfgp_predict(model, z)[0]
         assert abs(total - want) <= 1e-9
 
@@ -195,20 +199,20 @@ def test_attribution_zero_at_baseline_and_nonnegative_variance(rng):
     data = simulate(50, 0.3, seed=11)
     model = rfgp_fit(data, HYP, m_features=40, seed=4)
     z = np.array([5.0, 5.0])
-    a = rfgp_attribution(model, z, z, 0)
+    a = rfgp_attribution(model, z, z)[0]
     assert a.mean == 0.0 and a.variance == 0.0
     for _ in range(20):
         x = rng.uniform(0.0, 10.0, size=2)
         zq = rng.uniform(0.0, 10.0, size=2)
-        assert rfgp_attribution(model, x, zq, 0).variance >= 0.0
+        assert rfgp_attribution(model, x, zq)[0].variance >= 0.0
 
 
 def test_mixture_law_of_total_variance():
     data = simulate(50, 0.3, seed=12)
     mix = marginalized_attribution(
-        data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0], i=0,
+        data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0],
         ensemble_size=12, seed=5,
-    )
+    )[0]
     means = np.array([c.mean for c in mix.components])
     variances = np.array([c.variance for c in mix.components])
     assert len(mix.components) == 12
@@ -222,12 +226,12 @@ def test_mixture_law_of_total_variance():
 def test_mixture_single_component_degenerates():
     data = simulate(40, 0.3, seed=13)
     mix = marginalized_attribution(
-        data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0], i=1,
+        data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0],
         ensemble_size=1, seed=6,
-    )
+    )[1]
     single = rfgp_attribution(
-        rfgp_fit(data, HYP, m_features=30, seed=6), [7.0, 2.0], [3.0, 4.0], 1
-    )
+        rfgp_fit(data, HYP, m_features=30, seed=6), [7.0, 2.0], [3.0, 4.0]
+    )[1]
     assert mix.mixture_mean == pytest.approx(single.mean, abs=1e-15)
     assert mix.total_variance == pytest.approx(single.variance, abs=1e-15)
 
@@ -235,21 +239,21 @@ def test_mixture_single_component_degenerates():
 def test_mixture_uses_consecutive_seeds():
     data = simulate(40, 0.3, seed=14)
     mix = marginalized_attribution(
-        data, HYP, m_features=25, x=[6.0, 3.0], baseline=[2.0, 5.0], i=0,
+        data, HYP, m_features=25, x=[6.0, 3.0], baseline=[2.0, 5.0],
         ensemble_size=3, seed=20,
-    )
+    )[0]
     for offset, comp in enumerate(mix.components):
         model = rfgp_fit(data, HYP, m_features=25, seed=20 + offset)
-        want = rfgp_attribution(model, [6.0, 3.0], [2.0, 5.0], 0)
+        want = rfgp_attribution(model, [6.0, 3.0], [2.0, 5.0])[0]
         assert comp.mean == want.mean and comp.variance == want.variance
 
 
 def test_mixture_json_dict():
     data = simulate(30, 0.3, seed=15)
     mix = marginalized_attribution(
-        data, HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0], i=1,
+        data, HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0],
         ensemble_size=2, seed=0,
-    )
+    )[1]
     doc = mix.to_json_dict()
     assert doc["format"] == "gpattr-attribution-mixture" and doc["version"] == 1
     assert doc["feature_index"] == 1 and len(doc["components"]) == 2
@@ -259,6 +263,40 @@ def test_mixture_validation():
     data = simulate(30, 0.3, seed=16)
     with pytest.raises(ValueError):
         marginalized_attribution(
-            data, HYP, m_features=10, x=[1.0, 1.0], baseline=[0.0, 0.0], i=0,
+            data, HYP, m_features=10, x=[1.0, 1.0], baseline=[0.0, 0.0],
             ensemble_size=0,
         )
+
+
+def test_all_features_match_per_feature_oracle():
+    rng = np.random.default_rng(20240413)
+    cases = ("generic", "feature_at_baseline", "at_baseline")
+    grid = itertools.product((1, 3, 8), cases, (1.0, 1e6), (5, 60))
+    for draw, (dim, case, scale, m) in enumerate(grid):
+        n = int(rng.integers(15, 40))
+        sv = scale**2 * float(rng.uniform(0.3, 2.0))
+        hyper = ArdSeHyper(sv, rng.uniform(0.5, 2.0, size=dim), sv * float(rng.uniform(0.05, 0.3)))
+        X = rng.uniform(-2.0, 2.0, size=(n, dim))
+        y = scale * (np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n))
+        model = rfgp_fit(Dataset(X, y, tuple(f"f{j}" for j in range(dim))), hyper, m, seed=draw)
+        x = rng.uniform(-2.0, 2.0, size=dim)
+        z = rng.uniform(-2.0, 2.0, size=dim)
+        if case == "feature_at_baseline":
+            j = int(rng.integers(dim))
+            x[j] = z[j]
+        elif case == "at_baseline":
+            x = z.copy()
+        integrals = feature_gradient_integral(x, z, model.frequencies)
+        rows = rfgp_attribution(model, x, z)
+        assert integrals.shape == (2 * m, dim) and len(rows) == dim
+        for i, got in enumerate(rows):
+            where = f"draw {draw} (d={dim}, {case}, scale={scale:g}, M={m}), feature {i}"
+            column = feature_gradient_integral_per_feature(x, z, i, model.frequencies)
+            assert np.array_equal(integrals[:, i], column), where
+            want = rfgp_attribution_per_feature(model, x, z, i)
+            prior = prior_attribution_variance(x, z, i, hyper)
+            assert got.feature_index == i, where
+            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
+            assert abs(got.variance - want.variance) <= 1e-12 * max(want.variance, prior), where
+            if x[i] == z[i]:
+                assert got.mean == 0.0 and got.variance == 0.0, where
