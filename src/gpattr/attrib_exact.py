@@ -36,7 +36,7 @@ from scipy.linalg import cho_solve, cholesky
 
 from .data_io import Baseline
 from .gpr import GprModel
-from .kernels import ArdSeHyper, kernel_cross
+from .kernels import ArdSeHyper, _check_index, kernel_cross
 from .specfun import DEFAULT_TOLERANCES, NumericalError, Tolerances, erf
 
 __all__ = [
@@ -101,11 +101,6 @@ def _query_pair(x, baseline, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise ValueError("query and baseline must be finite")
     return x, z
-
-
-def _check_index(i: int, dim: int) -> None:
-    if not 0 <= i < dim:
-        raise IndexError(f"feature index {i} out of range for dimension {dim}")
 
 
 def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:

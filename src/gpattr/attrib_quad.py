@@ -18,7 +18,6 @@ import numpy as np
 
 from .attrib_exact import (
     AttributionGaussian,
-    _check_index,
     _clamp_variance,
     _laws,
     _path_quadrature,
@@ -26,7 +25,7 @@ from .attrib_exact import (
     attribution_report,
 )
 from .gpr import GprModel, jittered_cholesky
-from .kernels import grad_i_cross, hess_ii_cross
+from .kernels import _check_index, grad_i_cross, hess_ii_cross
 from .specfun import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [

@@ -96,10 +96,6 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(config: RunConfig, out_dir) -> None:
-    _write_json(config.manifest(), out_dir / "manifest.json")
-
-
 def _float_list(text: str, flag: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",") if p != ""]
@@ -266,7 +262,7 @@ def cmd_fit(args) -> int:
         },
         seeds={"data_seed": args.data_seed},
     )
-    _write_manifest(config, out)
+    _write_json(config.manifest(), out / "manifest.json")
     print(f"fit: n={data.n} lml={lml:.6f} -> {out / 'model.json'}")
     return 0
 
@@ -357,10 +353,8 @@ def _payload_names(payload: dict, dim: int) -> list[str]:
 
 
 def _parse_engine(text: str) -> tuple[str, QuadratureSpec | None]:
-    if text == "exact":
-        return "exact", None
-    if text == "rfgp":
-        return "rfgp", None
+    if text in ("exact", "rfgp"):
+        return text, None
     if text.startswith("quad:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -440,7 +434,7 @@ def cmd_attribute(args) -> int:
         },
         seeds={"seed": args.seed},
     )
-    _write_manifest(config, out)
+    _write_json(config.manifest(), out / "manifest.json")
     for a in report.attributions:
         print(f"attribute: {names[a.feature_index]:>12s} mean {a.mean:+.6f} std {a.std:.6f}")
     print(f"attribute: completeness residual {report.completeness_residual:.3e}")
@@ -485,7 +479,7 @@ def cmd_quad_sweep(args) -> int:
         },
         seeds={"seed": args.seed},
     )
-    _write_manifest(config, out)
+    _write_json(config.manifest(), out / "manifest.json")
     for row in rows:
         print(
             f"quad-sweep: {row.rule:>10s} L={row.partitions:<5d} evals={row.function_evals:<6d} "
@@ -576,7 +570,7 @@ def cmd_rfgp_compare(args) -> int:
         },
         seeds={"seed": args.seed},
     )
-    _write_manifest(config, out)
+    _write_json(config.manifest(), out / "manifest.json")
     for f in features:
         gaps = " ".join(f"M={p['m']}:{p['median_abs_mean_gap']:.4f}" for p in f["per_m"])
         print(f"rfgp-compare: {f['feature']:>12s} median gaps {gaps}")
@@ -650,7 +644,7 @@ def cmd_mc_validate(args) -> int:
         },
         seeds={"seed": args.seed},
     )
-    _write_manifest(config, out)
+    _write_json(config.manifest(), out / "manifest.json")
     for r in rows:
         flag = "ok" if (r["mean_within_3se"] and r["variance_within_10pct"]) else "MISMATCH"
         print(
@@ -727,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc-validate", help="Monte Carlo check of the closed forms")
     p_mc.add_argument("--model", required=True)
-    p_mc.add_argument("--samples", type=int, default=10_000)
-    p_mc.add_argument("--grid-points", type=int, default=257)
+    p_mc.add_argument("--samples", type=lambda text: _count(text, minimum=2), default=10_000)
+    p_mc.add_argument("--grid-points", type=lambda text: _count(text, minimum=3), default=257)
     p_mc.add_argument("--queries", type=lambda text: _count(text, minimum=0), default=5,
                       help="random queries besides the baseline itself")
     p_mc.add_argument("--seed", type=int, default=0)

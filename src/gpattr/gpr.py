@@ -266,8 +266,8 @@ def optimize_hyperparameters(
 
 
 def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None:
-    """Write the model as versioned JSON. The Cholesky factor is rebuilt on
-    load from the stored hyperparameters and inputs, so it is not stored.
+    """Write the model as versioned JSON. The Cholesky factor is not stored:
+    load_model rebuilds it from the stored hyperparameters, inputs and jitter.
 
     metadata entries (feature names, normalization stats, training targets,
     a held-out query) ride along under their own keys for tooling; they are
@@ -308,19 +308,27 @@ def load_model_payload(path: str) -> dict:
 
 
 def load_model(path: str) -> GprModel:
-    """Load a model written by save_model, refactoring the kernel matrix.
-    Malformed fields (shapes, non-finite values) raise ValueError naming
-    the field."""
+    """Load a model written by save_model, factoring K + noise*I once with the
+    stored jitter (no retries), so the factor is the one alpha was solved with.
+    Malformed fields (shapes, non-finite values, a missing or negative jitter)
+    raise ValueError naming the field; NumericalError if the factor fails."""
     payload = load_model_payload(path)
     hyper = ArdSeHyper(
         signal_variance=float(payload["hyper"]["signal_variance"]),
         lengthscales=np.array(payload["hyper"]["lengthscales"], dtype=float),
         noise_variance=float(payload["hyper"]["noise_variance"]),
     )
+    jitter = payload.get("jitter")
+    if type(jitter) not in (int, float) or not 0.0 <= jitter < math.inf:
+        raise ValueError(f"{path}: model jitter must be a finite number >= 0, got {jitter!r}")
     x_train = np.array(payload["x_train"], dtype=float)
     K = kernel_matrix(x_train, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
-    chol, jitter = jittered_cholesky(K)
+    K[np.diag_indices_from(K)] += jitter  # added after the noise, as in fit
+    try:
+        chol = cholesky(K, lower=True)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{path}: not positive definite with the stored jitter {jitter!r}") from None
     try:
         return GprModel(
             hyper=hyper,
@@ -328,7 +336,7 @@ def load_model(path: str) -> GprModel:
             chol=chol,
             alpha=np.array(payload["alpha"], dtype=float),
             y_mean_offset=float(payload["y_mean_offset"]),
-            jitter=jitter,
+            jitter=float(jitter),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

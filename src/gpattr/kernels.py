@@ -11,6 +11,7 @@ regression and attribution layers actually run on.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "ArdSeHyper",
@@ -60,6 +61,11 @@ def _check_pair(x: np.ndarray, x2: np.ndarray, hyper: ArdSeHyper) -> tuple[np.nd
     return x, x2
 
 
+def _check_index(i: int, dim: int) -> None:
+    if not 0 <= i < dim:
+        raise IndexError(f"feature index {i} out of range for dimension {dim}")
+
+
 def ardse_eval(x, x2, hyper: ArdSeHyper) -> float:
     """Kernel value k(x, x2)."""
     x, x2 = _check_pair(x, x2, hyper)
@@ -73,8 +79,7 @@ def ardse_grad_i(x, x2, i: int, hyper: ArdSeHyper) -> float:
     d k / d x_i = -k(x, x2) * (x_i - x2_i) / ls_i^2
     """
     x, x2 = _check_pair(x, x2, hyper)
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    _check_index(i, hyper.dim)
     k = ardse_eval(x, x2, hyper)
     return float(-k * (x[i] - x2[i]) / hyper.lengthscales[i] ** 2)
 
@@ -85,8 +90,7 @@ def ardse_hess_ii(x, x2, i: int, hyper: ArdSeHyper) -> float:
     d^2 k / (d x_i d x2_i) = k(x, x2) * (1/ls_i^2 - (x_i - x2_i)^2 / ls_i^4)
     """
     x, x2 = _check_pair(x, x2, hyper)
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    _check_index(i, hyper.dim)
     k = ardse_eval(x, x2, hyper)
     li2 = hyper.lengthscales[i] ** 2
     return float(k * (1.0 / li2 - (x[i] - x2[i]) ** 2 / li2**2))
@@ -104,15 +108,17 @@ def _as_points(X, hyper: ArdSeHyper, name: str) -> np.ndarray:
 def kernel_cross(X, Z, hyper: ArdSeHyper) -> np.ndarray:
     """Kernel matrix k(X[n], Z[m]) with shape (len(X), len(Z)).
 
-    Scaled differences are formed explicitly rather than via the usual
-    norm expansion: exact symmetry and no cancellation for nearby points,
-    at memory cost len(X)*len(Z)*dim, which stays small at this scale.
+    One weighted squared-distance pass sums direct differences (x_j - z_j)^2
+    weighted by 1/ls_j^2, not the norm expansion: exact symmetry and no
+    cancellation for nearby points, with one n x m block as the only memory.
     """
     X = _as_points(X, hyper, "X")
     Z = _as_points(Z, hyper, "Z")
-    diff = (X[:, None, :] - Z[None, :, :]) / hyper.lengthscales
-    sq = np.einsum("nmd,nmd->nm", diff, diff)
-    return hyper.signal_variance * np.exp(-0.5 * sq)
+    sq = cdist(X, Z, "sqeuclidean", w=hyper.lengthscales**-2.0)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= hyper.signal_variance
+    return sq
 
 
 def kernel_matrix(X, hyper: ArdSeHyper) -> np.ndarray:
@@ -122,8 +128,7 @@ def kernel_matrix(X, hyper: ArdSeHyper) -> np.ndarray:
 
 def grad_i_cross(Z, X, i: int, hyper: ArdSeHyper) -> np.ndarray:
     """Rows: d k(z, x_n) / d z_i for z in Z, x_n in X. Shape (len(Z), len(X))."""
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    _check_index(i, hyper.dim)
     Z = _as_points(Z, hyper, "Z")
     X = _as_points(X, hyper, "X")
     K = kernel_cross(Z, X, hyper)
@@ -133,8 +138,7 @@ def grad_i_cross(Z, X, i: int, hyper: ArdSeHyper) -> np.ndarray:
 
 def hess_ii_cross(Z, Z2, i: int, hyper: ArdSeHyper) -> np.ndarray:
     """Mixed second derivatives d^2 k(z, z') / (d z_i d z'_i) as a matrix."""
-    if not 0 <= i < hyper.dim:
-        raise IndexError(f"feature index {i} out of range for dimension {hyper.dim}")
+    _check_index(i, hyper.dim)
     Z = _as_points(Z, hyper, "Z")
     Z2 = _as_points(Z2, hyper, "Z2")
     K = kernel_cross(Z, Z2, hyper)

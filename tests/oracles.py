@@ -8,6 +8,9 @@ feature) and the random-feature engine (one gradient-integral vector and one
 triangular solve per feature). The package computes all features in one
 pass; tests check that pass against these functions, and these functions
 against quadrature and kernel derivatives.
+
+It also keeps the kernel block built from an explicit (n, m, d) tensor of
+scaled differences, the reference for the weighted-distance kernel_cross.
 """
 
 import math
@@ -19,7 +22,7 @@ from scipy.linalg import solve_triangular
 from gpattr.attrib_exact import AttributionGaussian, _baseline_values, _clamp_variance
 from gpattr.attrib_quad import QuadratureSpec, nodes_weights
 from gpattr.gpr import GprModel
-from gpattr.kernels import ArdSeHyper, grad_i_cross, hess_ii_cross
+from gpattr.kernels import ArdSeHyper, _as_points, grad_i_cross, hess_ii_cross
 from gpattr.rfgp import RfgpModel
 from gpattr.specfun import DEFAULT_TOLERANCES, Tolerances, erf
 
@@ -44,6 +47,15 @@ class AttrCoefficients:
     q0: float
     r2: float
     r0: float
+
+
+def kernel_cross_direct(X, Z, hyper: ArdSeHyper) -> np.ndarray:
+    """k(X[n], Z[m]) from the (n, m, d) tensor of scaled differences."""
+    X = _as_points(X, hyper, "X")
+    Z = _as_points(Z, hyper, "Z")
+    diff = (X[:, None, :] - Z[None, :, :]) / hyper.lengthscales
+    sq = np.einsum("nmd,nmd->nm", diff, diff)
+    return hyper.signal_variance * np.exp(-0.5 * sq)
 
 
 def _check(x, z, i: int, hyper: ArdSeHyper, *others) -> None:

@@ -276,6 +276,8 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
         ("--queries", ["quad-sweep", *model, "--queries", "0"]),
         ("--queries", ["quad-sweep", *model, "--queries", "-1"]),
         ("--queries", ["mc-validate", *model, "--queries", "-1"]),
+        ("--samples", ["mc-validate", *model, "--samples", "1"]),
+        ("--grid-points", ["mc-validate", *model, "--grid-points", "2"]),
         ("--l-values", ["quad-sweep", *model, "--l-values", "8,0"]),
         ("--seeds", ["rfgp-compare", *model, "--query", "1,2", "--seeds", "0"]),
         ("--ensemble", ["rfgp-compare", *model, "--query", "1,2", "--ensemble", "0"]),
@@ -377,6 +379,26 @@ def test_attribute_rejects_truncated_alpha_at_load(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "alpha" in err and "matmul" not in err
+
+
+def test_attribute_load_uses_the_stored_jitter(workdir, tmp_path, capsys):
+    payload = json.loads(workdir["model"].read_text())
+    query = ["--query", "1,2", "--out-dir", str(tmp_path)]
+    payload["jitter"] = -1.0
+    bad = tmp_path / "negative_jitter.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["attribute", "--model", str(bad), *query]) == 3
+    assert "jitter" in capsys.readouterr().err
+    # duplicate every training row at zero noise: singular without jitter
+    payload["x_train"] = payload["x_train"] * 2
+    payload["alpha"] = payload["alpha"] * 2
+    payload["hyper"]["noise_variance"] = 0.0
+    payload["jitter"] = 0.0
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["attribute", "--model", str(bad), *query]) == 4
+    err = capsys.readouterr().err
+    assert "jitter" in err and str(bad) in err
 
 
 def test_python_dash_m_runs_the_cli(workdir, tmp_path):

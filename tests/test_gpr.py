@@ -288,3 +288,43 @@ def test_load_model_rejects_truncated_alpha(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="alpha"):
         load_model(str(path))
+
+
+def _jittered_model_file(tmp_path):
+    """A fit that needs jitter (duplicate rows, zero noise), saved."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2.0, 2.0, size=(10, 2))
+    X = np.vstack([X, X[:4]])
+    y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(len(X))
+    model = fit(Dataset(X, y, ("f0", "f1")), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.0))
+    assert model.jitter > 0.0
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    return model, path
+
+
+def test_load_model_factors_with_the_stored_jitter(tmp_path):
+    model, path = _jittered_model_file(tmp_path)
+    loaded = load_model(str(path))
+    assert loaded.jitter == model.jitter
+    assert np.max(np.abs(loaded.chol - model.chol)) <= 1e-14 * np.max(np.abs(model.chol))
+    # no retry ladder: a stored jitter too small for the matrix is an error
+    payload = json.loads(path.read_text())
+    payload["jitter"] = 0.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(NumericalError, match="jitter") as info:
+        load_model(str(path))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["missing", -1e-10, float("nan"), float("inf"), "1e-10", None])
+def test_load_model_rejects_corrupted_jitter(tmp_path, bad):
+    _, path = _jittered_model_file(tmp_path)
+    payload = json.loads(path.read_text())
+    if bad == "missing":
+        del payload["jitter"]
+    else:
+        payload["jitter"] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="jitter"):
+        load_model(str(path))

@@ -2,8 +2,11 @@
 
 Derivatives are checked against central finite differences of the plain
 kernel evaluation, which only assumes the value formula is right; that
-formula itself is pinned by hand-computed cases.
+formula itself is pinned by hand-computed cases. The kernel block is checked
+against the explicit scaled-difference form kept in tests/oracles.py.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from gpattr import (
     kernel_matrix,
 )
 from gpattr.specfun import DEFAULT_TOLERANCES
+from oracles import kernel_cross_direct
 
 H2 = ArdSeHyper(2.0, np.array([1.0, 2.0]), 0.0)
 
@@ -124,6 +128,58 @@ def test_kernel_matrix_symmetric_with_exact_diagonal(rng):
     K = kernel_matrix(X, H2)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == H2.signal_variance)
+
+
+def _hostile_blocks(seed):
+    """Seeded (X, Z, hyper) draws over d in {1, 2, 3, 8}, input offsets 0,
+    1e3 and 1e6 (lengthscales near 1e-3 at 1e6), and sv from 1e-6 to 1e8;
+    points spread over a few lengthscales so the block is far from zero."""
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 3, 8):
+        for offset, log_ls in ((0.0, (-3.5, 3.5)), (1e3, (-2.0, 2.0)), (1e6, (-3.5, -2.5))):
+            for _ in range(8):
+                ls = 10.0 ** rng.uniform(*log_ls, size=dim)
+                sv = float(10.0 ** rng.uniform(-6.0, 8.0))
+                spread = ls * np.sqrt(dim) * 0.7
+                X = offset + spread * rng.standard_normal((9, dim))
+                Z = offset + spread * rng.standard_normal((7, dim))
+                yield X, Z, ArdSeHyper(sv, ls, 0.0)
+
+
+def test_cross_matches_direct_differences_on_hostile_inputs():
+    prescaled_gap = 0.0
+    for X, Z, hyper in _hostile_blocks(seed=41):
+        sv = hyper.signal_variance
+        K = kernel_cross(X, Z, hyper)
+        assert np.max(np.abs(K - kernel_cross_direct(X, Z, hyper))) <= 2e-15 * sv
+        assert np.max(np.abs(K.T - kernel_cross(Z, X, hyper))) == 0.0
+        ls = hyper.lengthscales
+        unit = ArdSeHyper(sv, np.ones_like(ls), 0.0)
+        prescaled = kernel_cross_direct(X / ls, Z / ls, unit)
+        prescaled_gap = max(prescaled_gap, np.max(np.abs(K - prescaled)) / sv)
+    # the draws are hostile enough that scaling before differencing misses the bound
+    assert prescaled_gap > 2e-15
+
+
+def test_kernel_matrix_d8_symmetric_with_exact_diagonal(rng):
+    X = rng.uniform(-3.0, 3.0, size=(500, 8))
+    hyper = ArdSeHyper(1.7, rng.uniform(0.5, 4.0, size=8), 0.0)
+    K = kernel_matrix(X, hyper)
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == hyper.signal_variance)
+
+
+def test_kernel_matrix_memory_is_one_block(rng):
+    n = 1000
+    X = rng.uniform(-3.0, 3.0, size=(n, 8))
+    hyper = ArdSeHyper(1.0, np.full(8, 1.5), 0.0)
+    tracemalloc.start()
+    try:
+        kernel_matrix(X, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
 
 
 def test_kernel_matrix_near_psd(rng):
