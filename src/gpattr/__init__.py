@@ -50,9 +50,6 @@ from .gpr import (
 )
 from .kernels import (
     ArdSeHyper,
-    ardse_eval,
-    ardse_grad_i,
-    ardse_hess_ii,
     grad_i_cross,
     hess_ii_cross,
     kernel_cross,

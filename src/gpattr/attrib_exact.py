@@ -21,7 +21,9 @@ divide by ~0 and evaluation falls back to composite-Simpson quadrature.
 
 Every feature shares the path and every training point shares the
 feature-free part of its integrand, so a report for all d features costs
-one erf sweep over 2n points and one solve with d + 2 right-hand sides.
+one erf sweep over 2n points and one triangular solve with the lower
+Cholesky factor on d + 2 right-hand sides: every data correction is a
+squared norm of a column of that solve.
 
 A Bayesian linear model admits the same construction with a trivial exact
 answer, which serves as an end-to-end sanity case.
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from .data_io import Baseline
-from .gpr import GprModel
+from .gpr import GprModel, _clamp_variance
 from .kernels import ArdSeHyper, _check_index, kernel_cross
 from .specfun import DEFAULT_TOLERANCES, NumericalError, Tolerances, erf
 
@@ -74,16 +76,6 @@ class AttributionGaussian:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-
-def _clamp_variance(var, what: str):
-    """Round-off negatives (>= -1e-10) become zero; anything more negative
-    raises. Works on a float or elementwise on an array."""
-    worst = float(np.min(var))
-    if worst < -1e-10:
-        raise NumericalError(f"{what} variance {worst:.6e} is negative beyond round-off tolerance")
-    out = np.where(var >= 0.0, var, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _baseline_values(baseline) -> np.ndarray:
@@ -213,7 +205,7 @@ def _slices_and_priors(
             - 2.0 * one_minus_exp * (p2 * r0 + 2.0 * r2) / p2**2
         )
         A, prior = _slice_matrix(x, z, centers, hyper), delta**2 * bracket
-    return A, _clamp_variance(prior, "prior attribution")
+    return A, _clamp_variance(prior, "prior attribution", hyper.signal_variance)
 
 
 def _laws(means: np.ndarray, variances: np.ndarray) -> tuple[AttributionGaussian, ...]:
@@ -226,24 +218,25 @@ def _exact_laws(
     model: GprModel, x: np.ndarray, z: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribution means and variances of every feature, plus the (2, n)
-    kernel rows at x and z, from one solve with d + 2 right-hand sides.
+    kernel rows at x and z, from one triangular solve W = L^{-1} [A, k_x, k_z]
+    with d + 2 right-hand sides.
 
     mean = slice attributions A dotted with the representer weights
-    var  = prior double-integral term - diag(A^T (K + noise*I)^{-1} A)
-    The kernel rows ride along in the solve to give the posterior variances
-    at x and z, which keep predict's round-off guard.
+    var  = prior double-integral term - colsum(W[:, :d]^2)
+    since diag(A^T (K + noise*I)^{-1} A) is the squared column norm of
+    L^{-1} A. The kernel rows ride along in the solve to give the posterior
+    variances sv - colsum(W[:, d:]^2) at x and z, which keep predict's
+    round-off guard.
     """
     hyper = model.hyper
     d = hyper.dim
+    sv = hyper.signal_variance
     A, prior = _slices_and_priors(x, z, model.x_train, hyper, tol)
     k_xz = kernel_cross(np.stack((x, z)), model.x_train, hyper)
-    S = model.solve(np.hstack((A, k_xz.T)))
-    for j, where in enumerate(("query", "baseline")):
-        var = hyper.signal_variance - float(k_xz[j] @ S[:, d + j])
-        if var < -1e-10:
-            raise NumericalError(f"posterior variance {var:.3e} at the {where} below round-off tolerance")
-    correction = np.sum(A * S[:, :d], axis=0)
-    variances = _clamp_variance(prior - correction, "attribution")
+    W = model.solve(np.hstack((A, k_xz.T)))
+    squares = np.sum(W * W, axis=0)
+    _clamp_variance(sv - squares[d:], "query or baseline posterior", sv)
+    variances = _clamp_variance(prior - squares[:d], "attribution", sv)
     return model.alpha @ A, variances, k_xz
 
 
@@ -301,8 +294,8 @@ def attribution_report(
         | sum_i mean_i - (mu(x) - mu(z)) |
 
     which is zero in exact arithmetic for the straight-path construction.
-    The whole report costs one solve with d + 2 right-hand sides and one
-    erf sweep over 2n points.
+    The whole report costs one triangular solve with the lower Cholesky
+    factor on d + 2 right-hand sides and one erf sweep over 2n points.
     """
     x, z = _query_pair(x, baseline, model.hyper.dim)
     means, variances, k_xz = _exact_laws(model, x, z, tol)
@@ -416,5 +409,6 @@ def bayes_linear_attribution(post_mean, post_cov, x, baseline, i: int) -> Attrib
         )
     _check_index(i, d)
     gap = float(x[i] - z[i])
-    var = _clamp_variance(float(post_cov[i, i]) * gap**2, "linear attribution")
+    scale = float(np.max(np.abs(np.diag(post_cov)))) * gap**2
+    var = _clamp_variance(float(post_cov[i, i]) * gap**2, "linear attribution", scale)
     return AttributionGaussian(feature_index=i, mean=float(post_mean[i]) * gap, variance=var)

@@ -18,13 +18,12 @@ import numpy as np
 
 from .attrib_exact import (
     AttributionGaussian,
-    _clamp_variance,
     _laws,
     _path_quadrature,
     _query_pair,
     attribution_report,
 )
-from .gpr import GprModel, jittered_cholesky
+from .gpr import GprModel, _clamp_variance, jittered_cholesky
 from .kernels import _check_index, grad_i_cross, hess_ii_cross
 from .specfun import DEFAULT_TOLERANCES, Tolerances
 
@@ -95,13 +94,16 @@ def quad_attribution(
     q_i,n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
     the exact posterior variance of the discretized functional. The q_i are
     the columns of one (n, d) matrix built from K(path, train), the priors
-    come from one K(path, path), and one solve with d right-hand sides gives
-    every correction.
+    come from one K(path, path), and one triangular solve with the lower
+    Cholesky factor on d right-hand sides gives every correction as the
+    squared norm |L^{-1} q_i|^2.
     """
     x, z = _query_pair(x, baseline, model.hyper.dim)
     A, prior = _path_quadrature(x, z, model.x_train, model.hyper, *nodes_weights(spec))
     means = model.alpha @ A
-    variances = _clamp_variance(prior - np.sum(A * model.solve(A), axis=0), "quadrature attribution")
+    W = model.solve(A)
+    sv = model.hyper.signal_variance
+    variances = _clamp_variance(prior - np.sum(W * W, axis=0), "quadrature attribution", sv)
     return _laws(means, variances)
 
 
@@ -179,7 +181,8 @@ def mc_attribution_oracle(
 
     The posterior gradient field along the path is jointly Gaussian with
         mean_j = sum_n alpha_n dk(path_j, x_n)/dx_i
-        cov_jk = d2k(path_j, path_k) - g_j^T (K + noise*I)^{-1} g_k.
+        cov_jk = d2k(path_j, path_k) - g_j^T (K + noise*I)^{-1} g_k,
+    the correction being W^T W with W = L^{-1} [g_1 ... g_J].
     Draws of the field are integrated with trapezoid weights on the grid
     and scaled by (x_i - z_i). Returns the sample mean and variance with
     the standard error of the mean.
@@ -200,7 +203,8 @@ def mc_attribution_oracle(
     G = grad_i_cross(path, model.x_train, i, hyper)
     mean_field = G @ model.alpha
     H = hess_ii_cross(path, path, i, hyper)
-    cov = H - G @ model.solve(G.T)
+    W = model.solve(G.T)
+    cov = H - W.T @ W
     cov = 0.5 * (cov + cov.T)
     factor, _ = jittered_cholesky(cov, tol)
 

@@ -75,9 +75,26 @@ class GprModel:
         return self.x_train.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (K + noise*I) v = b with the stored factor, checked at
-        construction; only b is scanned for non-finite values."""
-        return cho_solve((self.chol, True), np.asarray_chkfinite(b, dtype=float), check_finite=False)
+        """One triangular solve with the lower factor: v = L^{-1} b, where
+        L L^T = K + noise*I. Every posterior quadratic form is a product of
+        two such solves, b^T (K + noise*I)^{-1} c = solve(b)^T solve(c), so
+        it reads the factor once rather than twice. The factor was checked
+        at construction; only b is scanned for non-finite values."""
+        b = np.asarray_chkfinite(b, dtype=float)
+        return solve_triangular(self.chol, b, lower=True, check_finite=False)
+
+
+def _clamp_variance(var, what: str, scale: float):
+    """Round-off negatives (>= -1e-10 * scale, with scale the variance scale
+    of the model, its signal variance for a GP) become zero; anything more
+    negative raises. Works on a float or elementwise on an array."""
+    worst = float(np.min(var))
+    if worst < -1e-10 * scale:
+        raise NumericalError(
+            f"{what} variance {worst:.6e} is negative beyond round-off tolerance at scale {scale:.3e}"
+        )
+    out = np.where(var >= 0.0, var, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def jittered_cholesky(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, float]:
@@ -135,19 +152,16 @@ def predict(model: GprModel, x_star) -> tuple[float, float]:
     """Posterior mean and variance at one point.
 
     mean = offset + k_*^T alpha
-    var  = k(x_*, x_*) - k_*^T (K + noise*I)^{-1} k_*
-    Tiny negative variances (>= -1e-10) from round-off clamp to zero.
+    var  = k(x_*, x_*) - |L^{-1} k_*|^2
+    Tiny negative variances from round-off (>= -1e-10 * signal_variance)
+    clamp to zero; anything more negative raises NumericalError.
     """
     x_star = np.asarray_chkfinite(x_star, dtype=float).reshape(-1)
     k_star = kernel_cross(model.x_train, x_star[None, :], model.hyper)[:, 0]
     mean = model.y_mean_offset + float(k_star @ model.alpha)
-    w = solve_triangular(model.chol, k_star, lower=True, check_finite=False)
-    var = float(model.hyper.signal_variance - w @ w)
-    if var < 0.0:
-        if var < -1e-10:
-            raise NumericalError(f"posterior variance {var:.3e} below round-off tolerance")
-        var = 0.0
-    return mean, var
+    w = model.solve(k_star)
+    sv = model.hyper.signal_variance
+    return mean, _clamp_variance(float(sv - w @ w), "posterior", sv)
 
 
 def log_marginal_likelihood(model: GprModel, y) -> float:

@@ -3,9 +3,9 @@
 k(x, x') = sv * exp(-0.5 * sum_j ((x_j - x'_j) / ls_j)^2)
 
 A single lengthscale shared across features is the special case of equal
-ls_j, so one code path serves both. Scalar operations mirror the formulas
-one-to-one; the *_matrix/*_cross helpers are the vectorized forms the
-regression and attribution layers actually run on.
+ls_j, so one code path serves both. Every operation is a block over two
+point sets, the form the regression and attribution layers run on; the
+scalar value and derivative formulas are kept as test oracles.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,6 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "ArdSeHyper",
-    "ardse_eval",
-    "ardse_grad_i",
-    "ardse_hess_ii",
     "kernel_matrix",
     "kernel_cross",
     "grad_i_cross",
@@ -51,49 +48,9 @@ class ArdSeHyper:
         return self.lengthscales.size
 
 
-def _check_pair(x: np.ndarray, x2: np.ndarray, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
-    if x.shape != x2.shape or x.size != hyper.dim:
-        raise ValueError(
-            f"input dimension mismatch: x {x.shape}, x2 {x2.shape}, lengthscales ({hyper.dim},)"
-        )
-    return x, x2
-
-
 def _check_index(i: int, dim: int) -> None:
     if not 0 <= i < dim:
         raise IndexError(f"feature index {i} out of range for dimension {dim}")
-
-
-def ardse_eval(x, x2, hyper: ArdSeHyper) -> float:
-    """Kernel value k(x, x2)."""
-    x, x2 = _check_pair(x, x2, hyper)
-    d = (x - x2) / hyper.lengthscales
-    return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
-
-
-def ardse_grad_i(x, x2, i: int, hyper: ArdSeHyper) -> float:
-    """Partial derivative of k with respect to the first argument, feature i.
-
-    d k / d x_i = -k(x, x2) * (x_i - x2_i) / ls_i^2
-    """
-    x, x2 = _check_pair(x, x2, hyper)
-    _check_index(i, hyper.dim)
-    k = ardse_eval(x, x2, hyper)
-    return float(-k * (x[i] - x2[i]) / hyper.lengthscales[i] ** 2)
-
-
-def ardse_hess_ii(x, x2, i: int, hyper: ArdSeHyper) -> float:
-    """Mixed second derivative d^2 k / (d x_i d x2_i), same feature i on both sides.
-
-    d^2 k / (d x_i d x2_i) = k(x, x2) * (1/ls_i^2 - (x_i - x2_i)^2 / ls_i^4)
-    """
-    x, x2 = _check_pair(x, x2, hyper)
-    _check_index(i, hyper.dim)
-    k = ardse_eval(x, x2, hyper)
-    li2 = hyper.lengthscales[i] ** 2
-    return float(k * (1.0 / li2 - (x[i] - x2[i]) ** 2 / li2**2))
 
 
 def _as_points(X, hyper: ArdSeHyper, name: str) -> np.ndarray:

@@ -7,22 +7,26 @@ quadrature engine (one gradient block, one Hessian block and one solve per
 feature) and the random-feature engine (one gradient-integral vector and one
 triangular solve per feature). The package computes all features in one
 pass; tests check that pass against these functions, and these functions
-against quadrature and kernel derivatives.
+against quadrature and kernel derivatives. The GP variance corrections here
+are full Cholesky solves q^T (K + noise*I)^{-1} q, independent of the
+package's one triangular pass |L^{-1} q|^2.
 
 It also keeps the kernel block built from an explicit (n, m, d) tensor of
-scaled differences, the reference for the weighted-distance kernel_cross.
+scaled differences, the reference for the weighted-distance kernel_cross,
+and the scalar kernel value and derivatives that mirror the formulas
+one-to-one, the reference for the kernel blocks.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
-from gpattr.attrib_exact import AttributionGaussian, _baseline_values, _clamp_variance
+from gpattr.attrib_exact import AttributionGaussian, _baseline_values
 from gpattr.attrib_quad import QuadratureSpec, nodes_weights
-from gpattr.gpr import GprModel
-from gpattr.kernels import ArdSeHyper, _as_points, grad_i_cross, hess_ii_cross
+from gpattr.gpr import GprModel, _clamp_variance
+from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross
 from gpattr.rfgp import RfgpModel
 from gpattr.specfun import DEFAULT_TOLERANCES, Tolerances, erf
 
@@ -56,6 +60,51 @@ def kernel_cross_direct(X, Z, hyper: ArdSeHyper) -> np.ndarray:
     diff = (X[:, None, :] - Z[None, :, :]) / hyper.lengthscales
     sq = np.einsum("nmd,nmd->nm", diff, diff)
     return hyper.signal_variance * np.exp(-0.5 * sq)
+
+
+def _check_pair(x: np.ndarray, x2: np.ndarray, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float).reshape(-1)
+    x2 = np.asarray(x2, dtype=float).reshape(-1)
+    if x.shape != x2.shape or x.size != hyper.dim:
+        raise ValueError(
+            f"input dimension mismatch: x {x.shape}, x2 {x2.shape}, lengthscales ({hyper.dim},)"
+        )
+    return x, x2
+
+
+def ardse_eval(x, x2, hyper: ArdSeHyper) -> float:
+    """Kernel value k(x, x2)."""
+    x, x2 = _check_pair(x, x2, hyper)
+    d = (x - x2) / hyper.lengthscales
+    return float(hyper.signal_variance * np.exp(-0.5 * np.dot(d, d)))
+
+
+def ardse_grad_i(x, x2, i: int, hyper: ArdSeHyper) -> float:
+    """Partial derivative of k with respect to the first argument, feature i.
+
+    d k / d x_i = -k(x, x2) * (x_i - x2_i) / ls_i^2
+    """
+    x, x2 = _check_pair(x, x2, hyper)
+    _check_index(i, hyper.dim)
+    k = ardse_eval(x, x2, hyper)
+    return float(-k * (x[i] - x2[i]) / hyper.lengthscales[i] ** 2)
+
+
+def ardse_hess_ii(x, x2, i: int, hyper: ArdSeHyper) -> float:
+    """Mixed second derivative d^2 k / (d x_i d x2_i), same feature i on both sides.
+
+    d^2 k / (d x_i d x2_i) = k(x, x2) * (1/ls_i^2 - (x_i - x2_i)^2 / ls_i^4)
+    """
+    x, x2 = _check_pair(x, x2, hyper)
+    _check_index(i, hyper.dim)
+    k = ardse_eval(x, x2, hyper)
+    li2 = hyper.lengthscales[i] ** 2
+    return float(k * (1.0 / li2 - (x[i] - x2[i]) ** 2 / li2**2))
+
+
+def _full_solve_form(model: GprModel, q: np.ndarray) -> float:
+    """q^T (K + noise*I)^{-1} q by a full Cholesky solve on the stored factor."""
+    return float(q @ cho_solve((model.chol, True), q))
 
 
 def _check(x, z, i: int, hyper: ArdSeHyper, *others) -> None:
@@ -172,7 +221,7 @@ def prior_variance_per_feature(
         t, w = _fallback_nodes()
         path = z[None, :] + t[:, None] * delta[None, :]
         H = hess_ii_cross(path, path, i, hyper)
-        return _clamp_variance(float(delta[i] ** 2 * (w @ H @ w)), "prior attribution")
+        return _clamp_variance(float(delta[i] ** 2 * (w @ H @ w)), "prior attribution", sv)
     r2 = -sv * delta[i] ** 2 / ls2[i] ** 2
     r0 = sv / ls2[i]
     one_minus_exp = -math.expm1(-0.5 * p2)
@@ -180,7 +229,7 @@ def prior_variance_per_feature(
         _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * (p2 * r0 + r2) / p2**1.5
         - 2.0 * one_minus_exp * (p2 * r0 + 2.0 * r2) / p2**2
     )
-    return _clamp_variance(float(delta[i] ** 2 * bracket), "prior attribution")
+    return _clamp_variance(float(delta[i] ** 2 * bracket), "prior attribution", sv)
 
 
 def gpr_attribution_per_feature(
@@ -198,8 +247,8 @@ def gpr_attribution_per_feature(
     a_vec = slice_attribution_vector(x, z, model.x_train, i, model.hyper, tol)
     mean = float(a_vec @ model.alpha)
     prior = prior_variance_per_feature(x, z, i, model.hyper, tol)
-    correction = float(a_vec @ model.solve(a_vec))
-    var = _clamp_variance(prior - correction, "attribution")
+    correction = _full_solve_form(model, a_vec)
+    var = _clamp_variance(prior - correction, "attribution", model.hyper.signal_variance)
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
 
 
@@ -235,8 +284,8 @@ def quad_attribution_per_feature(
     H = hess_ii_cross(path, path, i, model.hyper)
     prior = gap**2 * float(w @ H @ w)
     q = gap * (G.T @ w)
-    correction = float(q @ model.solve(q))
-    var = _clamp_variance(prior - correction, "quadrature attribution")
+    correction = _full_solve_form(model, q)
+    var = _clamp_variance(prior - correction, "quadrature attribution", model.hyper.signal_variance)
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
 
 

@@ -15,9 +15,6 @@ from gpattr import (
     ArdSeHyper,
     Dataset,
     QuadratureSpec,
-    ardse_eval,
-    ardse_grad_i,
-    ardse_hess_ii,
     bayes_linear_attribution,
     bayes_linear_posterior,
     fit,
@@ -35,6 +32,7 @@ from gpattr import (
     rfgp_fit,
     simulate,
 )
+from oracles import ardse_eval, ardse_grad_i, ardse_hess_ii
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -7,6 +7,7 @@ simpson, not this package's quadrature module).
 """
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -14,6 +15,9 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import gpattr
@@ -21,8 +25,6 @@ from gpattr import (
     ArdSeHyper,
     GprModel,
     NumericalError,
-    ardse_eval,
-    ardse_grad_i,
     attribution_report,
     bayes_linear_attribution,
     bayes_linear_posterior,
@@ -37,7 +39,13 @@ from gpattr.attrib_exact import AttributionGaussian
 from gpattr.data_io import Baseline, Dataset
 from gpattr.kernels import hess_ii_cross
 from gpattr.specfun import DEFAULT_TOLERANCES
-from oracles import attr_coefficients, gpr_attribution_per_feature, kernel_slice_attribution
+from oracles import (
+    ardse_eval,
+    ardse_grad_i,
+    attr_coefficients,
+    gpr_attribution_per_feature,
+    kernel_slice_attribution,
+)
 
 
 def _draw(rng, dim=3):
@@ -303,9 +311,10 @@ def test_one_pass_matches_per_feature_oracle():
 
 
 def _count_calls(monkeypatch):
-    """Record the shape of every GprModel.solve right-hand side and the
-    element count of every erf call, wherever gpattr looks erf up."""
-    solves, erf_sizes = [], []
+    """Record the shape of every GprModel.solve right-hand side, the
+    element count of every erf call, and the name of every scipy triangular
+    or Cholesky solve, wherever gpattr looks these up."""
+    solves, erf_sizes, factor_solves = [], [], []
     real_solve, real_erf = GprModel.solve, gpattr.specfun.erf
 
     def solve(self, b):
@@ -319,32 +328,78 @@ def _count_calls(monkeypatch):
     def predict(*args, **kwargs):
         raise AssertionError("attribution_report must not call predict")
 
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            factor_solves.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(GprModel, "solve", solve)
     swaps = ((real_erf, erf), (gpattr.gpr.predict, predict))
+    swaps += tuple((f, counted(f)) for f in (scipy.linalg.solve_triangular, scipy.linalg.cho_solve))
     for module in [gpattr, *(m for m in vars(gpattr).values() if isinstance(m, types.ModuleType))]:
         for name, value in list(vars(module).items()):
             for old, new in swaps:
                 if value is old:
                     monkeypatch.setattr(module, name, new)
-    return solves, erf_sizes
+    return solves, erf_sizes, factor_solves
 
 
 def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     # the paper's cost claim: d + 2 right-hand sides in one solve, one erf
-    # over the 2n completed-square endpoints, one scalar erf for the prior
+    # over the 2n completed-square endpoints, one scalar erf for the prior;
+    # the solve is one triangular pass over the factor, not a full Cholesky solve
     n, dim = 23, 4
     X = rng.uniform(-2.0, 2.0, size=(n, dim))
     data = Dataset(X, np.cos(X).sum(axis=1), tuple(f"f{j}" for j in range(dim)))
     model = fit(data, ArdSeHyper(0.8, np.full(dim, 1.1), 0.1))
-    solves, erf_sizes = _count_calls(monkeypatch)
+    solves, erf_sizes, factor_solves = _count_calls(monkeypatch)
     attribution_report(model, rng.uniform(-2.0, 2.0, size=dim), X.mean(axis=0))
     assert solves == [(n, dim + 2)]
     assert sorted(erf_sizes) == [1, 2 * n]
+    assert factor_solves == ["solve_triangular"]
     # the degenerate path takes the Simpson fallback: still one solve, no erf
-    solves.clear(), erf_sizes.clear()
+    solves.clear(), erf_sizes.clear(), factor_solves.clear()
     rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
     assert solves == [(n, dim + 2)] and erf_sizes == []
+    assert factor_solves == ["solve_triangular"]
     assert all(a.mean == 0.0 and a.variance == 0.0 for a in rep.attributions)
+
+
+@functools.cache
+def _zero_noise_laws(c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Attribution and prediction means and variances at every training row
+    of a zero-noise fit (n=60, d=2, lengthscales 0.5) whose targets are
+    scaled by c and signal variance is c^2. At the training rows the
+    posterior variance is round-off around zero."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2.0, 2.0, size=(60, 2))
+    y = np.sin(X[:, 0]) + np.cos(2.0 * X[:, 1])
+    model = fit(Dataset(X, c * y, ("a", "b")), ArdSeHyper(c**2, np.full(2, 0.5), 0.0))
+    means, variances = [], []
+    for row in X:
+        laws = attribution_report(model, row, X.mean(axis=0)).attributions
+        mean, var = predict(model, row)
+        means.append([a.mean for a in laws] + [mean])
+        variances.append([a.variance for a in laws] + [var])
+    return np.array(means), np.array(variances)
+
+
+@given(st.floats(min_value=-6.0, max_value=8.0))
+@example(-6.0)
+@example(3.0)
+@example(8.0)
+@settings(max_examples=20, deadline=None)
+def test_target_scale_scales_means_and_variances(log_c):
+    # scaling the targets by c and the signal variance by c^2 scales every
+    # mean by c and every variance by c^2; round-off negatives are judged at
+    # the signal variance's scale, so no scale raises NumericalError
+    c = 10.0**log_c
+    means, variances = _zero_noise_laws(c)
+    ref_means, ref_vars = _zero_noise_laws(1.0)
+    assert np.abs(means / c - ref_means).max() <= 1e-10 * np.abs(ref_means).max()
+    assert np.abs(variances / c**2 - ref_vars).max() <= 1e-10
 
 
 def test_report_rejects_non_finite_query(sim_model):
@@ -401,12 +456,17 @@ def test_attribution_gaussian_validation():
 
 
 def test_variance_clamp_policy():
-    from gpattr.attrib_exact import _clamp_variance
+    from gpattr.gpr import _clamp_variance
 
-    assert _clamp_variance(-5e-11, "test") == 0.0
-    assert _clamp_variance(2.0, "test") == 2.0
+    assert _clamp_variance(-5e-11, "test", 1.0) == 0.0
+    assert _clamp_variance(2.0, "test", 1.0) == 2.0
     with pytest.raises(NumericalError):
-        _clamp_variance(-1e-6, "test")
+        _clamp_variance(-1e-6, "test", 1.0)
+    # the tolerance is relative to the variance scale
+    assert _clamp_variance(-4.0, "test", 1e16) == 0.0
+    with pytest.raises(NumericalError):
+        _clamp_variance(-5e-11, "test", 1e-6)
+    assert list(_clamp_variance(np.array([-5e-7, 3.0]), "test", 1e4)) == [0.0, 3.0]
 
 
 def test_linear_posterior_matches_dense_oracle(rng):

@@ -52,6 +52,24 @@ def test_weights_match_dense_solve():
     assert np.abs(model.alpha - want).max() <= 1e-8
 
 
+def test_solve_is_half_of_the_dense_quadratic_form(rng):
+    # solve(b)^T solve(c) = b^T (K + noise I)^{-1} c, and solve inverts the
+    # lower factor: chol @ solve(b) = b
+    data = _dataset(40, seed=2)
+    model = fit(data, HYP)
+    K = kernel_matrix(data.X, HYP) + HYP.noise_variance * np.eye(data.n)
+    B = rng.standard_normal((data.n, 3))
+    C = rng.standard_normal((data.n, 4))
+    got = model.solve(B).T @ model.solve(C)
+    want = B.T @ np.linalg.solve(K, C)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    v = model.solve(B[:, 0])
+    assert v.shape == (data.n,)
+    assert np.abs(model.chol @ v - B[:, 0]).max() <= 1e-14 * np.abs(B[:, 0]).max()
+    with pytest.raises(ValueError):
+        model.solve(np.full(data.n, np.nan))
+
+
 def test_prediction_matches_dense_formulas(rng):
     data = _dataset(35, seed=3)
     model = fit(data, HYP)

@@ -16,16 +16,13 @@ from hypothesis.extra import numpy as hnp
 
 from gpattr import (
     ArdSeHyper,
-    ardse_eval,
-    ardse_grad_i,
-    ardse_hess_ii,
     grad_i_cross,
     hess_ii_cross,
     kernel_cross,
     kernel_matrix,
 )
 from gpattr.specfun import DEFAULT_TOLERANCES
-from oracles import kernel_cross_direct
+from oracles import ardse_eval, ardse_grad_i, ardse_hess_ii, kernel_cross_direct
 
 H2 = ArdSeHyper(2.0, np.array([1.0, 2.0]), 0.0)
 

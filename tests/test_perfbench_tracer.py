@@ -26,3 +26,10 @@ def test_traced_functions_resolve_on_gpattr():
     for handler, command in trace["CLI_COMMANDS"].items():
         argv = [command] if command == "fit" else [command, "--model", "model.json"]
         assert parser.parse_args(argv).func is getattr(gpattr.cli, handler, None), handler
+
+
+def test_traced_solve_method_exists():
+    # install() wraps GprModel.solve on the class by name and counts its
+    # right-hand sides, so the attribution reports' solve counters need it
+    assert "GprModel.solve" in SPANTRACE.read_text(encoding="utf-8")
+    assert callable(getattr(gpattr.gpr.GprModel, "solve", None))

@@ -11,7 +11,6 @@ from scipy.integrate import simpson
 from gpattr import (
     ArdSeHyper,
     NumericalError,
-    ardse_eval,
     feature_map,
     marginalized_attribution,
     prior_attribution_variance,
@@ -22,7 +21,7 @@ from gpattr import (
 )
 from gpattr.data_io import Dataset, simulate
 from gpattr.rfgp import design_matrix, feature_gradient_integral
-from oracles import feature_gradient_integral_per_feature, rfgp_attribution_per_feature
+from oracles import ardse_eval, feature_gradient_integral_per_feature, rfgp_attribution_per_feature
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
 
