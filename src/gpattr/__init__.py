@@ -10,8 +10,6 @@ from .attrib_exact import (
     AttributionGaussian,
     AttributionReport,
     attribution_report,
-    bayes_linear_attribution,
-    bayes_linear_posterior,
     gpr_attribution,
     prior_attribution_variance,
     report_from_rows,
@@ -33,9 +31,7 @@ from .data_io import (
     Dataset,
     NormStats,
     load_csv,
-    mean_baseline,
     normalize,
-    denormalize,
     simulate,
     target_filtered_baseline,
 )
@@ -59,13 +55,11 @@ from .rfgp import (
     AttributionMixture,
     RfgpModel,
     feature_gradient_integral,
-    feature_map,
     marginalized_attribution,
     rfgp_attribution,
     rfgp_fit,
-    rfgp_predict,
     sample_frequencies,
 )
-from .specfun import DEFAULT_TOLERANCES, NumericalError, Tolerances, erf
+from .specfun import NumericalError, erf
 
 __version__ = "0.1.0"

@@ -24,9 +24,6 @@ feature-free part of its integrand, so a report for all d features costs
 one erf sweep over 2n points and one triangular solve with the lower
 Cholesky factor on d + 2 right-hand sides: every data correction is a
 squared norm of a column of that solve.
-
-A Bayesian linear model admits the same construction with a trivial exact
-answer, which serves as an end-to-end sanity case.
 """
 
 import csv
@@ -34,12 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from .data_io import Baseline
 from .gpr import GprModel, _clamp_variance
 from .kernels import ArdSeHyper, _check_index, kernel_cross
-from .specfun import DEFAULT_TOLERANCES, NumericalError, Tolerances, erf
+from .specfun import erf
 
 __all__ = [
     "Baseline",
@@ -51,12 +47,12 @@ __all__ = [
     "report_from_rows",
     "write_report_json_dict",
     "write_report_csv",
-    "bayes_linear_posterior",
-    "bayes_linear_attribution",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _FALLBACK_PARTITIONS = 256
+# a path with p2 = sum((x - z)^2 / ls^2) at or below this is degenerate
+SINGULAR_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdS
 
 
 def _slices_and_priors(
-    x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, tol: Tolerances
+    x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice matrix (n, d) and prior variances (d,) of every feature.
 
@@ -193,7 +189,7 @@ def _slices_and_priors(
     ls2 = hyper.lengthscales**2
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
-    if p2 <= tol.singular_threshold:
+    if p2 <= SINGULAR_THRESHOLD:
         A, prior = _path_quadrature(x, z, centers, hyper, *_fallback_nodes())
     else:
         sv = hyper.signal_variance
@@ -214,9 +210,7 @@ def _laws(means: np.ndarray, variances: np.ndarray) -> tuple[AttributionGaussian
     return tuple(AttributionGaussian(i, float(m), float(v)) for i, (m, v) in enumerate(pairs))
 
 
-def _exact_laws(
-    model: GprModel, x: np.ndarray, z: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_laws(model: GprModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribution means and variances of every feature, plus the (2, n)
     kernel rows at x and z, from one triangular solve W = L^{-1} [A, k_x, k_z]
     with d + 2 right-hand sides.
@@ -231,7 +225,7 @@ def _exact_laws(
     hyper = model.hyper
     d = hyper.dim
     sv = hyper.signal_variance
-    A, prior = _slices_and_priors(x, z, model.x_train, hyper, tol)
+    A, prior = _slices_and_priors(x, z, model.x_train, hyper)
     k_xz = kernel_cross(np.stack((x, z)), model.x_train, hyper)
     W = model.solve(np.hstack((A, k_xz.T)))
     squares = np.sum(W * W, axis=0)
@@ -240,24 +234,20 @@ def _exact_laws(
     return model.alpha @ A, variances, k_xz
 
 
-def prior_attribution_variance(
-    x, baseline, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def prior_attribution_variance(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, read from the d prior
     variances of _slices_and_priors (which needs no training centers)."""
     x, z = _query_pair(x, baseline, hyper.dim)
     _check_index(i, hyper.dim)
     no_centers = np.empty((0, hyper.dim))
-    return float(_slices_and_priors(x, z, no_centers, hyper, tol)[1][i])
+    return float(_slices_and_priors(x, z, no_centers, hyper)[1][i])
 
 
-def gpr_attribution(
-    model: GprModel, x, baseline, i: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> AttributionGaussian:
+def gpr_attribution(model: GprModel, x, baseline, i: int) -> AttributionGaussian:
     """Gaussian law of feature i's attribution under the GP posterior: row i
     of attribution_report, which computes every feature in one pass."""
     _check_index(i, model.hyper.dim)
-    return attribution_report(model, x, baseline, tol).attributions[i]
+    return attribution_report(model, x, baseline).attributions[i]
 
 
 @dataclass(frozen=True)
@@ -286,9 +276,7 @@ def _assemble(model: GprModel, rows, k_xz: np.ndarray) -> AttributionReport:
     )
 
 
-def attribution_report(
-    model: GprModel, x, baseline, tol: Tolerances = DEFAULT_TOLERANCES
-) -> AttributionReport:
+def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
     """Attribute every feature and report the completeness residual
 
         | sum_i mean_i - (mu(x) - mu(z)) |
@@ -298,7 +286,7 @@ def attribution_report(
     factor on d + 2 right-hand sides and one erf sweep over 2n points.
     """
     x, z = _query_pair(x, baseline, model.hyper.dim)
-    means, variances, k_xz = _exact_laws(model, x, z, tol)
+    means, variances, k_xz = _exact_laws(model, x, z)
     return _assemble(model, _laws(means, variances), k_xz)
 
 
@@ -352,63 +340,3 @@ def _names(feature_names, n: int) -> list[str]:
         raise ValueError(f"got {len(names)} feature names for {n} attributions")
     return names
 
-
-def bayes_linear_posterior(
-    X, y, prior_mean, prior_cov, noise_variance: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior over linear weights with Gaussian prior and noise.
-
-        cov  = (prior_cov^{-1} + X^T X / noise)^{-1}
-        mean = cov (prior_cov^{-1} prior_mean + X^T y / noise)
-
-    X may have zero rows, in which case the prior is returned.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    mu = np.asarray(prior_mean, dtype=float).reshape(-1)
-    S = np.asarray(prior_cov, dtype=float)
-    d = mu.size
-    if S.shape != (d, d) or X.shape[1] != d:
-        raise ValueError(f"inconsistent shapes: X {X.shape}, prior_mean ({d},), prior_cov {S.shape}")
-    if X.shape[0] != y.size:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
-    if not (np.isfinite(noise_variance) and noise_variance > 0.0):
-        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance!r}")
-    try:
-        Sc = cholesky(S, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("prior covariance is not positive definite") from exc
-    S_inv = cho_solve((Sc, True), np.eye(d))
-    precision = S_inv + X.T @ X / noise_variance
-    try:
-        Pc = cholesky(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("posterior precision is not positive definite") from exc
-    cov = cho_solve((Pc, True), np.eye(d))
-    cov = 0.5 * (cov + cov.T)
-    mean = cho_solve((Pc, True), S_inv @ mu + X.T @ y / noise_variance)
-    return mean, cov
-
-
-def bayes_linear_attribution(post_mean, post_cov, x, baseline, i: int) -> AttributionGaussian:
-    """Attribution of feature i under a linear model with Gaussian weights.
-
-    The path integral of a constant gradient is exact:
-        mean = post_mean_i * (x_i - z_i),  var = post_cov_ii * (x_i - z_i)^2
-    """
-    post_mean = np.asarray(post_mean, dtype=float).reshape(-1)
-    post_cov = np.asarray(post_cov, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
-    d = post_mean.size
-    if post_cov.shape != (d, d) or x.size != d or z.size != d:
-        raise ValueError(
-            f"inconsistent shapes: mean ({d},), cov {post_cov.shape}, x ({x.size},), baseline ({z.size},)"
-        )
-    _check_index(i, d)
-    gap = float(x[i] - z[i])
-    scale = float(np.max(np.abs(np.diag(post_cov)))) * gap**2
-    var = _clamp_variance(float(post_cov[i, i]) * gap**2, "linear attribution", scale)
-    return AttributionGaussian(feature_index=i, mean=float(post_mean[i]) * gap, variance=var)

@@ -25,7 +25,6 @@ from .attrib_exact import (
 )
 from .gpr import GprModel, _clamp_variance, jittered_cholesky
 from .kernels import _check_index, grad_i_cross, hess_ii_cross
-from .specfun import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "QuadratureSpec",
@@ -118,14 +117,7 @@ class SweepRow:
     var_abs_err: float
 
 
-def convergence_sweep(
-    model: GprModel,
-    queries,
-    baseline,
-    rules,
-    l_values,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[SweepRow]:
+def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> list[SweepRow]:
     """Benchmark quadrature rules against the exact attribution.
 
     Errors are medians of |quad - exact| over all query points and
@@ -134,7 +126,7 @@ def convergence_sweep(
     queries = np.asarray(queries, dtype=float)
     if queries.ndim == 1:
         queries = queries[None, :]
-    exact = [attribution_report(model, xq, baseline, tol).attributions for xq in queries]
+    exact = [attribution_report(model, xq, baseline).attributions for xq in queries]
     rows: list[SweepRow] = []
     for rule in rules:
         for L in l_values:
@@ -175,7 +167,6 @@ def mc_attribution_oracle(
     grid_points: int = 257,
     samples: int = 10_000,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> McOracleResult:
     """Monte Carlo check of the attribution law, bypassing the closed forms.
 
@@ -206,7 +197,7 @@ def mc_attribution_oracle(
     W = model.solve(G.T)
     cov = H - W.T @ W
     cov = 0.5 * (cov + cov.T)
-    factor, _ = jittered_cholesky(cov, tol)
+    factor, _ = jittered_cholesky(cov)
 
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)

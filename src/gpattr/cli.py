@@ -7,7 +7,7 @@ Subcommands:
     rfgp-compare  random-feature attributions vs the exact law
     mc-validate   Monte Carlo check of attribution means and variances
 
-Every command writes a manifest.json (resolved options, package and
+Every command writes a manifest.json (its parsed options, package and
 library versions, seeds) next to its outputs; re-running the same command
 on the same machine reproduces the outputs byte for byte.
 
@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,38 +61,34 @@ from .kernels import ArdSeHyper
 from .rfgp import marginalized_attribution, rfgp_attribution, rfgp_fit
 from .specfun import NumericalError
 
-__all__ = ["RunConfig", "build_parser", "main", "entrypoint"]
+__all__ = ["build_parser", "main", "entrypoint"]
 
 
 class UsageError(Exception):
     """Flag combination or argument syntax the parser cannot catch."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one command invocation, echoed to the manifest."""
-
-    command: str
-    options: dict
-    seeds: dict = field(default_factory=dict)
-
-    def manifest(self) -> dict:
-        return {
-            "format": "gpattr-manifest",
-            "version": 1,
-            "command": self.command,
-            "options": self.options,
-            "seeds": self.seeds,
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
-        }
-
-
 def _write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_manifest(args, out: Path, seed_key: str) -> None:
+    """manifest.json: every parsed option under "options", except the
+    subcommand, its handler and the seed option, which goes under "seeds"."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", seed_key)}
+    manifest = {
+        "format": "gpattr-manifest",
+        "version": 1,
+        "command": args.command,
+        "options": options,
+        "seeds": {seed_key: getattr(args, seed_key)},
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+    }
+    _write_json(manifest, out / "manifest.json")
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -119,6 +114,20 @@ def _count_list(text: str, flag: str) -> list[int]:
         return [_count(p) for p in text.split(",") if p != ""]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _rule_names(text: str) -> str:
+    """argparse type of --rules: comma-separated quadrature rule names, each
+    checked here and the text kept as given."""
+    rules = [r.strip() for r in text.split(",") if r.strip()]
+    if not rules:
+        raise argparse.ArgumentTypeError("expected comma-separated rule names")
+    for rule in rules:
+        try:
+            QuadratureSpec(rule=rule, partitions=1)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _row_index(spec: str, n: int) -> int:
@@ -245,24 +254,7 @@ def cmd_fit(args) -> int:
     }
     _write_json(report, out / "fit_report.json")
 
-    config = RunConfig(
-        command="fit",
-        options={
-            "data": args.data,
-            "target": args.target,
-            "simulate": args.simulate,
-            "noise_scale": args.noise_scale,
-            "normalize": bool(args.normalize),
-            "optimize": args.optimize,
-            "query_row": args.query_row,
-            "signal_variance": args.signal_variance,
-            "lengthscales": args.lengthscales,
-            "noise_variance": args.noise_variance,
-            "out_dir": str(args.out_dir),
-        },
-        seeds={"data_seed": args.data_seed},
-    )
-    _write_json(config.manifest(), out / "manifest.json")
+    _write_manifest(args, out, "data_seed")
     print(f"fit: n={data.n} lml={lml:.6f} -> {out / 'model.json'}")
     return 0
 
@@ -367,6 +359,17 @@ def _parse_engine(text: str) -> tuple[str, QuadratureSpec | None]:
     raise UsageError(f"unknown --engine {text!r} (use exact, quad:RULE:L, or rfgp)")
 
 
+def _load_query_context(args) -> tuple[GprModel, dict, np.ndarray, Baseline, list[str]]:
+    """Model, raw payload, model-space query and baseline, and feature names
+    for a command that attributes one query point."""
+    payload = load_model_payload(args.model)
+    model = load_model(args.model)
+    stats = _stats_from_payload(payload)
+    x = _resolve_query(args, payload, stats, model.hyper.dim)
+    baseline = _resolve_baseline(args, model, stats, payload)
+    return model, payload, x, baseline, _payload_names(payload, model.hyper.dim)
+
+
 def _training_dataset_from_payload(model: GprModel, payload: dict) -> Dataset:
     y_train = payload.get("y_train")
     if y_train is None:
@@ -380,12 +383,7 @@ def _training_dataset_from_payload(model: GprModel, payload: dict) -> Dataset:
 
 def cmd_attribute(args) -> int:
     out = _out_dir(args)
-    payload = load_model_payload(args.model)
-    model = load_model(args.model)
-    stats = _stats_from_payload(payload)
-    x = _resolve_query(args, payload, stats, model.hyper.dim)
-    baseline = _resolve_baseline(args, model, stats, payload)
-    names = _payload_names(payload, model.hyper.dim)
+    model, payload, x, baseline, names = _load_query_context(args)
     engine, quad_spec = _parse_engine(args.engine)
 
     mixtures = None
@@ -418,23 +416,7 @@ def cmd_attribute(args) -> int:
     _write_json(doc, out / "attributions.json")
     write_report_csv(report, out / "attributions.csv", names)
 
-    config = RunConfig(
-        command="attribute",
-        options={
-            "model": args.model,
-            "data": args.data,
-            "target": args.target,
-            "query": args.query,
-            "query_row": args.query_row,
-            "baseline": args.baseline,
-            "engine": args.engine,
-            "rfgp_features": args.rfgp_features,
-            "rfgp_ensemble": args.rfgp_ensemble,
-            "out_dir": str(args.out_dir),
-        },
-        seeds={"seed": args.seed},
-    )
-    _write_json(config.manifest(), out / "manifest.json")
+    _write_manifest(args, out, "seed")
     for a in report.attributions:
         print(f"attribute: {names[a.feature_index]:>12s} mean {a.mean:+.6f} std {a.std:.6f}")
     print(f"attribute: completeness residual {report.completeness_residual:.3e}")
@@ -447,8 +429,8 @@ def cmd_attribute(args) -> int:
 def cmd_quad_sweep(args) -> int:
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     l_values = _count_list(args.l_values, "--l-values")
-    if not rules or not l_values:
-        raise UsageError("--rules and --l-values must be non-empty")
+    if not l_values:
+        raise UsageError("--l-values must be non-empty")
     out = _out_dir(args)
     model = load_model(args.model)
 
@@ -468,18 +450,7 @@ def cmd_quad_sweep(args) -> int:
                  repr(row.mean_abs_err), repr(row.var_abs_err)]
             )
 
-    config = RunConfig(
-        command="quad-sweep",
-        options={
-            "model": args.model,
-            "rules": args.rules,
-            "l_values": args.l_values,
-            "queries": args.queries,
-            "out_dir": str(args.out_dir),
-        },
-        seeds={"seed": args.seed},
-    )
-    _write_json(config.manifest(), out / "manifest.json")
+    _write_manifest(args, out, "seed")
     for row in rows:
         print(
             f"quad-sweep: {row.rule:>10s} L={row.partitions:<5d} evals={row.function_evals:<6d} "
@@ -502,12 +473,7 @@ def _sym_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float |
 def cmd_rfgp_compare(args) -> int:
     m_values = _count_list(args.m_values, "--m-values")
     out = _out_dir(args)
-    payload = load_model_payload(args.model)
-    model = load_model(args.model)
-    stats = _stats_from_payload(payload)
-    x = _resolve_query(args, payload, stats, model.hyper.dim)
-    baseline = _resolve_baseline(args, model, stats, payload)
-    names = _payload_names(payload, model.hyper.dim)
+    model, payload, x, baseline, names = _load_query_context(args)
     train = _training_dataset_from_payload(model, payload)
 
     exact = attribution_report(model, x, baseline).attributions
@@ -555,22 +521,7 @@ def cmd_rfgp_compare(args) -> int:
     }
     _write_json(doc, out / "rfgp_compare.json")
 
-    config = RunConfig(
-        command="rfgp-compare",
-        options={
-            "model": args.model,
-            "m_values": args.m_values,
-            "seeds_count": args.seeds,
-            "ensemble": args.ensemble,
-            "ensemble_m": args.ensemble_m,
-            "baseline": args.baseline,
-            "query": args.query,
-            "query_row": args.query_row,
-            "out_dir": str(args.out_dir),
-        },
-        seeds={"seed": args.seed},
-    )
-    _write_json(config.manifest(), out / "manifest.json")
+    _write_manifest(args, out, "seed")
     for f in features:
         gaps = " ".join(f"M={p['m']}:{p['median_abs_mean_gap']:.4f}" for p in f["per_m"])
         print(f"rfgp-compare: {f['feature']:>12s} median gaps {gaps}")
@@ -582,7 +533,6 @@ def cmd_rfgp_compare(args) -> int:
 
 def cmd_mc_validate(args) -> int:
     out = _out_dir(args)
-    payload = load_model_payload(args.model)
     model = load_model(args.model)
     baseline = Baseline(values=model.x_train.mean(axis=0))
 
@@ -633,18 +583,7 @@ def cmd_mc_validate(args) -> int:
     }
     _write_json(doc, out / "mc_validation.json")
 
-    config = RunConfig(
-        command="mc-validate",
-        options={
-            "model": args.model,
-            "samples": args.samples,
-            "grid_points": args.grid_points,
-            "queries": args.queries,
-            "out_dir": str(args.out_dir),
-        },
-        seeds={"seed": args.seed},
-    )
-    _write_json(config.manifest(), out / "manifest.json")
+    _write_manifest(args, out, "seed")
     for r in rows:
         flag = "ok" if (r["mean_within_3se"] and r["variance_within_10pct"]) else "MISMATCH"
         print(
@@ -697,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("quad-sweep", help="quadrature error sweep against closed forms")
     p_sweep.add_argument("--model", required=True)
-    p_sweep.add_argument("--rules", default="right_hand,trapezoid,simpson")
+    p_sweep.add_argument("--rules", type=_rule_names, default="right_hand,trapezoid,simpson")
     p_sweep.add_argument("--l-values", default="8,16,32,64,128,256,512,1024")
     p_sweep.add_argument("--queries", type=_count, default=20)
     p_sweep.add_argument("--seed", type=int, default=0)

@@ -18,9 +18,7 @@ __all__ = [
     "Baseline",
     "load_csv",
     "normalize",
-    "denormalize",
     "apply_norm",
-    "mean_baseline",
     "target_filtered_baseline",
     "simulate",
 ]
@@ -146,7 +144,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
 
 
 def normalize(data: Dataset) -> Dataset:
-    """Z-score the features; the stats are stored for exact inversion."""
+    """Z-score the features; the stats are stored so apply_norm maps new points alike."""
     if data.norm_stats is not None:
         raise DataError("dataset is already normalized")
     mean = data.X.mean(axis=0)
@@ -159,25 +157,12 @@ def normalize(data: Dataset) -> Dataset:
     return Dataset((data.X - mean) / std, data.y, data.feature_names, norm_stats=stats)
 
 
-def denormalize(data: Dataset) -> Dataset:
-    """Invert normalize(), restoring the original feature values."""
-    if data.norm_stats is None:
-        raise DataError("dataset carries no normalization stats")
-    s = data.norm_stats
-    return Dataset(data.X * s.std + s.mean, data.y, data.feature_names, norm_stats=None)
-
-
 def apply_norm(stats: NormStats, x: np.ndarray) -> np.ndarray:
     """Map a raw feature vector into the normalized space of a dataset."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != stats.mean.size:
         raise ValueError(f"point has {x.size} features, stats expect {stats.mean.size}")
     return (x - stats.mean) / stats.std
-
-
-def mean_baseline(data: Dataset) -> Baseline:
-    """Feature-wise training mean."""
-    return Baseline(values=data.X.mean(axis=0))
 
 
 def target_filtered_baseline(data: Dataset, y_min: float, y_max: float) -> Baseline:

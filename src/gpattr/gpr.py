@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .data_io import Dataset
 from .kernels import ArdSeHyper, kernel_cross, kernel_matrix
-from .specfun import DEFAULT_TOLERANCES, NumericalError, Tolerances
+from .specfun import NumericalError
 
 __all__ = [
     "GprModel",
@@ -32,6 +32,8 @@ __all__ = [
 
 MODEL_FORMAT = "gpattr-model"
 MODEL_VERSION = 1
+# starting jitter of jittered_cholesky, relative to the mean diagonal
+SOLVER_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,10 @@ def _clamp_variance(var, what: str, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def jittered_cholesky(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, float]:
+def jittered_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, retrying with diagonal jitter.
 
-    Jitter starts at tol.solver_jitter * mean(diag) and grows tenfold up to
+    Jitter starts at SOLVER_JITTER * mean(diag) and grows tenfold up to
     six times. Returns (factor, jitter_added). Raises NumericalError when
     the matrix stays non-positive-definite through the last retry.
     """
@@ -109,9 +111,9 @@ def jittered_cholesky(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
         return cholesky(mat, lower=True), 0.0
     except np.linalg.LinAlgError:
         pass
-    base = tol.solver_jitter * float(np.mean(np.diag(mat)))
+    base = SOLVER_JITTER * float(np.mean(np.diag(mat)))
     if base <= 0.0:
-        base = tol.solver_jitter
+        base = SOLVER_JITTER
     jitter = base
     eye = np.eye(mat.shape[0])
     for _ in range(6):
@@ -125,7 +127,7 @@ def jittered_cholesky(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     )
 
 
-def fit(data: Dataset, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES, center: bool = True) -> GprModel:
+def fit(data: Dataset, hyper: ArdSeHyper, center: bool = True) -> GprModel:
     """Fit the GP: factor K + noise*I and solve for the representer weights.
 
     center=False skips target centering (offset 0), for callers that have
@@ -135,7 +137,7 @@ def fit(data: Dataset, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES, 
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
     K = kernel_matrix(data.X, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
-    chol, jitter = jittered_cholesky(K, tol)
+    chol, jitter = jittered_cholesky(K)
     offset = float(data.y.mean()) if center else 0.0
     alpha = cho_solve((chol, True), data.y - offset, check_finite=False)
     return GprModel(
@@ -190,12 +192,7 @@ def _hyper_from_log(theta: np.ndarray) -> ArdSeHyper:
     )
 
 
-def optimize_hyperparameters(
-    data: Dataset,
-    init: ArdSeHyper,
-    budget: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ArdSeHyper:
+def optimize_hyperparameters(data: Dataset, init: ArdSeHyper, budget: int) -> ArdSeHyper:
     """Best-found hyperparameters from a deterministic budgeted search.
 
     Runs a log-space coordinate descent from several starts: the given init
@@ -220,7 +217,7 @@ def optimize_hyperparameters(
         nonlocal evals
         evals += 1
         try:
-            model = fit(data, _hyper_from_log(theta), tol)
+            model = fit(data, _hyper_from_log(theta))
         except NumericalError:
             return -np.inf
         return log_marginal_likelihood(model, data.y)

@@ -2,9 +2,9 @@
 
 Frequencies are drawn from the kernel's spectral density (Gaussian with
 per-feature std 1/lengthscale). Each frequency contributes a sin and a
-cos feature, interleaved sin-first, so the map has 2M entries and
-(signal_variance / M) * feature_map(x) . feature_map(x') estimates the
-kernel. Fitting is Bayesian linear regression in that feature space.
+cos feature, interleaved sin-first, so the map phi has 2M entries and
+(signal_variance / M) * phi(x) . phi(x') estimates the kernel. Fitting
+is Bayesian linear regression in that feature space.
 
 Attributions stay exact within the feature class: the path integral of
 each trig feature's gradient has an elementary antiderivative, giving a
@@ -13,7 +13,6 @@ ensemble of frequency draws marginalizes the approximation noise into an
 equal-weight Gaussian mixture.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +26,17 @@ from .specfun import NumericalError
 __all__ = [
     "RfgpModel",
     "sample_frequencies",
-    "feature_map",
     "design_matrix",
     "rfgp_fit",
-    "rfgp_predict",
     "feature_gradient_integral",
     "rfgp_attribution",
     "AttributionMixture",
     "marginalized_attribution",
 ]
+
+# a frequency whose phase moves by at most this fraction of |v_m| |x - z|
+# along the path takes the limit of its gradient-integral quotient
+_PHASE_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,20 +70,9 @@ def sample_frequencies(m_features: int, hyper: ArdSeHyper, seed: int) -> np.ndar
     return rng.standard_normal(size=(m_features, hyper.dim)) / hyper.lengthscales
 
 
-def feature_map(x, frequencies: np.ndarray) -> np.ndarray:
-    """Interleaved [sin(x.v_1), cos(x.v_1), sin(x.v_2), ...], length 2M."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != frequencies.shape[1]:
-        raise ValueError(f"x has {x.size} features, frequencies expect {frequencies.shape[1]}")
-    proj = frequencies @ x
-    out = np.empty(2 * frequencies.shape[0])
-    out[0::2] = np.sin(proj)
-    out[1::2] = np.cos(proj)
-    return out
-
-
 def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
-    """Column n is feature_map(X[n]); shape (2M, N)."""
+    """Column n is the feature map of X[n], interleaved
+    [sin(x.v_1), cos(x.v_1), sin(x.v_2), ...]; shape (2M, N)."""
     X = np.asarray(X, dtype=float)
     proj = X @ frequencies.T  # (N, M)
     out = np.empty((2 * frequencies.shape[0], X.shape[0]))
@@ -124,22 +114,7 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     )
 
 
-def rfgp_predict(model: RfgpModel, x) -> tuple[float, float]:
-    """Posterior mean and variance of the random-feature regressor at x.
-
-    mean = offset + feature_map(x) . weights
-    var  = noise_variance * feature_map(x)^T A^{-1} feature_map(x)
-    """
-    phi = feature_map(x, model.frequencies)
-    mean = model.y_mean_offset + float(phi @ model.weights)
-    half = solve_triangular(model.a_factor, phi, lower=True)
-    var = model.hyper.noise_variance * float(half @ half)
-    return mean, var
-
-
-def feature_gradient_integral(
-    x, baseline, frequencies: np.ndarray, rel_tol: float = 1e-10
-) -> np.ndarray:
+def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarray:
     """Path integral of each trig feature's partial derivatives, averaged
     over the straight path from baseline to x: a (2M, d) matrix whose
     column i holds the d/dx_i integrals.
@@ -148,7 +123,7 @@ def feature_gradient_integral(
         sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
         cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
     The quotients do not depend on i, so column i is V[:, i] times them.
-    When |u_m| <= rel_tol * |v_m| * |x - baseline| the quotient switches
+    When |u_m| <= _PHASE_REL_TOL * |v_m| * |x - baseline| the quotient switches
     to its limit, cos(c_m) and -sin(c_m).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -158,12 +133,10 @@ def feature_gradient_integral(
         raise ValueError(
             f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}"
         )
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     delta = x - z
     u = V @ delta
     c = V @ z
-    thresholds = rel_tol * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
+    thresholds = _PHASE_REL_TOL * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
     degenerate = np.abs(u) <= thresholds
 
     sin_rows = np.empty(V.shape[0])
@@ -193,7 +166,7 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
     with d right-hand sides gives every variance.
 
     Completeness holds exactly within the feature class because the
-    integral vectors telescope to feature_map(x) - feature_map(baseline).
+    integral vectors telescope to phi(x) - phi(baseline).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)

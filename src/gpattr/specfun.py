@@ -1,4 +1,4 @@
-"""Scalar special functions and shared numeric tolerances.
+"""Scalar special functions and the package's numerical error type.
 
 The error function is evaluated with the classic three-branch rational
 minimax scheme (Cody-style coefficients), vectorized over numpy arrays.
@@ -7,40 +7,14 @@ attribution code needs erf on arrays with strict accuracy on [-6, 6],
 and the rational approximation delivers ~1e-16 relative error there.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "NumericalError", "erf"]
+__all__ = ["NumericalError", "erf"]
 
 
 class NumericalError(RuntimeError):
     """A linear solve, factorization, or stability guard failed."""
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric knobs shared across fitting, attribution, and validation.
-
-    solver_jitter: starting relative jitter for Cholesky retries.
-    singular_threshold: below this the path-integral quadratic coefficient
-        is treated as degenerate and closed forms fall back to quadrature.
-    fd_step: step for finite-difference checks.
-    """
-
-    solver_jitter: float = 1e-10
-    singular_threshold: float = 1e-12
-    fd_step: float = 1e-5
-
-    def __post_init__(self) -> None:
-        for name in ("solver_jitter", "singular_threshold", "fd_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"Tolerances.{name} must be finite and > 0, got {value!r}")
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 # Rational minimax coefficients for erf/erfc (Cody's CALERF arrangement).
 # Branch 1: erf(x) = x * R(x^2) on |x| <= 0.46875.

@@ -1,4 +1,4 @@
-"""Per-feature attribution algebra, kept as a test oracle.
+"""Per-feature attribution algebra, kept as a test oracle, and test-only helpers.
 
 This is the one-feature-at-a-time form of every engine: the closed forms in
 gpattr.attrib_exact (scalar integrand coefficients, one slice-attribution
@@ -15,23 +15,31 @@ It also keeps the kernel block built from an explicit (n, m, d) tensor of
 scaled differences, the reference for the weighted-distance kernel_cross,
 and the scalar kernel value and derivatives that mirror the formulas
 one-to-one, the reference for the kernel blocks.
+
+Last come helpers only the tests call: the Bayesian linear model, whose
+attribution is exact by construction and serves as an end-to-end sanity
+case; the random-feature map of one point and the random-feature posterior
+at one point; and the inverse of the z-score normalization.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from gpattr.attrib_exact import AttributionGaussian, _baseline_values
+from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
 from gpattr.attrib_quad import QuadratureSpec, nodes_weights
+from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross
-from gpattr.rfgp import RfgpModel
-from gpattr.specfun import DEFAULT_TOLERANCES, Tolerances, erf
+from gpattr.rfgp import _PHASE_REL_TOL, RfgpModel
+from gpattr.specfun import NumericalError, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _FALLBACK_PARTITIONS = 256
+# step of the finite-difference checks
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,13 @@ def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
 
 
 def slice_attribution_vector(
-    x: np.ndarray, z: np.ndarray, centers: np.ndarray, i: int, hyper: ArdSeHyper, tol: Tolerances
+    x: np.ndarray, z: np.ndarray, centers: np.ndarray, i: int, hyper: ArdSeHyper
 ) -> np.ndarray:
     """Attribution of feature i applied to every kernel slice k(., center)."""
     ls2 = hyper.lengthscales**2
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
-    if p2 <= tol.singular_threshold:
+    if p2 <= SINGULAR_THRESHOLD:
         t, w = _fallback_nodes()
         path = z[None, :] + t[:, None] * delta[None, :]
         grads = grad_i_cross(path, centers, i, hyper)
@@ -192,9 +200,7 @@ def slice_attribution_vector(
     return _slice_attribution_closed(p2, p1, p0, q1, q0)
 
 
-def kernel_slice_attribution(
-    x, baseline, x_center, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def kernel_slice_attribution(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> float:
     """Attribution of feature i applied to the function k(., x_center).
 
     In one dimension this telescopes to k(x, x_center) - k(z, x_center).
@@ -203,12 +209,10 @@ def kernel_slice_attribution(
     z = _baseline_values(baseline)
     center = np.asarray(x_center, dtype=float).reshape(-1)
     _check(x, z, i, hyper, center)
-    return float(slice_attribution_vector(x, z, center[None, :], i, hyper, tol)[0])
+    return float(slice_attribution_vector(x, z, center[None, :], i, hyper)[0])
 
 
-def prior_variance_per_feature(
-    x, baseline, i: int, hyper: ArdSeHyper, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def prior_variance_per_feature(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, one feature at a time."""
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
@@ -217,7 +221,7 @@ def prior_variance_per_feature(
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
     sv = hyper.signal_variance
-    if p2 <= tol.singular_threshold:
+    if p2 <= SINGULAR_THRESHOLD:
         t, w = _fallback_nodes()
         path = z[None, :] + t[:, None] * delta[None, :]
         H = hess_ii_cross(path, path, i, hyper)
@@ -232,9 +236,7 @@ def prior_variance_per_feature(
     return _clamp_variance(float(delta[i] ** 2 * bracket), "prior attribution", sv)
 
 
-def gpr_attribution_per_feature(
-    model: GprModel, x, baseline, i: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> AttributionGaussian:
+def gpr_attribution_per_feature(model: GprModel, x, baseline, i: int) -> AttributionGaussian:
     """Gaussian law of feature i's attribution with its own training solve.
 
     mean = slice attributions dotted with the representer weights
@@ -244,9 +246,9 @@ def gpr_attribution_per_feature(
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
     _check(x, z, i, model.hyper)
-    a_vec = slice_attribution_vector(x, z, model.x_train, i, model.hyper, tol)
+    a_vec = slice_attribution_vector(x, z, model.x_train, i, model.hyper)
     mean = float(a_vec @ model.alpha)
-    prior = prior_variance_per_feature(x, z, i, model.hyper, tol)
+    prior = prior_variance_per_feature(x, z, i, model.hyper)
     correction = _full_solve_form(model, a_vec)
     var = _clamp_variance(prior - correction, "attribution", model.hyper.signal_variance)
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
@@ -289,16 +291,14 @@ def quad_attribution_per_feature(
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
 
 
-def feature_gradient_integral_per_feature(
-    x, baseline, i: int, frequencies: np.ndarray, rel_tol: float = 1e-10
-) -> np.ndarray:
+def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.ndarray) -> np.ndarray:
     """Path integral of each trig feature's partial derivative d/dx_i,
     averaged over the straight path from baseline to x. Length 2M.
 
     With u_m = v_m . (x - baseline) and c_m = v_m . baseline:
         sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
         cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
-    When |u_m| <= rel_tol * |v_m| * |x - baseline| the quotient switches
+    When |u_m| <= _PHASE_REL_TOL * |v_m| * |x - baseline| the quotient switches
     to its limit, v_mi * cos(c_m) and -v_mi * sin(c_m).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -308,13 +308,11 @@ def feature_gradient_integral_per_feature(
         raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}")
     if not 0 <= i < V.shape[1]:
         raise IndexError(f"feature index {i} out of range for dimension {V.shape[1]}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     delta = x - z
     u = V @ delta
     c = V @ z
     vi = V[:, i]
-    thresholds = rel_tol * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
+    thresholds = _PHASE_REL_TOL * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
     degenerate = np.abs(u) <= thresholds
 
     sin_rows = np.empty(V.shape[0])
@@ -349,3 +347,97 @@ def rfgp_attribution_per_feature(model: RfgpModel, x, baseline, i: int) -> Attri
     half = solve_triangular(model.a_factor, zeta, lower=True)
     var = gap**2 * model.hyper.noise_variance * float(half @ half)
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
+
+
+def bayes_linear_posterior(
+    X, y, prior_mean, prior_cov, noise_variance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior over linear weights with Gaussian prior and noise.
+
+        cov  = (prior_cov^{-1} + X^T X / noise)^{-1}
+        mean = cov (prior_cov^{-1} prior_mean + X^T y / noise)
+
+    X may have zero rows, in which case the prior is returned.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    y = np.asarray(y, dtype=float).reshape(-1)
+    mu = np.asarray(prior_mean, dtype=float).reshape(-1)
+    S = np.asarray(prior_cov, dtype=float)
+    d = mu.size
+    if S.shape != (d, d) or X.shape[1] != d:
+        raise ValueError(f"inconsistent shapes: X {X.shape}, prior_mean ({d},), prior_cov {S.shape}")
+    if X.shape[0] != y.size:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size}")
+    if not (np.isfinite(noise_variance) and noise_variance > 0.0):
+        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance!r}")
+    try:
+        Sc = cholesky(S, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("prior covariance is not positive definite") from exc
+    S_inv = cho_solve((Sc, True), np.eye(d))
+    precision = S_inv + X.T @ X / noise_variance
+    try:
+        Pc = cholesky(precision, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("posterior precision is not positive definite") from exc
+    cov = cho_solve((Pc, True), np.eye(d))
+    cov = 0.5 * (cov + cov.T)
+    mean = cho_solve((Pc, True), S_inv @ mu + X.T @ y / noise_variance)
+    return mean, cov
+
+
+def bayes_linear_attribution(post_mean, post_cov, x, baseline, i: int) -> AttributionGaussian:
+    """Attribution of feature i under a linear model with Gaussian weights.
+
+    The path integral of a constant gradient is exact:
+        mean = post_mean_i * (x_i - z_i),  var = post_cov_ii * (x_i - z_i)^2
+    """
+    post_mean = np.asarray(post_mean, dtype=float).reshape(-1)
+    post_cov = np.asarray(post_cov, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    d = post_mean.size
+    if post_cov.shape != (d, d) or x.size != d or z.size != d:
+        raise ValueError(
+            f"inconsistent shapes: mean ({d},), cov {post_cov.shape}, x ({x.size},), baseline ({z.size},)"
+        )
+    _check_index(i, d)
+    gap = float(x[i] - z[i])
+    scale = float(np.max(np.abs(np.diag(post_cov)))) * gap**2
+    var = _clamp_variance(float(post_cov[i, i]) * gap**2, "linear attribution", scale)
+    return AttributionGaussian(feature_index=i, mean=float(post_mean[i]) * gap, variance=var)
+
+
+def feature_map(x, frequencies: np.ndarray) -> np.ndarray:
+    """Interleaved [sin(x.v_1), cos(x.v_1), sin(x.v_2), ...], length 2M."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != frequencies.shape[1]:
+        raise ValueError(f"x has {x.size} features, frequencies expect {frequencies.shape[1]}")
+    proj = frequencies @ x
+    out = np.empty(2 * frequencies.shape[0])
+    out[0::2] = np.sin(proj)
+    out[1::2] = np.cos(proj)
+    return out
+
+
+def rfgp_predict(model: RfgpModel, x) -> tuple[float, float]:
+    """Posterior mean and variance of the random-feature regressor at x.
+
+    mean = offset + feature_map(x) . weights
+    var  = noise_variance * feature_map(x)^T A^{-1} feature_map(x)
+    """
+    phi = feature_map(x, model.frequencies)
+    mean = model.y_mean_offset + float(phi @ model.weights)
+    half = solve_triangular(model.a_factor, phi, lower=True)
+    var = model.hyper.noise_variance * float(half @ half)
+    return mean, var
+
+
+def denormalize(data: Dataset) -> Dataset:
+    """Invert normalize(), restoring the original feature values."""
+    if data.norm_stats is None:
+        raise DataError("dataset carries no normalization stats")
+    s = data.norm_stats
+    return Dataset(data.X * s.std + s.mean, data.y, data.feature_names, norm_stats=None)

@@ -15,8 +15,6 @@ from gpattr import (
     ArdSeHyper,
     Dataset,
     QuadratureSpec,
-    bayes_linear_attribution,
-    bayes_linear_posterior,
     fit,
     gpr_attribution,
     grad_i_cross,
@@ -32,7 +30,13 @@ from gpattr import (
     rfgp_fit,
     simulate,
 )
-from oracles import ardse_eval, ardse_grad_i, ardse_hess_ii
+from oracles import (
+    ardse_eval,
+    ardse_grad_i,
+    ardse_hess_ii,
+    bayes_linear_attribution,
+    bayes_linear_posterior,
+)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -26,8 +26,6 @@ from gpattr import (
     GprModel,
     NumericalError,
     attribution_report,
-    bayes_linear_attribution,
-    bayes_linear_posterior,
     fit,
     gpr_attribution,
     predict,
@@ -35,14 +33,15 @@ from gpattr import (
     write_report_csv,
     write_report_json_dict,
 )
-from gpattr.attrib_exact import AttributionGaussian
+from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
 from gpattr.data_io import Baseline, Dataset
 from gpattr.kernels import hess_ii_cross
-from gpattr.specfun import DEFAULT_TOLERANCES
 from oracles import (
     ardse_eval,
     ardse_grad_i,
     attr_coefficients,
+    bayes_linear_attribution,
+    bayes_linear_posterior,
     gpr_attribution_per_feature,
     kernel_slice_attribution,
 )
@@ -275,7 +274,7 @@ def _equivalence_draw(rng, dim: int, case: str, scale: float):
     if case == "tiny_path":
         # nonzero path below the singular threshold: the Simpson fallback
         step = rng.standard_normal(dim)
-        step *= math.sqrt(0.5 * DEFAULT_TOLERANCES.singular_threshold / np.sum(step**2 / ls**2))
+        step *= math.sqrt(0.5 * SINGULAR_THRESHOLD / np.sum(step**2 / ls**2))
         x = z + step
     elif case == "far_baseline":
         # baseline 30 lengthscales out, query on a training point: p1 << -p2

@@ -23,8 +23,7 @@ from gpattr import (
 )
 from gpattr.attrib_quad import function_evals
 from gpattr.data_io import Dataset
-from gpattr.specfun import DEFAULT_TOLERANCES
-from oracles import posterior_mean_gradient, quad_attribution_per_feature
+from oracles import FD_STEP, posterior_mean_gradient, quad_attribution_per_feature
 
 
 def test_right_hand_rule_layout():
@@ -78,7 +77,7 @@ def test_spec_validation():
 
 
 def test_mean_gradient_matches_finite_differences(sim_model, rng):
-    h = DEFAULT_TOLERANCES.fd_step
+    h = FD_STEP
     for _ in range(20):
         x = rng.uniform(0.0, 10.0, size=2)
         for i in range(2):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gpattr
-from gpattr.cli import main
+from gpattr.cli import build_parser, main
 from gpattr.data_io import simulate
 
 HYPER_FLAGS = [
@@ -67,6 +67,30 @@ def test_fit_manifest_contents(workdir):
         assert key in doc
     assert doc["options"]["target"] == "y"
     assert doc["seeds"] == {"data_seed": 0}
+
+
+def test_manifest_options_are_the_parsed_arguments(workdir, tmp_path):
+    model = ["--model", str(workdir["model"])]
+    runs = [
+        (["fit", "--simulate", "30", *HYPER_FLAGS], "data_seed"),
+        (["attribute", *model, "--query", "7.0,2.5"], "seed"),
+        (["quad-sweep", *model, "--l-values", "4", "--queries", "1"], "seed"),
+        (["rfgp-compare", *model, "--data", str(workdir["csv"]), "--target", "y", "--query-row", "3",
+          "--m-values", "10", "--seeds", "2", "--ensemble", "2", "--ensemble-m", "10"], "seed"),
+        (["mc-validate", *model, "--samples", "50", "--grid-points", "9", "--queries", "0"], "seed"),
+    ]
+    for argv, seed_key in runs:
+        out = tmp_path / argv[0]
+        argv = [*argv, "--out-dir", str(out)]
+        assert main(argv) == 0, argv
+        parsed = vars(build_parser().parse_args(argv))
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["command"] == argv[0]
+        assert doc["seeds"] == {seed_key: parsed[seed_key]}
+        assert doc["options"] == {k: v for k, v in parsed.items() if k not in ("command", "func", seed_key)}
+    # the file --query-row read from is on record with the row
+    options = json.loads((tmp_path / "rfgp-compare" / "manifest.json").read_text())["options"]
+    assert (options["data"], options["target"], options["query_row"]) == (str(workdir["csv"]), "y", "3")
 
 
 def test_attribute_uses_stored_holdout(workdir, capsys):
@@ -279,6 +303,10 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
         ("--samples", ["mc-validate", *model, "--samples", "1"]),
         ("--grid-points", ["mc-validate", *model, "--grid-points", "2"]),
         ("--l-values", ["quad-sweep", *model, "--l-values", "8,0"]),
+        ("--rules", ["quad-sweep", *model, "--rules", "simpson,foo"]),
+        ("--rules", ["quad-sweep", *model, "--rules", ","]),
+        # checked before the model file is opened
+        ("--rules", ["quad-sweep", "--model", str(tmp_path / "missing.json"), "--rules", "foo"]),
         ("--seeds", ["rfgp-compare", *model, "--query", "1,2", "--seeds", "0"]),
         ("--ensemble", ["rfgp-compare", *model, "--query", "1,2", "--ensemble", "0"]),
         ("--ensemble-m", ["rfgp-compare", *model, "--query", "1,2", "--ensemble-m", "0"]),

@@ -9,13 +9,12 @@ from gpattr.data_io import (
     Dataset,
     NormStats,
     apply_norm,
-    denormalize,
     load_csv,
-    mean_baseline,
     normalize,
     simulate,
     target_filtered_baseline,
 )
+from oracles import denormalize
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -105,12 +104,6 @@ def test_apply_norm_matches_dataset_transform(rng):
         assert np.allclose(apply_norm(normed.norm_stats, X[j]), normed.X[j], atol=1e-14)
     with pytest.raises(ValueError):
         apply_norm(normed.norm_stats, np.zeros(3))
-
-
-def test_mean_baseline(rng):
-    X = rng.uniform(-1.0, 1.0, size=(12, 2))
-    data = Dataset(X, np.zeros(12), ("a", "b"))
-    assert np.allclose(mean_baseline(data).values, X.mean(axis=0), atol=1e-15)
 
 
 def test_target_filtered_baseline(rng):

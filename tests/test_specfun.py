@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpattr import NumericalError, Tolerances, erf
-from gpattr.specfun import DEFAULT_TOLERANCES
+from gpattr import NumericalError, erf
 
 
 def erf_series(x: Fraction, terms: int = 160) -> float:
@@ -104,19 +103,6 @@ def test_range_and_sign(x):
         assert v < 0.0
     # slope is maximal at the origin
     assert abs(v) <= (2.0 / math.sqrt(math.pi)) * abs(x) * (1.0 + 1e-12)
-
-
-def test_tolerances_defaults_positive():
-    t = DEFAULT_TOLERANCES
-    assert t.solver_jitter > 0 and t.singular_threshold > 0 and t.fd_step > 0
-
-
-@pytest.mark.parametrize("field", ["solver_jitter", "singular_threshold", "fd_step"])
-@pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan, math.inf])
-def test_tolerances_rejects_bad_values(field, bad):
-    kwargs = {field: bad}
-    with pytest.raises(ValueError):
-        Tolerances(**kwargs)
 
 
 def test_numerical_error_is_runtime_error():
