@@ -103,23 +103,31 @@ def _path_quadrature(
     x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, t: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice attributions (n, d) and prior variances (d,) of every feature
-    by the quadrature rule with nodes t and weights w on the path.
+    by the quadrature rule with uniformly spaced nodes t and weights w.
 
-    Two kernel blocks serve every feature. With r + t*delta the offset of
+    One kernel block serves every feature. With r + t*delta the offset of
     the node from a center, d k(path_t, c)/d x_i = -k * (r_i + t*delta_i) / ls_i^2,
     so the slice matrix needs the weighted sums of K(path, centers) and
     t * K(path, centers). Between nodes s and t the mixed derivative of
     feature i is k * (1/ls_i^2 - (s - t)^2 delta_i^2 / ls_i^4), so the prior
-    needs w.K.w and the lagged w.(K o (s - t)^2).w of K(path, path).
+    needs w.K.w and the lagged w.(K o (s - t)^2).w of K(path, path). On
+    uniform nodes k(path_s, path_t) = sv exp(-p2 (s - t)^2 / 2) depends on
+    the lag u = s - t alone, so both are sums over the J lags u_k = t_k - t_0
+    with the weight autocorrelation c_k = sum_j w_j w_{j+k}, counted twice
+    for k > 0: no J x J block is formed.
     """
     ls2 = hyper.lengthscales**2
     delta = x - z
     path = z[None, :] + t[:, None] * delta[None, :]
     K = kernel_cross(path, centers, hyper)
     A = -(delta / ls2) * ((w @ K)[:, None] * (z[None, :] - centers) + ((w * t) @ K)[:, None] * delta)
-    K = kernel_cross(path, path, hyper)
-    flat = w @ K @ w
-    lagged = w @ (K * (t[:, None] - t[None, :]) ** 2) @ w
+    J = t.size
+    c = np.correlate(w, w, "full")[J - 1 :]
+    c[1:] *= 2.0
+    u2 = (t - t[0]) ** 2
+    c *= hyper.signal_variance * np.exp(-0.5 * float(np.sum(delta**2 / ls2)) * u2)
+    flat = float(np.sum(c))
+    lagged = float(c @ u2)
     return A, delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
 
 

@@ -5,7 +5,8 @@ attrib_exact evaluate analytically, so they serve two roles: a benchmark
 of quadrature rules against the exact answer, and an independent check
 that the closed forms are right.
 
-All rules produce nodes in [0, 1] with weights summing to one:
+All rules produce uniformly spaced nodes in [0, 1] with weights summing to
+one (the prior sums of attrib_exact._path_quadrature rely on the spacing):
 
     right_hand   nodes l/L, l = 1..L, uniform weights (never touches t=0)
     trapezoid    composite trapezoid on L panels (L+1 nodes)
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _RULES = ("right_hand", "trapezoid", "simpson")
+# rows of standard normal draws the Monte Carlo oracle holds at once
+_MC_CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,10 @@ def quad_attribution(
     q_i,n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
     the exact posterior variance of the discretized functional. The q_i are
     the columns of one (n, d) matrix built from K(path, train), the priors
-    come from one K(path, path), and one triangular solve with the lower
-    Cholesky factor on d right-hand sides gives every correction as the
-    squared norm |L^{-1} q_i|^2.
+    are sums over the J node lags (no J x J block), and one triangular solve
+    with the lower Cholesky factor on d right-hand sides gives every
+    correction as the squared norm |L^{-1} q_i|^2. Cost O(J n d + J^2 + n^2 d)
+    time and O(J n) memory for J nodes and n training rows.
     """
     x, z = _query_pair(x, baseline, model.hyper.dim)
     A, prior = _path_quadrature(x, z, model.x_train, model.hyper, *nodes_weights(spec))
@@ -177,6 +181,12 @@ def mc_attribution_oracle(
     Draws of the field are integrated with trapezoid weights on the grid
     and scaled by (x_i - z_i). Returns the sample mean and variance with
     the standard error of the mean.
+
+    With mean_field + F e a draw (F the lower factor of cov, e standard
+    normal), its integral is w.mean_field + e.(F^T w), so one matrix-vector
+    product per chunk of _MC_CHUNK_ROWS draws replaces the (samples, grid)
+    field matrix; the chunks read the generator's stream in the same order
+    as one (samples, grid) draw would.
     """
     hyper = model.hyper
     x, z = _query_pair(x, baseline, hyper.dim)
@@ -201,11 +211,16 @@ def mc_attribution_oracle(
 
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)
+    mean_integral = mean_field @ w
+    loadings = factor.T @ w
 
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(size=(samples, grid_points))
-    fields = mean_field[None, :] + draws @ factor.T
-    attr = gap * (fields @ w)
+    attr = np.empty(samples)
+    for start in range(0, samples, _MC_CHUNK_ROWS):
+        rows = min(_MC_CHUNK_ROWS, samples - start)
+        attr[start : start + rows] = rng.standard_normal(size=(rows, grid_points)) @ loadings
+    attr += mean_integral
+    attr *= gap
     emp_mean = float(np.mean(attr))
     emp_var = float(np.var(attr, ddof=1))
     sem = float(np.std(attr, ddof=1) / np.sqrt(samples))

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage, 3 data problems, 4 numerical failures.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -273,9 +274,9 @@ def _stats_from_payload(payload: dict) -> NormStats | None:
     return NormStats(mean=np.array(ns["mean"]), std=np.array(ns["std"]))
 
 
-def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int) -> np.ndarray:
-    """Query point in model space, from --query, --query-row, or the
-    held-out row stored at fit time."""
+def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int, dataset) -> np.ndarray:
+    """Query point in model space, from --query, --query-row (a row of
+    dataset(), the --data file), or the held-out row stored at fit time."""
     given = [args.query is not None, args.query_row is not None]
     if sum(given) > 1:
         raise UsageError("--query and --query-row are mutually exclusive")
@@ -287,7 +288,7 @@ def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int) -> np
     if args.query_row is not None:
         if args.data is None or args.target is None:
             raise UsageError("--query-row needs --data and --target")
-        data = load_csv(args.data, args.target)
+        data = dataset()
         if data.dim != dim:
             raise DataError(f"{args.data} has {data.dim} features, model expects {dim}")
         return _model_space_point(data.X[_row_index(args.query_row, data.n)], stats)
@@ -298,9 +299,10 @@ def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int) -> np
                      "or fit with --query-row to store one")
 
 
-def _resolve_baseline(args, model: GprModel, stats: NormStats | None, payload: dict) -> Baseline:
+def _resolve_baseline(args, model: GprModel, stats: NormStats | None, payload: dict, dataset) -> Baseline:
     """Baseline in model space. Policies: mean (training mean), values:...,
-    filter:lo:hi (mean of training rows whose target falls in the window)."""
+    filter:lo:hi (mean of the rows of dataset(), the --data file, or else of
+    the stored training rows, whose target falls in the window)."""
     spec = args.baseline
     if spec == "mean":
         return Baseline(values=model.x_train.mean(axis=0))
@@ -322,7 +324,7 @@ def _resolve_baseline(args, model: GprModel, stats: NormStats | None, payload: d
         if args.data is not None:
             if args.target is None:
                 raise UsageError("--baseline filter with --data needs --target")
-            data = load_csv(args.data, args.target)
+            data = dataset()
             if data.dim != model.hyper.dim:
                 raise DataError(f"{args.data} feature count does not match the model")
             raw = target_filtered_baseline(data, lo, hi).values
@@ -361,12 +363,19 @@ def _parse_engine(text: str) -> tuple[str, QuadratureSpec | None]:
 
 def _load_query_context(args) -> tuple[GprModel, dict, np.ndarray, Baseline, list[str]]:
     """Model, raw payload, model-space query and baseline, and feature names
-    for a command that attributes one query point."""
+    for a command that attributes one query point. The model file is parsed
+    once, and --data is read at most once, when the query or baseline needs it."""
     payload = load_model_payload(args.model)
-    model = load_model(args.model)
+    try:
+        model = load_model(payload)
+    except NumericalError as exc:
+        raise NumericalError(f"{args.model}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     stats = _stats_from_payload(payload)
-    x = _resolve_query(args, payload, stats, model.hyper.dim)
-    baseline = _resolve_baseline(args, model, stats, payload)
+    dataset = functools.cache(lambda: load_csv(args.data, args.target))
+    x = _resolve_query(args, payload, stats, model.hyper.dim, dataset)
+    baseline = _resolve_baseline(args, model, stats, payload, dataset)
     return model, payload, x, baseline, _payload_names(payload, model.hyper.dim)
 
 

@@ -318,12 +318,25 @@ def load_model_payload(path: str) -> dict:
     return payload
 
 
-def load_model(path: str) -> GprModel:
-    """Load a model written by save_model, factoring K + noise*I once with the
-    stored jitter (no retries), so the factor is the one alpha was solved with.
-    Malformed fields (shapes, non-finite values, a missing or negative jitter)
-    raise ValueError naming the field; NumericalError if the factor fails."""
-    payload = load_model_payload(path)
+def load_model(source: str | dict) -> GprModel:
+    """Load a model written by save_model, from its file path or from the
+    payload load_model_payload read from it, factoring K + noise*I once with
+    the stored jitter (no retries), so the factor is the one alpha was solved
+    with. Malformed fields (shapes, non-finite values, a missing or negative
+    jitter) raise ValueError naming the field; NumericalError if the factor
+    fails. Errors from a path name the file."""
+    if isinstance(source, dict):
+        return _model_from_payload(source)
+    payload = load_model_payload(source)
+    try:
+        return _model_from_payload(payload)
+    except NumericalError as exc:
+        raise NumericalError(f"{source}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _model_from_payload(payload: dict) -> GprModel:
     hyper = ArdSeHyper(
         signal_variance=float(payload["hyper"]["signal_variance"]),
         lengthscales=np.array(payload["hyper"]["lengthscales"], dtype=float),
@@ -331,7 +344,7 @@ def load_model(path: str) -> GprModel:
     )
     jitter = payload.get("jitter")
     if type(jitter) not in (int, float) or not 0.0 <= jitter < math.inf:
-        raise ValueError(f"{path}: model jitter must be a finite number >= 0, got {jitter!r}")
+        raise ValueError(f"model jitter must be a finite number >= 0, got {jitter!r}")
     x_train = np.array(payload["x_train"], dtype=float)
     K = kernel_matrix(x_train, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
@@ -339,15 +352,12 @@ def load_model(path: str) -> GprModel:
     try:
         chol = cholesky(K, lower=True)
     except np.linalg.LinAlgError:
-        raise NumericalError(f"{path}: not positive definite with the stored jitter {jitter!r}") from None
-    try:
-        return GprModel(
-            hyper=hyper,
-            x_train=x_train,
-            chol=chol,
-            alpha=np.array(payload["alpha"], dtype=float),
-            y_mean_offset=float(payload["y_mean_offset"]),
-            jitter=float(jitter),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
+    return GprModel(
+        hyper=hyper,
+        x_train=x_train,
+        chol=chol,
+        alpha=np.array(payload["alpha"], dtype=float),
+        y_mean_offset=float(payload["y_mean_offset"]),
+        jitter=float(jitter),
+    )

@@ -8,6 +8,7 @@ point sets, the form the regression and attribution layers run on; the
 scalar value and derivative formulas are kept as test oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ __all__ = [
     "grad_i_cross",
     "hess_ii_cross",
 ]
+
+# An exponent below 2 ln(eps) gives a kernel value under sv * eps^2 (about
+# sv * 4.9e-32), far below the round-off of any sum with the diagonal. Such
+# values become exact zeros: the subnormal numbers they would underflow to
+# make exp, and every Cholesky pass over them, many times slower.
+_LOG_CUTOFF = 2.0 * math.log(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,13 @@ def kernel_cross(X, Z, hyper: ArdSeHyper) -> np.ndarray:
     One weighted squared-distance pass sums direct differences (x_j - z_j)^2
     weighted by 1/ls_j^2, not the norm expansion: exact symmetry and no
     cancellation for nearby points, with one n x m block as the only memory.
+    Values below sv * eps^2 are returned as exact zeros, never subnormal.
     """
     X = _as_points(X, hyper, "X")
     Z = _as_points(Z, hyper, "Z")
     sq = cdist(X, Z, "sqeuclidean", w=hyper.lengthscales**-2.0)
     sq *= -0.5
+    sq[sq < _LOG_CUTOFF] = -np.inf
     np.exp(sq, out=sq)
     sq *= hyper.signal_variance
     return sq

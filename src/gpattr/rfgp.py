@@ -16,7 +16,7 @@ equal-weight Gaussian mixture.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
 from .attrib_exact import AttributionGaussian, _baseline_values, _laws
 from .data_io import Dataset
@@ -45,12 +45,18 @@ class RfgpModel:
 
     frequencies: (M, D) spectral draws.
     weights: (2M,) posterior mean weights.
-    a_factor: lower Cholesky factor of A = Phi Phi^T + (M noise/signal) I.
+    basis: (2M, k) orthonormal Q of the thin QR Phi = Q R of the (2M, N)
+        design matrix, k = min(2M, N).
+    core_factor: (k, k) lower Cholesky factor C of R R^T + ridge I, with
+        ridge = M noise_variance / signal_variance.
+    The normal matrix A = Phi Phi^T + ridge I is never formed: it equals
+    Q C C^T Q^T + ridge (I - Q Q^T).
     """
 
     frequencies: np.ndarray
     weights: np.ndarray
-    a_factor: np.ndarray
+    basis: np.ndarray
+    core_factor: np.ndarray
     hyper: ArdSeHyper
     seed: int
     y_mean_offset: float
@@ -58,6 +64,10 @@ class RfgpModel:
     @property
     def m_features(self) -> int:
         return self.frequencies.shape[0]
+
+
+def _ridge(m_features: int, hyper: ArdSeHyper) -> float:
+    return m_features * hyper.noise_variance / hyper.signal_variance
 
 
 def sample_frequencies(m_features: int, hyper: ArdSeHyper, seed: int) -> np.ndarray:
@@ -84,30 +94,36 @@ def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
 def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
     """Fit the random-feature regressor.
 
-    A = Phi Phi^T + (M * noise_variance / signal_variance) I is factored
-    once; the weights solve A w = Phi y_centered. Zero noise makes A rank
-    deficient whenever 2M > N, which raises NumericalError.
+    The weights solve A w = Phi y_centered with A = Phi Phi^T + ridge I and
+    ridge = M * noise_variance / signal_variance. With the thin QR Phi = Q R
+    and C C^T = R R^T + ridge I (k x k, k = min(2M, N)) they are
+    w = Q C^{-T} C^{-1} R y_centered: O(M N k) time and O(M N) memory, no
+    2M x 2M matrix. Zero noise makes A rank deficient whenever 2M > N, which
+    raises NumericalError.
     """
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
-    Phi = design_matrix(data.X, V)
-    A = Phi @ Phi.T
-    ridge = m_features * hyper.noise_variance / hyper.signal_variance
-    A[np.diag_indices_from(A)] += ridge
+    Q, R = qr(design_matrix(data.X, V), mode="economic")
+    ridge = _ridge(m_features, hyper)
+    core = R @ R.T
+    core[np.diag_indices_from(core)] += ridge
     try:
-        factor = cholesky(A, lower=True)
+        if ridge == 0.0 and Q.shape[1] < Q.shape[0]:
+            raise np.linalg.LinAlgError("k < 2M: the ridge must cover the space Q misses")
+        factor = cholesky(core, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"random-feature normal matrix is singular (ridge {ridge:.3e}); "
             "noise_variance = 0 makes it rank deficient"
         ) from exc
     offset = float(data.y.mean())
-    weights = cho_solve((factor, True), Phi @ (data.y - offset))
+    weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
     return RfgpModel(
         frequencies=V,
         weights=weights,
-        a_factor=factor,
+        basis=Q,
+        core_factor=factor,
         hyper=hyper,
         seed=seed,
         y_mean_offset=offset,
@@ -162,8 +178,15 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
 
     mean_i = (x_i - z_i) * zeta_i . weights
     var_i  = (x_i - z_i)^2 * noise_variance * zeta_i^T A^{-1} zeta_i
-    with zeta_i column i of the integral matrix, so one triangular solve
-    with d right-hand sides gives every variance.
+    with zeta_i column i of the integral matrix, so one projection onto the
+    fit's basis and one k x k triangular solve with d right-hand sides give
+    every variance. With Q the basis and C the core factor,
+
+        zeta^T A^{-1} zeta = |C^{-1} Q^T zeta|^2 + |zeta - Q Q^T zeta|^2 / ridge,
+
+    the second term only when k < 2M, where Q misses part of the space. It
+    is the squared norm of the projected residual, so it does not cancel as
+    the ridge shrinks.
 
     Completeness holds exactly within the feature class because the
     integral vectors telescope to phi(x) - phi(baseline).
@@ -173,8 +196,13 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
     zeta = feature_gradient_integral(x, z, model.frequencies)
     gap = x - z
     means = gap * (model.weights @ zeta)
-    half = solve_triangular(model.a_factor, zeta, lower=True)
-    return _laws(means, gap**2 * model.hyper.noise_variance * np.sum(half * half, axis=0))
+    proj = model.basis.T @ zeta
+    half = solve_triangular(model.core_factor, proj, lower=True)
+    form = np.sum(half * half, axis=0)
+    if model.basis.shape[1] < model.basis.shape[0]:
+        resid = zeta - model.basis @ proj
+        form += np.sum(resid * resid, axis=0) / _ridge(model.m_features, model.hyper)
+    return _laws(means, gap**2 * model.hyper.noise_variance * form)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ This is the one-feature-at-a-time form of every engine: the closed forms in
 gpattr.attrib_exact (scalar integrand coefficients, one slice-attribution
 vector, one prior variance and one training solve per feature), the
 quadrature engine (one gradient block, one Hessian block and one solve per
-feature) and the random-feature engine (one gradient-integral vector and one
-triangular solve per feature). The package computes all features in one
-pass; tests check that pass against these functions, and these functions
-against quadrature and kernel derivatives. The GP variance corrections here
+feature, and every prior from the J x J kernel block between the path
+nodes) and the random-feature engine (the dense 2M x 2M primal fit, one
+gradient-integral vector and one triangular solve per feature). The Monte
+Carlo oracle is kept in its (samples, grid) field-matrix form. The package
+computes all features in one pass and uses each engine's structure; tests
+check it against these functions, and these functions against quadrature
+and kernel derivatives. The GP variance corrections here
 are full Cholesky solves q^T (K + noise*I)^{-1} q, independent of the
 package's one triangular pass |L^{-1} q|^2.
 
@@ -19,7 +22,7 @@ one-to-one, the reference for the kernel blocks.
 Last come helpers only the tests call: the Bayesian linear model, whose
 attribution is exact by construction and serves as an end-to-end sanity
 case; the random-feature map of one point and the random-feature posterior
-at one point; and the inverse of the z-score normalization.
+mean at one point; and the inverse of the z-score normalization.
 """
 
 import math
@@ -29,11 +32,11 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
-from gpattr.attrib_quad import QuadratureSpec, nodes_weights
+from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
-from gpattr.gpr import GprModel, _clamp_variance
-from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross
-from gpattr.rfgp import _PHASE_REL_TOL, RfgpModel
+from gpattr.gpr import GprModel, _clamp_variance, jittered_cholesky
+from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
+from gpattr.rfgp import _PHASE_REL_TOL, design_matrix, sample_frequencies
 from gpattr.specfun import NumericalError, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -291,6 +294,51 @@ def quad_attribution_per_feature(
     return AttributionGaussian(feature_index=i, mean=mean, variance=var)
 
 
+def path_priors_dense(x: np.ndarray, z: np.ndarray, hyper: ArdSeHyper, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Prior variances (d,) of every feature by the rule with nodes t and
+    weights w, from the J x J kernel block between the path nodes:
+    delta^2 (w.K.w / ls^2 - delta^2 w.(K o (s - t)^2).w / ls^4)."""
+    ls2 = hyper.lengthscales**2
+    delta = x - z
+    path = z[None, :] + t[:, None] * delta[None, :]
+    K = kernel_cross(path, path, hyper)
+    flat = w @ K @ w
+    lagged = w @ (K * (t[:, None] - t[None, :]) ** 2) @ w
+    return delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
+
+
+def mc_attribution_oracle_dense(
+    model: GprModel, x, baseline, i: int, grid_points: int, samples: int, seed: int
+) -> McOracleResult:
+    """Monte Carlo attribution draws through the (samples, grid) matrix of
+    sampled gradient fields, each integrated with trapezoid weights."""
+    hyper = model.hyper
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    gap = float(x[i] - z[i])
+    if gap == 0.0:
+        return McOracleResult(0.0, 0.0, 0.0, samples)
+    t = np.linspace(0.0, 1.0, grid_points)
+    path = z[None, :] + t[:, None] * (x - z)[None, :]
+    G = grad_i_cross(path, model.x_train, i, hyper)
+    mean_field = G @ model.alpha
+    H = hess_ii_cross(path, path, i, hyper)
+    W = model.solve(G.T)
+    cov = H - W.T @ W
+    cov = 0.5 * (cov + cov.T)
+    factor, _ = jittered_cholesky(cov)
+    w = np.full(grid_points, 1.0 / (grid_points - 1))
+    w[0] = w[-1] = 0.5 / (grid_points - 1)
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal(size=(samples, grid_points))
+    fields = mean_field[None, :] + draws @ factor.T
+    attr = gap * (fields @ w)
+    emp_mean = float(np.mean(attr))
+    emp_var = float(np.var(attr, ddof=1))
+    sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
+    return McOracleResult(emp_mean, emp_var, sem, samples)
+
+
 def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.ndarray) -> np.ndarray:
     """Path integral of each trig feature's partial derivative d/dx_i,
     averaged over the straight path from baseline to x. Length 2M.
@@ -333,8 +381,34 @@ def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.n
     return out
 
 
-def rfgp_attribution_per_feature(model: RfgpModel, x, baseline, i: int) -> AttributionGaussian:
-    """Attribution law of feature i under the random-feature posterior.
+@dataclass(frozen=True)
+class RfgpDense:
+    """Random-feature fit by the dense primal solve: frequencies, weights and
+    the 2M x 2M lower Cholesky factor of A = Phi Phi^T + ridge I."""
+
+    frequencies: np.ndarray
+    weights: np.ndarray
+    a_factor: np.ndarray
+    hyper: ArdSeHyper
+    y_mean_offset: float
+
+
+def rfgp_fit_dense(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpDense:
+    """The random-feature fit on the same frequencies as rfgp_fit, by
+    factoring the 2M x 2M normal matrix A = Phi Phi^T + ridge I and solving
+    A w = Phi y_centered."""
+    V = sample_frequencies(m_features, hyper, seed)
+    Phi = design_matrix(data.X, V)
+    A = Phi @ Phi.T
+    A[np.diag_indices_from(A)] += m_features * hyper.noise_variance / hyper.signal_variance
+    factor = cholesky(A, lower=True)
+    offset = float(data.y.mean())
+    weights = cho_solve((factor, True), Phi @ (data.y - offset))
+    return RfgpDense(V, weights, factor, hyper, offset)
+
+
+def rfgp_attribution_per_feature(model: RfgpDense, x, baseline, i: int) -> AttributionGaussian:
+    """Attribution law of feature i under the dense random-feature posterior.
 
     mean = (x_i - z_i) * integral_vector . weights
     var  = (x_i - z_i)^2 * noise_variance * integral_vector^T A^{-1} integral_vector
@@ -422,17 +496,10 @@ def feature_map(x, frequencies: np.ndarray) -> np.ndarray:
     return out
 
 
-def rfgp_predict(model: RfgpModel, x) -> tuple[float, float]:
-    """Posterior mean and variance of the random-feature regressor at x.
-
-    mean = offset + feature_map(x) . weights
-    var  = noise_variance * feature_map(x)^T A^{-1} feature_map(x)
-    """
-    phi = feature_map(x, model.frequencies)
-    mean = model.y_mean_offset + float(phi @ model.weights)
-    half = solve_triangular(model.a_factor, phi, lower=True)
-    var = model.hyper.noise_variance * float(half @ half)
-    return mean, var
+def rfgp_mean(model, x) -> float:
+    """Posterior mean offset + feature_map(x) . weights of a random-feature
+    fit, dense or not."""
+    return model.y_mean_offset + float(feature_map(x, model.frequencies) @ model.weights)
 
 
 def denormalize(data: Dataset) -> Dataset:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -21,9 +22,16 @@ from gpattr import (
     prior_attribution_variance,
     quad_attribution,
 )
-from gpattr.attrib_quad import function_evals
-from gpattr.data_io import Dataset
-from oracles import FD_STEP, posterior_mean_gradient, quad_attribution_per_feature
+from gpattr.attrib_exact import _path_quadrature
+from gpattr.attrib_quad import _MC_CHUNK_ROWS, function_evals
+from gpattr.data_io import Dataset, simulate
+from oracles import (
+    FD_STEP,
+    mc_attribution_oracle_dense,
+    path_priors_dense,
+    posterior_mean_gradient,
+    quad_attribution_per_feature,
+)
 
 
 def test_right_hand_rule_layout():
@@ -184,6 +192,34 @@ def test_mc_oracle_recovers_closed_form(sim_model):
         assert res.empirical_var == pytest.approx(exact.variance, rel=0.15)
 
 
+@pytest.mark.parametrize("samples", [2, 777, _MC_CHUNK_ROWS, 2500])
+def test_mc_oracle_matches_field_matrix_oracle(sim_model, samples):
+    # chunked draws through one matrix-vector product give the statistics
+    # of the (samples, grid) field matrix to round-off, from the same stream
+    x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
+    for i in range(2):
+        got = mc_attribution_oracle(sim_model, x, z, i, grid_points=65, samples=samples, seed=9)
+        want = mc_attribution_oracle_dense(sim_model, x, z, i, 65, samples, seed=9)
+        assert got.samples == want.samples == samples
+        assert got.empirical_mean == pytest.approx(want.empirical_mean, rel=1e-12, abs=1e-14)
+        assert got.empirical_var == pytest.approx(want.empirical_var, rel=1e-12)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+
+
+def test_mc_oracle_memory_is_one_chunk(sim_model):
+    # defaults: 10000 samples on 257 grid points; the (samples, grid) draw
+    # matrix alone would be 20.6 MB, one chunk of draws is 2.1 MB
+    grid, samples = 257, 10_000
+    tracemalloc.start()
+    try:
+        mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _MC_CHUNK_ROWS * grid * 8
+    assert peak < samples * grid * 8 / 3
+
+
 def test_mc_oracle_validation(sim_model):
     with pytest.raises(ValueError):
         mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 0, grid_points=2)
@@ -191,6 +227,59 @@ def test_mc_oracle_validation(sim_model):
         mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 0, samples=1)
     with pytest.raises(IndexError):
         mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 5)
+
+
+@pytest.mark.parametrize("rule", ["right_hand", "trapezoid", "simpson"])
+@pytest.mark.parametrize("L", [1, 2, 7, 1024])
+def test_lag_sum_priors_match_dense_node_block(rule, L):
+    # the priors from sums over node lags equal w.K.w and w.(K o (s-t)^2).w
+    # of the J x J block to round-off, on generic and degenerate paths, and a
+    # feature at its baseline keeps an exact zero
+    rng = np.random.default_rng(L)
+    t, w = nodes_weights(QuadratureSpec(rule, L))
+    for case in ("generic", "degenerate", "feature_at_baseline"):
+        for dim in (1, 3, 8):
+            hyper = ArdSeHyper(float(rng.uniform(0.3, 2.0)), rng.uniform(0.5, 2.0, size=dim), 0.1)
+            z = rng.uniform(-2.0, 2.0, size=dim)
+            x = rng.uniform(-2.0, 2.0, size=dim)
+            if case == "degenerate":
+                x = z + 1e-7 * rng.standard_normal(dim)
+            elif case == "feature_at_baseline":
+                x[0] = z[0]
+            _, got = _path_quadrature(x, z, np.empty((0, dim)), hyper, t, w)
+            want = path_priors_dense(x, z, hyper, t, w)
+            ls2 = hyper.lengthscales**2
+            delta = x - z
+            scale = delta**2 * hyper.signal_variance * (1.0 / ls2 + delta**2 / ls2**2)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (case, dim)
+            if case == "feature_at_baseline":
+                assert got[0] == 0.0
+
+
+def test_degenerate_path_fallback_matches_dense_node_block():
+    # the exact engine's Simpson-256 fallback reads the same lag sums
+    hyper = ArdSeHyper(0.8, np.array([1.1, 0.7, 1.9]), 0.1)
+    z = np.array([0.3, -1.2, 0.8])
+    x = z + np.array([1e-8, -2e-8, 5e-9])
+    want = path_priors_dense(x, z, hyper, *nodes_weights(QuadratureSpec("simpson", 256)))
+    for i in range(3):
+        got = prior_attribution_variance(x, z, i, hyper)
+        assert got == pytest.approx(want[i], rel=1e-13, abs=0.0)
+
+
+def test_quad_memory_is_one_node_by_train_block():
+    # Simpson-1024 on n=200: J = 2049 nodes; peak O(J n), where one J x J
+    # block alone would be 2049^2 * 8 bytes, about 33.6 MB
+    model = fit(simulate(200, 0.5, seed=5), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1))
+    spec = QuadratureSpec("simpson", 1024)
+    J, n = function_evals(spec), 200
+    tracemalloc.start()
+    try:
+        quad_attribution(model, [7.0, 2.0], model.x_train.mean(axis=0), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * J * n * 8
 
 
 def test_quad_matches_exact_on_inert_feature(rng):
@@ -244,9 +333,10 @@ def test_all_features_match_per_feature_oracle():
                 assert got.mean == 0.0 and got.variance == 0.0, where
 
 
-def test_quad_costs_two_kernel_blocks_and_one_solve(rng, monkeypatch):
-    # every feature shares K(path, train), K(path, path) and one solve with
-    # d right-hand sides; no per-feature derivative blocks
+def test_quad_costs_one_kernel_block_and_one_solve(rng, monkeypatch):
+    # every feature shares K(path, train) and one solve with d right-hand
+    # sides; the priors need no K(path, path) and no per-feature derivative
+    # blocks
     n, dim, L = 17, 3, 8
     X = rng.uniform(-2.0, 2.0, size=(n, dim))
     data = Dataset(X, np.cos(X).sum(axis=1), ("a", "b", "c"))
@@ -280,5 +370,5 @@ def test_quad_costs_two_kernel_blocks_and_one_solve(rng, monkeypatch):
         calls.clear()
         x = rng.uniform(-2.0, 2.0, size=dim)
         quad_attribution(model, x, X.mean(axis=0), QuadratureSpec(rule, L))
-        want = [("kernel_cross", nodes, n), ("kernel_cross", nodes, nodes), ("solve", n, dim)]
+        want = [("kernel_cross", nodes, n), ("solve", n, dim)]
         assert sorted(calls) == sorted(want), rule

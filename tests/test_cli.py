@@ -429,6 +429,30 @@ def test_attribute_load_uses_the_stored_jitter(workdir, tmp_path, capsys):
     assert "jitter" in err and str(bad) in err
 
 
+def test_attribute_parses_the_model_and_reads_the_data_once(workdir, tmp_path, monkeypatch):
+    # --query-row and a filter baseline both need --data: one CSV read and
+    # one JSON parse serve the query, the baseline and the model
+    counts = {"json.load": 0, "load_csv": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(json, "load", counting("json.load", json.load))
+    monkeypatch.setattr(gpattr.cli, "load_csv", counting("load_csv", gpattr.cli.load_csv))
+    small = {"attribute": [], "rfgp-compare": ["--m-values", "5", "--seeds", "1", "--ensemble", "1"]}
+    for command, flags in small.items():
+        counts.update({"json.load": 0, "load_csv": 0})
+        rc = main([command, "--model", str(workdir["model"]), "--data", str(workdir["csv"]),
+                   "--target", "y", "--query-row", "3", "--baseline", "filter:-0.2:0.2",
+                   *flags, "--out-dir", str(tmp_path / command)])
+        assert rc == 0
+        assert counts == {"json.load": 1, "load_csv": 1}, command
+
+
 def test_python_dash_m_runs_the_cli(workdir, tmp_path):
     src = str(Path(gpattr.__file__).resolve().parent.parent)
     out = tmp_path / "m"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from gpattr import (
     ArdSeHyper,
@@ -21,6 +22,7 @@ from gpattr import (
     kernel_cross,
     kernel_matrix,
 )
+from gpattr.gpr import jittered_cholesky
 from oracles import FD_STEP, ardse_eval, ardse_grad_i, ardse_hess_ii, kernel_cross_direct
 
 H2 = ArdSeHyper(2.0, np.array([1.0, 2.0]), 0.0)
@@ -176,6 +178,25 @@ def test_kernel_matrix_memory_is_one_block(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * n * 8
+
+
+def test_short_lengthscales_leave_no_subnormal_entries():
+    # the hyperparameter search's 1/16-lengthscale start on n=800, d=8 rows
+    # drawn uniformly from [0, 10]^8: entries below sv * eps^2 are exact
+    # zeros, so neither K nor its Cholesky factor holds a subnormal number
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 10.0, size=(800, 8))
+    y = np.sin(X[:, 0]) * np.sin(2.0 * X[:, 1]) + 0.5 * rng.standard_normal(800)
+    y_var = float(np.var(y))
+    hyper = ArdSeHyper(y_var, X.std(axis=0) / 16.0, 0.1 * y_var)
+    K = kernel_matrix(X, hyper)
+    sq = cdist(X, X, "sqeuclidean", w=hyper.lengthscales**-2.0)
+    assert np.any((sq > 1420.0) & (sq < 1480.0))  # exp(-sq/2) in the subnormal range
+    K[np.diag_indices_from(K)] += hyper.noise_variance
+    chol, _ = jittered_cholesky(K)
+    tiny = np.finfo(float).tiny
+    for block in (K, chol):
+        assert np.all((block == 0.0) | (np.abs(block) >= tiny))
 
 
 def test_kernel_matrix_near_psd(rng):

@@ -3,6 +3,7 @@ ridge fit, per-feature path integrals, and the ensemble mixture."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from oracles import (
     feature_gradient_integral_per_feature,
     feature_map,
     rfgp_attribution_per_feature,
-    rfgp_predict,
+    rfgp_fit_dense,
+    rfgp_mean,
 )
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
@@ -110,14 +112,59 @@ def test_fit_matches_dense_ridge_oracle():
     A = Phi @ Phi.T + ridge * np.eye(60)
     want = np.linalg.solve(A, Phi @ (data.y - data.y.mean()))
     assert np.abs(model.weights - want).max() <= 1e-8
-    # prediction formulas against the same dense system
+    assert np.abs(rfgp_fit_dense(data, HYP, 30, seed=1).weights - want).max() <= 1e-8
+    # 2M = 60 > N = 40: the thin basis and core factor rebuild the same A
+    Q, C = model.basis, model.core_factor
+    assert Q.shape == (60, 40) and C.shape == (40, 40)
+    assert np.abs(Q.T @ Q - np.eye(40)).max() <= 1e-14
+    rebuilt = Q @ C @ C.T @ Q.T + ridge * (np.eye(60) - Q @ Q.T)
+    assert np.abs(rebuilt - A).max() <= 1e-13 * np.abs(A).max()
+    # prediction formula against the same dense system
     x = np.array([2.0, 7.0])
-    phi = feature_map(x, V)
-    A_inv = np.linalg.inv(A)
-    mean, var = rfgp_predict(model, x)
-    assert mean == pytest.approx(data.y.mean() + phi @ want, abs=1e-9)
-    assert var == pytest.approx(HYP.noise_variance * phi @ A_inv @ phi, abs=1e-9)
-    assert var >= 0.0
+    assert rfgp_mean(model, x) == pytest.approx(data.y.mean() + feature_map(x, V) @ want, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(10, 60), (60, 30)])
+@pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
+    # ridge / |Phi|_2^2 = ratio, with 2M < N and 2M > N: weights and laws
+    # agree with the dense primal solve to its own round-off, eps cond(A)
+    # with cond(A) <= 1 + 1/ratio
+    rng = np.random.default_rng(5 + n)
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    data = Dataset(X, np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n), ("a", "b"))
+    sv, ls = 0.7, np.array([0.9, 1.3])
+    Phi = design_matrix(X, sample_frequencies(m, ArdSeHyper(sv, ls, 0.0), seed=3))
+    hyper = ArdSeHyper(sv, ls, ratio * np.linalg.norm(Phi, 2) ** 2 * sv / m)
+    tol = 10.0 * np.finfo(float).eps * (1.0 + 1.0 / ratio)
+    model = rfgp_fit(data, hyper, m, seed=3)
+    dense = rfgp_fit_dense(data, hyper, m, seed=3)
+    assert model.basis.shape == (2 * m, min(2 * m, n))
+    assert np.abs(model.weights - dense.weights).max() <= tol * np.abs(dense.weights).max()
+    for _ in range(3):
+        x = rng.uniform(-2.0, 2.0, size=2)
+        z = rng.uniform(-2.0, 2.0, size=2)
+        zeta = feature_gradient_integral(x, z, dense.frequencies)
+        for i, got in enumerate(rfgp_attribution(model, x, z)):
+            want = rfgp_attribution_per_feature(dense, x, z, i)
+            scale = abs(x[i] - z[i]) * np.abs(zeta[:, i]) @ np.abs(dense.weights)
+            assert abs(got.mean - want.mean) <= tol * scale
+            assert abs(got.variance - want.variance) <= tol * want.variance
+
+
+def test_fit_memory_is_linear_in_features_times_rows():
+    # M = 1000 on N = 199 rows: peak O(M N), a few (2M, N) arrays of 3.2 MB,
+    # where one 2M x 2M normal matrix alone would be 32 MB
+    data = simulate(199, 0.5, seed=5)
+    m, n = 1000, 199
+    tracemalloc.start()
+    try:
+        model = rfgp_fit(data, HYP, m, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.basis.shape == (2 * m, n)
+    assert peak <= 5 * (2 * m) * n * 8
 
 
 def test_fit_rejects_zero_noise_rank_deficiency():
@@ -133,7 +180,7 @@ def test_prediction_improves_with_more_features():
     mse = {}
     for m in (10, 500):
         model = rfgp_fit(train, ArdSeHyper(0.3, np.array([1.0, 0.6]), 0.04), m, seed=2)
-        preds = np.array([rfgp_predict(model, xq)[0] for xq in test.X])
+        preds = np.array([rfgp_mean(model, xq) for xq in test.X])
         mse[m] = float(np.mean((preds - test.y) ** 2))
     assert mse[500] < mse[10]
 
@@ -192,7 +239,7 @@ def test_attribution_completeness_within_feature_class(rng):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
         total = sum(a.mean for a in rfgp_attribution(model, x, z))
-        want = rfgp_predict(model, x)[0] - rfgp_predict(model, z)[0]
+        want = rfgp_mean(model, x) - rfgp_mean(model, z)
         assert abs(total - want) <= 1e-9
 
 
@@ -279,7 +326,9 @@ def test_all_features_match_per_feature_oracle():
         hyper = ArdSeHyper(sv, rng.uniform(0.5, 2.0, size=dim), sv * float(rng.uniform(0.05, 0.3)))
         X = rng.uniform(-2.0, 2.0, size=(n, dim))
         y = scale * (np.sin(X).sum(axis=1) + 0.1 * rng.standard_normal(n))
-        model = rfgp_fit(Dataset(X, y, tuple(f"f{j}" for j in range(dim))), hyper, m, seed=draw)
+        data = Dataset(X, y, tuple(f"f{j}" for j in range(dim)))
+        model = rfgp_fit(data, hyper, m, seed=draw)
+        dense = rfgp_fit_dense(data, hyper, m, seed=draw)
         x = rng.uniform(-2.0, 2.0, size=dim)
         z = rng.uniform(-2.0, 2.0, size=dim)
         if case == "feature_at_baseline":
@@ -294,7 +343,7 @@ def test_all_features_match_per_feature_oracle():
             where = f"draw {draw} (d={dim}, {case}, scale={scale:g}, M={m}), feature {i}"
             column = feature_gradient_integral_per_feature(x, z, i, model.frequencies)
             assert np.array_equal(integrals[:, i], column), where
-            want = rfgp_attribution_per_feature(model, x, z, i)
+            want = rfgp_attribution_per_feature(dense, x, z, i)
             prior = prior_attribution_variance(x, z, i, hyper)
             assert got.feature_index == i, where
             assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
