@@ -78,11 +78,7 @@ def nodes_weights(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def function_evals(spec: QuadratureSpec) -> int:
     """Integrand evaluations the rule spends (Simpson pays for midpoints)."""
-    if spec.rule == "right_hand":
-        return spec.partitions
-    if spec.rule == "trapezoid":
-        return spec.partitions + 1
-    return 2 * spec.partitions + 1
+    return nodes_weights(spec)[0].size
 
 
 def quad_attribution(

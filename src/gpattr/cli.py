@@ -11,14 +11,19 @@ Every command writes a manifest.json (its parsed options, package and
 library versions, seeds) next to its outputs; re-running the same command
 on the same machine reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 usage, 3 data problems, 4 numerical failures.
+Flag syntax and values are checked at parse time, everything that needs
+a file by the command. Exit codes: 0 success, 2 usage (argparse, UsageError),
+3 data problems (DataError, OSError), 4 numerical failures (NumericalError,
+LinAlgError). Any other exception is a bug and surfaces with its traceback.
 """
 
 import argparse
 import csv
 import functools
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,7 @@ from .data_io import (
 )
 from .gpr import (
     GprModel,
+    _payload_field,
     fit,
     load_model,
     load_model_payload,
@@ -66,7 +72,7 @@ __all__ = ["build_parser", "main", "entrypoint"]
 
 
 class UsageError(Exception):
-    """Flag combination or argument syntax the parser cannot catch."""
+    """Flag combination or value count the parser cannot check."""
 
 
 def _write_json(payload: dict, path) -> None:
@@ -92,60 +98,85 @@ def _write_manifest(args, out: Path, seed_key: str) -> None:
     _write_json(manifest, out / "manifest.json")
 
 
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+# ---------------------------------------------------------------- flag types
 
 
-def _count(text: str, minimum: int = 1) -> int:
-    """argparse type of every count flag: an integer >= minimum."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
-    return value
+def _flag(parse, **kwargs):
+    """argparse type of a text flag: checks the text with parse, the function
+    the command reads the flag with, and keeps the text as given, so the
+    manifest records the flag as typed."""
 
-
-def _count_list(text: str, flag: str) -> list[int]:
-    try:
-        return [_count(p) for p in text.split(",") if p != ""]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
-def _rule_names(text: str) -> str:
-    """argparse type of --rules: comma-separated quadrature rule names, each
-    checked here and the text kept as given."""
-    rules = [r.strip() for r in text.split(",") if r.strip()]
-    if not rules:
-        raise argparse.ArgumentTypeError("expected comma-separated rule names")
-    for rule in rules:
+    def check(text: str) -> str:
         try:
-            QuadratureSpec(rule=rule, partitions=1)
+            parse(text, **kwargs)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+        return text
+
+    return check
 
 
-def _row_index(spec: str, n: int) -> int:
-    """Row of --query-row among n rows: an integer (negative counts from the
-    end) or 'last'."""
-    if spec == "last":
-        idx = n - 1
-    else:
-        try:
-            idx = int(spec)
-        except ValueError:
-            raise UsageError(f"--query-row must be an integer or 'last', got {spec!r}") from None
-        if idx < 0:
-            idx += n
-    if not 0 <= idx < n:
-        raise DataError(f"--query-row {spec} out of range for {n} rows")
-    return idx
+def _number(text: str, kind=float, low: float | None = None, strict: bool = False):
+    """argparse type of every numeric flag: a finite float, or an integer
+    when kind is int, that is >= low (> low if strict) when low is given."""
+    try:
+        value = kind(text)
+        if math.isfinite(value) and (low is None or value > low or (value == low and not strict)):
+            return value
+    except (ValueError, OverflowError):  # not a number; an integer too large for a float
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+    raise argparse.ArgumentTypeError(f"expected {what}{bound}, got {text!r}")
+
+
+_count = functools.partial(_number, kind=int, low=1)
+_natural = functools.partial(_number, kind=int, low=0)
+_positive = functools.partial(_number, low=0.0, strict=True)
+_nonnegative = functools.partial(_number, low=0.0)
+
+
+def _items(text: str, item=_number) -> list:
+    """Comma-separated entries, blank ones skipped, each read by item; at least one."""
+    values = [item(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    return values
+
+
+def _rule(text: str) -> str:
+    return QuadratureSpec(rule=text.strip(), partitions=1).rule
+
+
+def _row(text: str) -> int:
+    """--query-row: a row index (negative counts from the end) or 'last'."""
+    return -1 if text == "last" else _number(text, int)
+
+
+def _parse_engine(text: str) -> tuple[str, QuadratureSpec | None]:
+    """--engine: exact, rfgp, or quad:RULE:L with its quadrature spec."""
+    if text in ("exact", "rfgp"):
+        return text, None
+    parts = text.split(":")
+    if len(parts) != 3 or parts[0] != "quad":
+        raise ValueError(f"expected exact, quad:RULE:L or rfgp, got {text!r}")
+    return "quad", QuadratureSpec(rule=parts[1], partitions=_count(parts[2]))
+
+
+def _baseline_policy(text: str) -> tuple[str, object]:
+    """--baseline: ("mean", None), ("values", [v1, ...]) or ("filter", (lo, hi))."""
+    policy, _, rest = text.partition(":")
+    if text == "mean":
+        return "mean", None
+    if policy == "values":
+        return "values", _items(rest)
+    if policy == "filter" and rest.count(":") == 1:
+        lo, hi = rest.split(":")
+        return "filter", (float(lo), float(hi))
+    raise ValueError(f"expected mean, values:V1,V2,... or filter:LO:HI, got {text!r}")
+
+
+# ---------------------------------------------------------------- data
 
 
 def _out_dir(args) -> Path:
@@ -154,37 +185,29 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(args, require: bool = True) -> Dataset | None:
-    """Dataset from --data/--target or --simulate, per the shared flags."""
-    if args.data is not None and args.simulate is not None:
-        raise UsageError("--data and --simulate are mutually exclusive")
-    if args.data is not None:
-        if args.target is None:
-            raise UsageError("--data requires --target")
-        return load_csv(args.data, args.target)
-    if args.simulate is not None:
-        return simulate(args.simulate, noise_scale=args.noise_scale, seed=args.data_seed)
-    if require:
-        raise UsageError("provide a data source: --data CSV --target COL, or --simulate N")
-    return None
+def _read_csv(args) -> Dataset:
+    if args.target is None:
+        raise UsageError("--data requires --target")
+    return load_csv(args.data, args.target)
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="CSV file with a header row")
-    p.add_argument("--target", help="name of the target column in --data")
-    p.add_argument("--simulate", type=_count, help="generate N simulated rows instead of reading CSV")
-    p.add_argument("--noise-scale", type=float, default=0.5, help="noise scale for --simulate")
-    p.add_argument("--data-seed", type=int, default=0, help="seed for --simulate")
+def _row_index(text: str, n: int) -> int:
+    idx = _row(text)
+    if idx < 0:
+        idx += n
+    if not 0 <= idx < n:
+        raise DataError(f"--query-row {text} out of range for {n} rows")
+    return idx
 
 
 def _resolve_hyper(args, data: Dataset) -> ArdSeHyper:
-    explicit = [args.signal_variance, args.lengthscales, args.noise_variance]
-    if any(v is not None for v in explicit) and not all(v is not None for v in explicit):
+    given = [v is not None for v in (args.signal_variance, args.lengthscales, args.noise_variance)]
+    if any(given) != all(given):
         raise UsageError(
             "--signal-variance, --lengthscales and --noise-variance must be given together"
         )
-    if args.signal_variance is not None:
-        ls = np.array(_float_list(args.lengthscales, "--lengthscales"))
+    if all(given):
+        ls = np.array(_items(args.lengthscales, _positive))
         if ls.size != data.dim:
             raise UsageError(f"--lengthscales has {ls.size} entries, data has {data.dim} features")
         return ArdSeHyper(args.signal_variance, ls, args.noise_variance)
@@ -199,7 +222,10 @@ def _resolve_hyper(args, data: Dataset) -> ArdSeHyper:
 
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    data = _load_dataset(args)
+    if args.simulate is not None:
+        data = simulate(args.simulate, noise_scale=args.noise_scale, seed=args.data_seed)
+    else:
+        data = _read_csv(args)
 
     holdout = None
     if args.query_row is not None:
@@ -209,9 +235,7 @@ def cmd_fit(args) -> int:
             "x": data.X[idx].tolist(),
             "y": float(data.y[idx]),
         }
-        keep = np.ones(data.n, dtype=bool)
-        keep[idx] = False
-        data = Dataset(data.X[keep], data.y[keep], data.feature_names)
+        data = Dataset(np.delete(data.X, idx, axis=0), np.delete(data.y, idx), data.feature_names)
         if data.n < 1:
             raise DataError("holding out the query row leaves no training rows")
 
@@ -263,128 +287,100 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- shared model/query plumbing
 
 
-def _model_space_point(raw_x: np.ndarray, stats: NormStats | None) -> np.ndarray:
-    return apply_norm(stats, raw_x) if stats is not None else raw_x
+@dataclass(frozen=True)
+class _ModelFile:
+    """A model.json from fit and the metadata stored beside the model:
+    holdout is the held-out query in raw units, y_train None if not stored."""
+
+    model: GprModel
+    names: list[str]
+    stats: NormStats | None
+    holdout: np.ndarray | None
+    y_train: np.ndarray | None
 
 
-def _stats_from_payload(payload: dict) -> NormStats | None:
-    ns = payload.get("norm_stats")
-    if ns is None:
-        return None
-    return NormStats(mean=np.array(ns["mean"]), std=np.array(ns["std"]))
-
-
-def _resolve_query(args, payload: dict, stats: NormStats | None, dim: int, dataset) -> np.ndarray:
-    """Query point in model space, from --query, --query-row (a row of
-    dataset(), the --data file), or the held-out row stored at fit time."""
-    given = [args.query is not None, args.query_row is not None]
-    if sum(given) > 1:
-        raise UsageError("--query and --query-row are mutually exclusive")
-    if args.query is not None:
-        raw = np.array(_float_list(args.query, "--query"))
-        if raw.size != dim:
-            raise UsageError(f"--query has {raw.size} values, model expects {dim}")
-        return _model_space_point(raw, stats)
-    if args.query_row is not None:
-        if args.data is None or args.target is None:
-            raise UsageError("--query-row needs --data and --target")
-        data = dataset()
-        if data.dim != dim:
-            raise DataError(f"{args.data} has {data.dim} features, model expects {dim}")
-        return _model_space_point(data.X[_row_index(args.query_row, data.n)], stats)
-    holdout = payload.get("holdout")
-    if holdout is not None:
-        return _model_space_point(np.array(holdout["x"], dtype=float), stats)
-    raise UsageError("no query point: pass --query, or --query-row with --data, "
-                     "or fit with --query-row to store one")
-
-
-def _resolve_baseline(args, model: GprModel, stats: NormStats | None, payload: dict, dataset) -> Baseline:
-    """Baseline in model space. Policies: mean (training mean), values:...,
-    filter:lo:hi (mean of the rows of dataset(), the --data file, or else of
-    the stored training rows, whose target falls in the window)."""
-    spec = args.baseline
-    if spec == "mean":
-        return Baseline(values=model.x_train.mean(axis=0))
-    if spec.startswith("values:"):
-        raw = np.array(_float_list(spec[len("values:"):], "--baseline values"))
-        if raw.size != model.hyper.dim:
-            raise UsageError(
-                f"--baseline values has {raw.size} entries, model expects {model.hyper.dim}"
-            )
-        return Baseline(values=_model_space_point(raw, stats))
-    if spec.startswith("filter:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError("--baseline filter syntax is filter:LO:HI")
-        try:
-            lo, hi = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise UsageError("--baseline filter bounds must be numbers")
-        if args.data is not None:
-            if args.target is None:
-                raise UsageError("--baseline filter with --data needs --target")
-            data = dataset()
-            if data.dim != model.hyper.dim:
-                raise DataError(f"{args.data} feature count does not match the model")
-            raw = target_filtered_baseline(data, lo, hi).values
-            return Baseline(values=_model_space_point(raw, stats))
-        # fall back to the training rows stored in the model file (already
-        # in model space, so no further normalization)
-        y_train = payload.get("y_train")
-        if y_train is None:
-            raise UsageError("--baseline filter needs --data/--target or a model with stored targets")
-        train = Dataset(model.x_train, np.array(y_train), tuple(f"x{j}" for j in range(model.hyper.dim)))
-        return target_filtered_baseline(train, lo, hi)
-    raise UsageError(f"unknown --baseline policy {spec!r}")
-
-
-def _payload_names(payload: dict, dim: int) -> list[str]:
-    names = payload.get("feature_names")
-    if names is None or len(names) != dim:
-        return [f"x{j}" for j in range(dim)]
-    return list(names)
-
-
-def _parse_engine(text: str) -> tuple[str, QuadratureSpec | None]:
-    if text in ("exact", "rfgp"):
-        return text, None
-    if text.startswith("quad:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("--engine quad syntax is quad:RULE:L")
-        try:
-            spec = QuadratureSpec(rule=parts[1], partitions=int(parts[2]))
-        except ValueError as exc:
-            raise UsageError(f"--engine: {exc}") from exc
-        return "quad", spec
-    raise UsageError(f"unknown --engine {text!r} (use exact, quad:RULE:L, or rfgp)")
-
-
-def _load_query_context(args) -> tuple[GprModel, dict, np.ndarray, Baseline, list[str]]:
-    """Model, raw payload, model-space query and baseline, and feature names
-    for a command that attributes one query point. The model file is parsed
-    once, and --data is read at most once, when the query or baseline needs it."""
-    payload = load_model_payload(args.model)
+def _read_model_file(path: str) -> _ModelFile:
+    """Parse a model file once; any malformed field raises DataError naming
+    the file and the field."""
+    payload = load_model_payload(path)
+    field = functools.partial(_payload_field, payload)
     try:
         model = load_model(payload)
-    except NumericalError as exc:
-        raise NumericalError(f"{args.model}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{args.model}: {exc}") from None
-    stats = _stats_from_payload(payload)
-    dataset = functools.cache(lambda: load_csv(args.data, args.target))
-    x = _resolve_query(args, payload, stats, model.hyper.dim, dataset)
-    baseline = _resolve_baseline(args, model, stats, payload, dataset)
-    return model, payload, x, baseline, _payload_names(payload, model.hyper.dim)
+        dim = model.hyper.dim
+        names = payload.get("feature_names", [f"x{j}" for j in range(dim)])
+        if not (isinstance(names, list) and len(names) == dim and all(isinstance(n, str) for n in names)):
+            raise DataError(f"model field 'feature_names' must be a list of {dim} strings")
+        stats = None if payload.get("norm_stats") is None else NormStats(
+            field("norm_stats.mean", (dim,)), field("norm_stats.std", (dim,), low=0.0, strict=True))
+        return _ModelFile(
+            model, names, stats,
+            None if payload.get("holdout") is None else field("holdout.x", (dim,)),
+            None if payload.get("y_train") is None else field("y_train", (model.n_train,)),
+        )
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _training_dataset_from_payload(model: GprModel, payload: dict) -> Dataset:
-    y_train = payload.get("y_train")
-    if y_train is None:
-        raise DataError("model file does not store training targets; refit with this version")
-    names = tuple(_payload_names(payload, model.hyper.dim))
-    return Dataset(model.x_train, np.array(y_train, dtype=float), names)
+def _training_dataset(args, mf: _ModelFile) -> Dataset:
+    """The training rows and targets stored in the model file, in model space."""
+    if mf.y_train is None:
+        raise DataError(f"{args.model} stores no training targets; refit with this version")
+    return Dataset(mf.model.x_train, mf.y_train, mf.names)
+
+
+def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, Baseline]:
+    """Model file, model-space query and baseline for a command that
+    attributes one query point. The model file is parsed once, and --data
+    is read at most once, when the query or baseline needs it.
+
+    The query is --query, a row of --data (--query-row) or the row held out
+    at fit time. Baseline policies: mean (training mean), values:...,
+    filter:lo:hi (mean of the rows of --data, or else of the stored training
+    rows, whose target falls in the window)."""
+    mf = _read_model_file(args.model)
+    dim = mf.model.hyper.dim
+
+    @functools.cache
+    def dataset() -> Dataset:
+        data = _read_csv(args)
+        if data.dim != dim:
+            raise DataError(f"{args.data} has {data.dim} features, model expects {dim}")
+        return data
+
+    def model_space(raw, flag: str) -> np.ndarray:
+        if len(raw) != dim:
+            raise UsageError(f"{flag} has {len(raw)} values, model expects {dim}")
+        raw = np.array(raw)
+        return apply_norm(mf.stats, raw) if mf.stats is not None else raw
+
+    if args.query is not None:
+        x = model_space(_items(args.query), "--query")
+    elif args.query_row is not None:
+        if args.data is None:
+            raise UsageError("--query-row needs --data and --target")
+        x = model_space(dataset().X[_row_index(args.query_row, dataset().n)], "--query-row")
+    elif mf.holdout is not None:
+        x = model_space(mf.holdout, "holdout")
+    else:
+        raise UsageError("no query point: pass --query, or --query-row with --data, "
+                         "or fit with --query-row to store one")
+
+    policy, arg = _baseline_policy(args.baseline)
+    if policy == "mean":
+        baseline = mf.model.x_train.mean(axis=0)
+    elif policy == "values":
+        baseline = model_space(arg, "--baseline values")
+    elif args.data is not None:
+        baseline = model_space(target_filtered_baseline(dataset(), *arg).values, "--data")
+    else:  # the stored training rows are already in model space
+        baseline = target_filtered_baseline(_training_dataset(args, mf), *arg).values
+    return mf, x, Baseline(values=baseline)
+
+
+def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
+    """count query points drawn uniformly from the box of the training inputs."""
+    lo, hi = model.x_train.min(axis=0), model.x_train.max(axis=0)
+    return np.random.default_rng(seed).uniform(lo, hi, size=(count, model.hyper.dim))
 
 
 # ---------------------------------------------------------------- attribute
@@ -392,7 +388,8 @@ def _training_dataset_from_payload(model: GprModel, payload: dict) -> Dataset:
 
 def cmd_attribute(args) -> int:
     out = _out_dir(args)
-    model, payload, x, baseline, names = _load_query_context(args)
+    mf, x, baseline = _load_query_context(args)
+    model, names = mf.model, mf.names
     engine, quad_spec = _parse_engine(args.engine)
 
     mixtures = None
@@ -401,7 +398,7 @@ def cmd_attribute(args) -> int:
     elif engine == "quad":
         report = report_from_rows(model, x, baseline, quad_attribution(model, x, baseline, quad_spec))
     else:  # rfgp
-        train = _training_dataset_from_payload(model, payload)
+        train = _training_dataset(args, mf)
         if args.rfgp_ensemble > 1:
             mixtures = marginalized_attribution(
                 train, model.hyper, args.rfgp_features, x, baseline,
@@ -436,20 +433,14 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_quad_sweep(args) -> int:
-    rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    l_values = _count_list(args.l_values, "--l-values")
-    if not l_values:
-        raise UsageError("--l-values must be non-empty")
     out = _out_dir(args)
     model = load_model(args.model)
-
-    rng = np.random.default_rng(args.seed)
-    lo = model.x_train.min(axis=0)
-    hi = model.x_train.max(axis=0)
-    queries = rng.uniform(lo, hi, size=(args.queries, model.hyper.dim))
+    queries = _random_queries(model, args.queries, args.seed)
     baseline = Baseline(values=model.x_train.mean(axis=0))
 
-    rows = convergence_sweep(model, queries, baseline, rules, l_values)
+    rows = convergence_sweep(
+        model, queries, baseline, _items(args.rules, _rule), _items(args.l_values, _count)
+    )
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rule", "L", "function_evals", "mean_abs_err", "var_abs_err"])
@@ -480,10 +471,11 @@ def _sym_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float |
 
 
 def cmd_rfgp_compare(args) -> int:
-    m_values = _count_list(args.m_values, "--m-values")
+    m_values = _items(args.m_values, _count)
     out = _out_dir(args)
-    model, payload, x, baseline, names = _load_query_context(args)
-    train = _training_dataset_from_payload(model, payload)
+    mf, x, baseline = _load_query_context(args)
+    model, names = mf.model, mf.names
+    train = _training_dataset(args, mf)
 
     exact = attribution_report(model, x, baseline).attributions
     seeds = [args.seed + s for s in range(args.seeds)]
@@ -544,12 +536,8 @@ def cmd_mc_validate(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
     baseline = Baseline(values=model.x_train.mean(axis=0))
-
-    rng = np.random.default_rng(args.seed)
-    lo = model.x_train.min(axis=0)
-    hi = model.x_train.max(axis=0)
-    queries = [rng.uniform(lo, hi) for _ in range(args.queries)]
-    queries.append(baseline.values.copy())  # degenerate case: exact zeros
+    # the baseline itself is the degenerate case: exact zeros
+    queries = [*_random_queries(model, args.queries, args.seed), baseline.values]
 
     rows = []
     all_ok = True
@@ -569,7 +557,7 @@ def cmd_mc_validate(args) -> int:
             rows.append(
                 {
                     "query_index": qi,
-                    "query": np.asarray(xq).tolist(),
+                    "query": xq.tolist(),
                     "feature_index": i,
                     "closed_mean": closed.mean,
                     "closed_variance": closed.variance,
@@ -614,67 +602,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a GP and write model.json")
-    _add_data_flags(p_fit)
+    # flags shared by several commands, declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="directory for outputs")
+    model = argparse.ArgumentParser(add_help=False, parents=[out])
+    model.add_argument("--model", required=True, help="model.json from fit")
+    model.add_argument("--seed", type=_natural, default=0)
+    query = argparse.ArgumentParser(add_help=False, parents=[model])
+    query.add_argument("--data", help="CSV for --query-row / --baseline filter")
+    query.add_argument("--target", help="target column of --data")
+    point = query.add_mutually_exclusive_group()
+    point.add_argument("--query", type=_flag(_items), help="comma-separated raw feature values")
+    point.add_argument("--query-row", type=_flag(_row), help="row index (or 'last') in --data")
+    query.add_argument("--baseline", type=_flag(_baseline_policy), default="mean",
+                       help="mean | values:v1,v2,... | filter:LO:HI (default mean)")
+
+    p_fit = sub.add_parser("fit", parents=[out], help="fit a GP and write model.json")
+    source = p_fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="CSV file with a header row")
+    source.add_argument("--simulate", type=_count, help="generate N simulated rows instead of reading CSV")
+    p_fit.add_argument("--target", help="name of the target column in --data")
+    p_fit.add_argument("--noise-scale", type=_nonnegative, default=0.5, help="noise scale for --simulate")
+    p_fit.add_argument("--data-seed", type=_natural, default=0, help="seed for --simulate")
     p_fit.add_argument("--normalize", action="store_true", help="z-score features before fitting")
     p_fit.add_argument("--optimize", type=_count, help="hyperparameter search budget (evaluations)")
-    p_fit.add_argument("--query-row", help="row index (or 'last') to hold out as the query point")
-    p_fit.add_argument("--signal-variance", type=float)
-    p_fit.add_argument("--lengthscales", help="comma-separated, one per feature")
-    p_fit.add_argument("--noise-variance", type=float)
-    p_fit.add_argument("--out-dir", default=".", help="directory for outputs")
+    p_fit.add_argument("--query-row", type=_flag(_row),
+                       help="row index (or 'last') to hold out as the query point")
+    p_fit.add_argument("--signal-variance", type=_positive)
+    p_fit.add_argument("--lengthscales", type=_flag(_items, item=_positive),
+                       help="comma-separated, one per feature")
+    p_fit.add_argument("--noise-variance", type=_nonnegative)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_attr = sub.add_parser("attribute", help="per-feature attribution laws at a query point")
-    p_attr.add_argument("--model", required=True, help="model.json from fit")
-    p_attr.add_argument("--data", help="CSV for --query-row / --baseline filter")
-    p_attr.add_argument("--target", help="target column of --data")
-    p_attr.add_argument("--query", help="comma-separated raw feature values")
-    p_attr.add_argument("--query-row", help="row index (or 'last') in --data")
-    p_attr.add_argument("--baseline", default="mean",
-                        help="mean | values:v1,v2,... | filter:LO:HI (default mean)")
-    p_attr.add_argument("--engine", default="exact",
+    p_attr = sub.add_parser("attribute", parents=[query], help="per-feature attribution laws at a query point")
+    p_attr.add_argument("--engine", type=_flag(_parse_engine), default="exact",
                         help="exact | quad:RULE:L | rfgp (default exact)")
     p_attr.add_argument("--rfgp-features", type=_count, default=100,
                         help="frequency count M for --engine rfgp")
     p_attr.add_argument("--rfgp-ensemble", type=_count, default=1,
                         help="ensemble size for --engine rfgp (>1 marginalizes)")
-    p_attr.add_argument("--seed", type=int, default=0)
-    p_attr.add_argument("--out-dir", default=".")
     p_attr.set_defaults(func=cmd_attribute)
 
-    p_sweep = sub.add_parser("quad-sweep", help="quadrature error sweep against closed forms")
-    p_sweep.add_argument("--model", required=True)
-    p_sweep.add_argument("--rules", type=_rule_names, default="right_hand,trapezoid,simpson")
-    p_sweep.add_argument("--l-values", default="8,16,32,64,128,256,512,1024")
+    p_sweep = sub.add_parser("quad-sweep", parents=[model], help="quadrature error sweep against closed forms")
+    p_sweep.add_argument("--rules", type=_flag(_items, item=_rule), default="right_hand,trapezoid,simpson")
+    p_sweep.add_argument("--l-values", type=_flag(_items, item=_count), default="8,16,32,64,128,256,512,1024")
     p_sweep.add_argument("--queries", type=_count, default=20)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--out-dir", default=".")
     p_sweep.set_defaults(func=cmd_quad_sweep)
 
-    p_cmp = sub.add_parser("rfgp-compare", help="random-feature attributions vs the exact law")
-    p_cmp.add_argument("--model", required=True)
-    p_cmp.add_argument("--data", help="CSV for --query-row / --baseline filter")
-    p_cmp.add_argument("--target")
-    p_cmp.add_argument("--query")
-    p_cmp.add_argument("--query-row")
-    p_cmp.add_argument("--baseline", default="mean")
-    p_cmp.add_argument("--m-values", default="10,100,1000")
+    p_cmp = sub.add_parser("rfgp-compare", parents=[query], help="random-feature attributions vs the exact law")
+    p_cmp.add_argument("--m-values", type=_flag(_items, item=_count), default="10,100,1000")
     p_cmp.add_argument("--seeds", type=_count, default=20, help="frequency draws per M")
     p_cmp.add_argument("--ensemble", type=_count, default=100, help="mixture ensemble size")
     p_cmp.add_argument("--ensemble-m", type=_count, default=100, help="M used for the mixture")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--out-dir", default=".")
     p_cmp.set_defaults(func=cmd_rfgp_compare)
 
-    p_mc = sub.add_parser("mc-validate", help="Monte Carlo check of the closed forms")
-    p_mc.add_argument("--model", required=True)
-    p_mc.add_argument("--samples", type=lambda text: _count(text, minimum=2), default=10_000)
-    p_mc.add_argument("--grid-points", type=lambda text: _count(text, minimum=3), default=257)
-    p_mc.add_argument("--queries", type=lambda text: _count(text, minimum=0), default=5,
+    p_mc = sub.add_parser("mc-validate", parents=[model], help="Monte Carlo check of the closed forms")
+    p_mc.add_argument("--samples", type=lambda text: _number(text, int, 2), default=10_000)
+    p_mc.add_argument("--grid-points", type=lambda text: _number(text, int, 3), default=257)
+    p_mc.add_argument("--queries", type=_natural, default=5,
                       help="random queries besides the baseline itself")
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--out-dir", default=".")
     p_mc.set_defaults(func=cmd_mc_validate)
 
     return parser
@@ -691,7 +677,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, ValueError, KeyError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:

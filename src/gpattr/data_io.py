@@ -24,8 +24,9 @@ __all__ = [
 ]
 
 
-class DataError(Exception):
-    """Input data is malformed or unusable."""
+class DataError(ValueError):
+    """Input data or a model file is malformed or unusable. A ValueError, so
+    callers that catch bad values catch it too."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,6 @@ def apply_norm(stats: NormStats, x: np.ndarray) -> np.ndarray:
 
 def target_filtered_baseline(data: Dataset, y_min: float, y_max: float) -> Baseline:
     """Feature-wise mean over the rows whose target lies in [y_min, y_max]."""
-    if y_min > y_max:
-        raise DataError(f"empty target window: [{y_min}, {y_max}]")
     mask = (data.y >= y_min) & (data.y <= y_max)
     if not np.any(mask):
         raise DataError(f"no rows with target in [{y_min}, {y_max}]")

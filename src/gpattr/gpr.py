@@ -7,6 +7,7 @@ go through one Cholesky factor of K + noise*I, retried with escalating
 diagonal jitter when the factorization fails.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .data_io import Dataset
+from .data_io import DataError, Dataset
 from .kernels import ArdSeHyper, kernel_cross, kernel_matrix
 from .specfun import NumericalError
 
@@ -43,8 +44,9 @@ class GprModel:
     that had to be added (0.0 when none).
 
     Construction checks that the arrays agree in shape with each other and
-    with the hyperparameters and that they are finite, then freezes them
-    read-only, so solves can skip rescanning the factor.
+    with the hyperparameters and that they are finite (DataError naming the
+    field otherwise), then freezes them read-only, so solves can skip
+    rescanning the factor.
     """
 
     hyper: ArdSeHyper
@@ -55,22 +57,12 @@ class GprModel:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        dim = self.hyper.dim
-        x_shape = np.shape(self.x_train)
-        if len(x_shape) != 2 or x_shape[1] != dim:
-            raise ValueError(f"model x_train has shape {x_shape}, expected (n, {dim})")
-        n = x_shape[0]
-        for name, shape in (("x_train", x_shape), ("chol", (n, n)), ("alpha", (n,))):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"model {name} has shape {arr.shape}, expected {shape} for {n} training rows")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"model {name} holds non-finite values")
-            arr = arr.view()
+        n = len(_checked("x_train", self.x_train, (None, self.hyper.dim)))
+        for name, shape in (("x_train", (n, self.hyper.dim)), ("chol", (n, n)), ("alpha", (n,))):
+            arr = _checked(name, getattr(self, name), shape).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not math.isfinite(self.y_mean_offset):
-            raise ValueError(f"model y_mean_offset must be finite, got {self.y_mean_offset!r}")
+        _checked("y_mean_offset", self.y_mean_offset)
 
     @property
     def n_train(self) -> int:
@@ -127,18 +119,15 @@ def jittered_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def fit(data: Dataset, hyper: ArdSeHyper, center: bool = True) -> GprModel:
-    """Fit the GP: factor K + noise*I and solve for the representer weights.
-
-    center=False skips target centering (offset 0), for callers that have
-    already removed the mean or want the raw zero-mean-prior fit.
-    """
+def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
+    """Fit the GP: factor K + noise*I and solve for the representer weights
+    of the targets centered by their mean, which is stored as the offset."""
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
     K = kernel_matrix(data.X, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
     chol, jitter = jittered_cholesky(K)
-    offset = float(data.y.mean()) if center else 0.0
+    offset = float(data.y.mean())
     alpha = cho_solve((chol, True), data.y - offset, check_finite=False)
     return GprModel(
         hyper=hyper,
@@ -208,8 +197,6 @@ def optimize_hyperparameters(data: Dataset, init: ArdSeHyper, budget: int) -> Ar
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if data.dim != init.dim:
-        raise ValueError(f"data has {data.dim} features, init expects {init.dim}")
 
     evals = 0
 
@@ -308,13 +295,17 @@ def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None
 
 def load_model_payload(path: str) -> dict:
     """Read and format-check a model file, returning the raw payload
-    (model fields plus any metadata save_model attached)."""
+    (model fields plus any metadata save_model attached). A file that is not
+    a JSON object of this format and version raises DataError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise DataError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')!r}")
+        raise DataError(f"{path}: unsupported model version {payload.get('version')!r}")
     return payload
 
 
@@ -322,30 +313,58 @@ def load_model(source: str | dict) -> GprModel:
     """Load a model written by save_model, from its file path or from the
     payload load_model_payload read from it, factoring K + noise*I once with
     the stored jitter (no retries), so the factor is the one alpha was solved
-    with. Malformed fields (shapes, non-finite values, a missing or negative
-    jitter) raise ValueError naming the field; NumericalError if the factor
-    fails. Errors from a path name the file."""
+    with. A missing or malformed field (wrong type or shape, non-finite or
+    out-of-range values) raises DataError naming the field; NumericalError
+    if the factor fails. Errors from a path name the file."""
     if isinstance(source, dict):
         return _model_from_payload(source)
     payload = load_model_payload(source)
     try:
         return _model_from_payload(payload)
-    except NumericalError as exc:
-        raise NumericalError(f"{source}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
+def _checked(name: str, value, shape: tuple = (), low: float = -math.inf, strict: bool = False):
+    """The model field name as a float, or as a float array of the given
+    shape, where None matches any nonzero length, with every entry finite and
+    >= low (> low if strict). Anything else raises DataError naming it."""
+    arr = np.asarray(value)
+    if not (
+        arr.dtype.kind in "iuf"
+        and arr.ndim == len(shape)
+        and all(want == got or (want is None and got > 0) for want, got in zip(shape, arr.shape))
+        and np.all(np.isfinite(arr))
+        and (low == -math.inf or np.all(arr > low if strict else arr >= low))
+    ):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise DataError(f"model field {name!r}: expected finite numbers{bound} in shape {shape}, got {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _payload_field(payload: dict, name: str, shape: tuple = (), low: float = -math.inf, strict: bool = False):
+    """The model-file field name (dots reach into nested objects), checked as
+    _checked does; a missing field or ragged lists also raise DataError."""
+    value = payload
+    try:
+        for key in name.split("."):
+            value = value[key]
+        value = np.asarray(value)
+    except (KeyError, TypeError, ValueError) as exc:  # missing, a non-object indexed, ragged lists
+        raise DataError(f"model field {name!r} is missing or malformed ({type(exc).__name__}: {exc})") from None
+    return _checked(name, value, shape, low, strict)
 
 
 def _model_from_payload(payload: dict) -> GprModel:
+    field = functools.partial(_payload_field, payload)
+    jitter = field("jitter", low=0.0)
     hyper = ArdSeHyper(
-        signal_variance=float(payload["hyper"]["signal_variance"]),
-        lengthscales=np.array(payload["hyper"]["lengthscales"], dtype=float),
-        noise_variance=float(payload["hyper"]["noise_variance"]),
+        signal_variance=field("hyper.signal_variance", low=0.0, strict=True),
+        lengthscales=field("hyper.lengthscales", (None,), low=0.0, strict=True),
+        noise_variance=field("hyper.noise_variance", low=0.0),
     )
-    jitter = payload.get("jitter")
-    if type(jitter) not in (int, float) or not 0.0 <= jitter < math.inf:
-        raise ValueError(f"model jitter must be a finite number >= 0, got {jitter!r}")
-    x_train = np.array(payload["x_train"], dtype=float)
+    x_train = field("x_train", (None, hyper.dim))
     K = kernel_matrix(x_train, hyper)
     K[np.diag_indices_from(K)] += hyper.noise_variance
     K[np.diag_indices_from(K)] += jitter  # added after the noise, as in fit
@@ -357,7 +376,7 @@ def _model_from_payload(payload: dict) -> GprModel:
         hyper=hyper,
         x_train=x_train,
         chol=chol,
-        alpha=np.array(payload["alpha"], dtype=float),
-        y_mean_offset=float(payload["y_mean_offset"]),
-        jitter=float(jitter),
+        alpha=field("alpha", (len(x_train),)),
+        y_mean_offset=field("y_mean_offset"),
+        jitter=jitter,
     )

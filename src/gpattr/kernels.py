@@ -62,8 +62,6 @@ def _check_index(i: int, dim: int) -> None:
 
 def _as_points(X, hyper: ArdSeHyper, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != hyper.dim:
         raise ValueError(f"{name} must have shape (n, {hyper.dim}), got {X.shape}")
     return X

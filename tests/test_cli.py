@@ -383,6 +383,109 @@ def test_data_errors_exit_3(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+# placeholders in EXIT_CASES argvs: the workdir model, its CSV, and the
+# model file a case writes by editing the workdir model
+MODEL, DATA, BAD = "<model>", "<data>", "<bad>"
+DELETE = object()
+
+
+def _edit(path: str, value=DELETE):
+    """The workdir model payload with the dotted field path deleted, set to
+    value, or mapped through value when it is callable, as file text."""
+
+    def apply(payload: dict) -> str:
+        *parents, last = path.split(".")
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value(node[last]) if callable(value) else value
+        return json.dumps(payload)
+
+    return apply
+
+
+def _bad_model(edit, *names, argv=("attribute", "--model", BAD, "--query", "1,2")):
+    """Exit-3 case: a malformed model file, named in stderr with the field."""
+    return 3, list(argv), [BAD, *names], edit
+
+
+FIT_HYPER = ["fit", "--simulate", "10", "--signal-variance", "1", "--lengthscales", "1,1",
+             "--noise-variance", "0.1"]
+
+# id: (exit code, argv, what stderr must name, model-file edit written to BAD)
+EXIT_CASES = {
+    "query-nan": (2, ["attribute", "--model", MODEL, "--query", "nan,1"], ["--query"], None),
+    "baseline-inf": (2, ["attribute", "--model", MODEL, "--query", "1,2", "--baseline", "values:inf,1"],
+                     ["--baseline"], None),
+    "signal-variance-negative": (2, [*FIT_HYPER, "--signal-variance", "-1"], ["--signal-variance"], None),
+    "noise-variance-nan": (2, [*FIT_HYPER, "--noise-variance", "nan"], ["--noise-variance"], None),
+    "lengthscale-negative": (2, [*FIT_HYPER, "--lengthscales", "1,-1"], ["--lengthscales"], None),
+    "noise-scale-negative": (2, ["fit", "--simulate", "10", "--noise-scale", "-1"], ["--noise-scale"], None),
+    "lengthscale-count": (2, [*FIT_HYPER, "--lengthscales", "1"], ["--lengthscales"], None),
+    "data-without-target": (2, ["fit", "--data", DATA], ["--target"], None),
+    "query-row-without-data": (2, ["attribute", "--model", MODEL, "--query-row", "0"], ["--query-row"], None),
+    "query-row-out-of-range": (3, ["attribute", "--model", MODEL, "--data", DATA, "--target", "y",
+                                   "--query-row", "60"], ["--query-row"], None),
+    "holdout-leaves-no-rows": (3, ["fit", "--simulate", "1", "--query-row", "0"], ["query row"], None),
+    "not-an-object": _bad_model(lambda payload: "[1, 2]"),
+    "empty": _bad_model(lambda payload: ""),
+    "truncated": _bad_model(lambda payload: json.dumps(payload)[:300]),
+    "no-hyper": _bad_model(_edit("hyper"), "hyper"),
+    "no-alpha": _bad_model(_edit("alpha"), "alpha"),
+    "no-x_train": _bad_model(_edit("x_train"), "x_train"),
+    "no-y_mean_offset": _bad_model(_edit("y_mean_offset"), "y_mean_offset"),
+    "hyper-a-list": _bad_model(_edit("hyper", [1]), "hyper"),
+    "signal-variance-null": _bad_model(_edit("hyper.signal_variance", None), "signal_variance"),
+    "x_train-ragged": _bad_model(_edit("x_train", lambda x: [x[0][:1], *x[1:]]), "x_train"),
+    "norm_stats-no-std": _bad_model(_edit("norm_stats", {"mean": [0.0, 0.0]}), "norm_stats.std"),
+    "norm_stats-short": _bad_model(_edit("norm_stats", {"mean": [0.0, 0.0], "std": [1.0]}), "norm_stats.std"),
+    "holdout-no-x": _bad_model(_edit("holdout.x"), "holdout.x"),
+    "holdout-nan": _bad_model(_edit("holdout.x", [float("nan"), 1.0]), "holdout.x"),
+    "y_train-text": _bad_model(_edit("y_train", lambda y: ["a"] * len(y)), "y_train"),
+    "y_train-short": _bad_model(_edit("y_train", lambda y: y[:-1]), "y_train"),
+    "feature_names-a-number": _bad_model(_edit("feature_names", 5), "feature_names"),
+    # a model without stored targets fails the same way for both of its uses
+    "no-targets-filter-baseline": _bad_model(
+        _edit("y_train"), "training targets",
+        argv=("attribute", "--model", BAD, "--query", "1,2", "--baseline", "filter:-1:1")),
+    "no-targets-rfgp-engine": _bad_model(
+        _edit("y_train"), "training targets",
+        argv=("attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp")),
+    "no-query-point": (2, ["attribute", "--model", BAD], ["--query"], _edit("holdout")),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_code_and_message_name_the_fault(workdir, tmp_path, capsys, case):
+    # bad flag values exit 2 at parse time; every malformed model file
+    # exits 3 naming the file and the field, never with a traceback
+    code, argv, names, edit = EXIT_CASES[case]
+    bad = tmp_path / "bad.json"
+    if edit is not None:
+        bad.write_text(edit(json.loads(workdir["model"].read_text())))
+    paths = {MODEL: str(workdir["model"]), DATA: str(workdir["csv"]), BAD: str(bad)}
+    argv = [paths.get(a, a) for a in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert all(paths.get(name, name) in err for name in names), err
+    assert "Traceback" not in err
+
+
+def test_main_lets_other_exceptions_surface(workdir, tmp_path, monkeypatch):
+    # only the documented exception types map to exit codes; anything
+    # else is a bug and must keep its traceback
+    argv = ["quad-sweep", "--model", str(workdir["model"]), "--out-dir", str(tmp_path)]
+    for exc in (ValueError("bug"), KeyError("bug"), TypeError("bug")):
+        def broken(args, exc=exc):
+            raise exc
+        monkeypatch.setattr(gpattr.cli, "cmd_quad_sweep", broken)
+        with pytest.raises(type(exc)):
+            main(argv)
+
+
 def test_numerical_errors_exit_4(tmp_path, capsys):
     # zero noise makes the random-feature system rank deficient when 2M > N
     csv_path = _write_sim_csv(tmp_path / "d.csv", n=30, seed=6)
@@ -467,3 +570,16 @@ def test_python_dash_m_runs_the_cli(workdir, tmp_path):
     usage = subprocess.run([sys.executable, "-m", "gpattr"], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": src})
     assert usage.returncode == 2 and "usage" in usage.stderr
+
+
+def test_python_dash_m_reports_a_malformed_model(tmp_path):
+    src = str(Path(gpattr.__file__).resolve().parent.parent)
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpattr", "attribute", "--model", str(bad), "--query", "1,2",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert str(bad) in proc.stderr and "Traceback" not in proc.stderr

@@ -33,12 +33,14 @@ def _dataset(n, seed, dim=2):
     return Dataset(X, y, tuple(f"f{j}" for j in range(dim)))
 
 
-def test_single_point_weights_by_hand():
-    # K + noise I = [[2.0]] so the single weight is y / 2
-    data = Dataset(np.array([[0.0, 0.0]]), np.array([2.0]), ("a", "b"))
+def test_two_point_weights_by_hand():
+    # the rows are far enough apart that their kernel value is an exact zero,
+    # so K + noise I = 2 I; the targets have mean zero, so the weights are y / 2
+    data = Dataset(np.array([[0.0, 0.0], [100.0, 100.0]]), np.array([2.0, -2.0]), ("a", "b"))
     hyper = ArdSeHyper(1.0, np.array([1.0, 1.0]), 1.0)
-    model = fit(data, hyper, center=False)
-    assert model.alpha == pytest.approx([1.0], rel=1e-15)
+    model = fit(data, hyper)
+    assert model.y_mean_offset == 0.0
+    assert model.alpha == pytest.approx([1.0, -1.0], rel=1e-15)
     mean, var = predict(model, [0.0, 0.0])
     assert mean == pytest.approx(1.0, rel=1e-15)
     assert var == pytest.approx(1.0 - 0.5, rel=1e-14)
@@ -125,7 +127,7 @@ def test_posterior_variance_never_exceeds_prior(rng):
 def test_loglik_single_zero_target_by_hand():
     # y = 0 and K + noise I = [[1.0]] leaves only the normalizing constant
     data = Dataset(np.array([[0.0]]), np.array([0.0]), ("a",))
-    model = fit(data, ArdSeHyper(0.5, np.array([1.0]), 0.5), center=False)
+    model = fit(data, ArdSeHyper(0.5, np.array([1.0]), 0.5))
     want = -0.5 * np.log(2.0 * np.pi)
     assert log_marginal_likelihood(model, data.y) == pytest.approx(want, rel=1e-14)
 
@@ -150,7 +152,6 @@ def test_loglik_rejects_wrong_length():
 def test_centering_offset():
     data = _dataset(15, seed=10)
     assert fit(data, HYP).y_mean_offset == pytest.approx(data.y.mean())
-    assert fit(data, HYP, center=False).y_mean_offset == 0.0
 
 
 def test_search_with_unit_budget_returns_init():

@@ -24,7 +24,7 @@ def test_traced_functions_resolve_on_gpattr():
         assert callable(getattr(getattr(gpattr, module), attr, None)), f"{module}.{attr}"
     parser = gpattr.cli.build_parser()
     for handler, command in trace["CLI_COMMANDS"].items():
-        argv = [command] if command == "fit" else [command, "--model", "model.json"]
+        argv = [command, "--simulate", "10"] if command == "fit" else [command, "--model", "model.json"]
         assert parser.parse_args(argv).func is getattr(gpattr.cli, handler, None), handler
 
 
