@@ -35,7 +35,7 @@ import numpy as np
 from .data_io import Baseline
 from .gpr import GprModel, _clamp_variance
 from .kernels import ArdSeHyper, _check_index, kernel_cross
-from .specfun import erf
+from .specfun import NumericalError, erf
 
 __all__ = [
     "Baseline",
@@ -80,14 +80,28 @@ def _baseline_values(baseline) -> np.ndarray:
     return np.asarray(baseline, dtype=float).reshape(-1)
 
 
-def _query_pair(x, baseline, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Query and baseline as flat float vectors, checked against dim."""
+def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]:
+    """Query and baseline as flat float vectors, checked against the model.
+
+    A wrong length or a non-finite value raises ValueError. A path that
+    overflows raises NumericalError: x - z, or its scaled squared length
+    p2 = sum((x - z)^2 / ls^2) that every engine forms, is not finite (an
+    infinite x - z makes p2 infinite too). Past that point the closed forms,
+    the quadrature rules and the random features would all fail or return a
+    meaningless number.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
-    if not (x.size == z.size == dim):
-        raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, model {dim}")
+    if not (x.size == z.size == hyper.dim):
+        raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, model {hyper.dim}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise ValueError("query and baseline must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = np.sum((x - z) ** 2 / hyper.lengthscales**2)
+    if not math.isfinite(p2):
+        raise NumericalError(
+            "the path from the baseline to the query overflows: x - z or sum((x - z)^2 / ls^2) is not finite"
+        )
     return x, z
 
 
@@ -245,7 +259,7 @@ def _exact_laws(model: GprModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarr
 def prior_attribution_variance(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, read from the d prior
     variances of _slices_and_priors (which needs no training centers)."""
-    x, z = _query_pair(x, baseline, hyper.dim)
+    x, z = _query_pair(x, baseline, hyper)
     _check_index(i, hyper.dim)
     no_centers = np.empty((0, hyper.dim))
     return float(_slices_and_priors(x, z, no_centers, hyper)[1][i])
@@ -293,7 +307,7 @@ def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
     The whole report costs one triangular solve with the lower Cholesky
     factor on d + 2 right-hand sides and one erf sweep over 2n points.
     """
-    x, z = _query_pair(x, baseline, model.hyper.dim)
+    x, z = _query_pair(x, baseline, model.hyper)
     means, variances, k_xz = _exact_laws(model, x, z)
     return _assemble(model, _laws(means, variances), k_xz)
 
@@ -302,7 +316,7 @@ def report_from_rows(model: GprModel, x, baseline, rows) -> AttributionReport:
     """Report for engines that produce rows directly. The completeness
     residual is measured against the exact posterior means, so approximate
     engines show their true gap rather than zero."""
-    x, z = _query_pair(x, baseline, model.hyper.dim)
+    x, z = _query_pair(x, baseline, model.hyper)
     return _assemble(model, rows, kernel_cross(np.stack((x, z)), model.x_train, model.hyper))
 
 

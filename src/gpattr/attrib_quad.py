@@ -97,7 +97,7 @@ def quad_attribution(
     correction as the squared norm |L^{-1} q_i|^2. Cost O(J n d + J^2 + n^2 d)
     time and O(J n) memory for J nodes and n training rows.
     """
-    x, z = _query_pair(x, baseline, model.hyper.dim)
+    x, z = _query_pair(x, baseline, model.hyper)
     A, prior = _path_quadrature(x, z, model.x_train, model.hyper, *nodes_weights(spec))
     means = model.alpha @ A
     W = model.solve(A)
@@ -185,7 +185,7 @@ def mc_attribution_oracle(
     as one (samples, grid) draw would.
     """
     hyper = model.hyper
-    x, z = _query_pair(x, baseline, hyper.dim)
+    x, z = _query_pair(x, baseline, hyper)
     _check_index(i, hyper.dim)
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")

@@ -4,7 +4,9 @@ The prior mean is zero; targets are centered by their sample mean before
 fitting and the offset is stored on the model, so predictions and the
 marginal likelihood are expressed in the original target units. All solves
 go through one Cholesky factor of K + noise*I, retried with escalating
-diagonal jitter when the factorization fails.
+diagonal jitter when the factorization fails. The factor is computed in the
+buffer that holds K + noise*I, so fitting or loading a model keeps one n x n
+array, not two.
 """
 
 import functools
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .data_io import DataError, Dataset
 from .kernels import ArdSeHyper, kernel_cross, kernel_matrix
@@ -91,37 +93,73 @@ def _clamp_variance(var, what: str, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _all_finite(arr) -> bool:
+    """True when every entry is finite. min and max propagate NaN and +-inf,
+    so two reductions check the array without an elementwise bool temporary."""
+    return math.isfinite(np.min(arr)) and math.isfinite(np.max(arr))
+
+
+def cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of an exactly symmetric, C-ordered float matrix,
+    written over mat's own buffer.
+
+    mat.T is a Fortran-ordered view holding the same values, so LAPACK
+    factors it in place, with no copy, and the factor is bit-identical to
+    that of a copy. On success the strict upper triangle of the factor is
+    zeroed column by column. On failure (LinAlgError) mat's upper triangle
+    and diagonal may be overwritten, but its strict lower triangle is intact.
+    A non-finite entry raises NumericalError before LAPACK sees the matrix.
+    """
+    if not _all_finite(mat):
+        raise NumericalError("matrix to factor has non-finite entries")
+    factor, _ = cho_factor(mat.T, lower=True, overwrite_a=True, check_finite=False)
+    for j in range(1, factor.shape[0]):
+        factor[:j, j] = 0.0
+    return factor
+
+
 def jittered_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, retrying with diagonal jitter.
 
-    Jitter starts at SOLVER_JITTER * mean(diag) and grows tenfold up to
-    six times. Returns (factor, jitter_added). Raises NumericalError when
-    the matrix stays non-positive-definite through the last retry.
+    mat must be exactly symmetric. A C-ordered float64 mat is consumed: the
+    factor is written over its buffer (any other array is copied first), so
+    the caller must not use mat afterwards. A failed attempt leaves mat's
+    strict lower triangle intact; a retry restores the upper triangle from
+    it and writes the saved diagonal plus the jitter, so no second n x n
+    array is formed. Jitter starts at SOLVER_JITTER * mean(diag) and grows
+    tenfold up to six times. Returns (factor, jitter_added). Raises
+    NumericalError on a non-finite entry, or when the matrix stays
+    non-positive-definite through the last retry.
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = np.ascontiguousarray(mat, dtype=float)
+    diag = mat.diagonal().copy()
     try:
-        return cholesky(mat, lower=True), 0.0
+        return cholesky(mat), 0.0
     except np.linalg.LinAlgError:
         pass
-    base = SOLVER_JITTER * float(np.mean(np.diag(mat)))
+    base = SOLVER_JITTER * float(np.mean(diag))
     if base <= 0.0:
         base = SOLVER_JITTER
     jitter = base
-    eye = np.eye(mat.shape[0])
     for _ in range(6):
+        for i in range(diag.size - 1):
+            mat[i, i + 1 :] = mat[i + 1 :, i]
+        np.fill_diagonal(mat, diag + jitter)
         try:
-            return cholesky(mat + jitter * eye, lower=True), jitter
+            return cholesky(mat), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
         f"matrix not positive definite after jitter up to {jitter / 10.0:.3e} "
-        f"(diag mean {np.mean(np.diag(mat)):.3e})"
+        f"(diag mean {np.mean(diag):.3e})"
     )
 
 
 def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
     """Fit the GP: factor K + noise*I and solve for the representer weights
-    of the targets centered by their mean, which is stored as the offset."""
+    of the targets centered by their mean, which is stored as the offset.
+    NumericalError when K is not finite, stays indefinite through the
+    jitter retries, or gives weights that overflow."""
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
     K = kernel_matrix(data.X, hyper)
@@ -129,6 +167,8 @@ def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
     chol, jitter = jittered_cholesky(K)
     offset = float(data.y.mean())
     alpha = cho_solve((chol, True), data.y - offset, check_finite=False)
+    if not _all_finite(alpha):
+        raise NumericalError(f"representer weights are not finite (jitter {jitter:.3e})")
     return GprModel(
         hyper=hyper,
         x_train=np.array(data.X, dtype=float, copy=True),
@@ -313,9 +353,11 @@ def load_model(source: str | dict) -> GprModel:
     """Load a model written by save_model, from its file path or from the
     payload load_model_payload read from it, factoring K + noise*I once with
     the stored jitter (no retries), so the factor is the one alpha was solved
-    with. A missing or malformed field (wrong type or shape, non-finite or
-    out-of-range values) raises DataError naming the field; NumericalError
-    if the factor fails. Errors from a path name the file."""
+    with. The factor is written over the buffer of K + noise*I, so the loaded
+    model holds one n x n array. A missing or malformed field (wrong type or
+    shape, non-finite or out-of-range values) raises DataError naming the
+    field; NumericalError if the factor fails. Errors from a path name the
+    file."""
     if isinstance(source, dict):
         return _model_from_payload(source)
     payload = load_model_payload(source)
@@ -334,8 +376,8 @@ def _checked(name: str, value, shape: tuple = (), low: float = -math.inf, strict
         arr.dtype.kind in "iuf"
         and arr.ndim == len(shape)
         and all(want == got or (want is None and got > 0) for want, got in zip(shape, arr.shape))
-        and np.all(np.isfinite(arr))
-        and (low == -math.inf or np.all(arr > low if strict else arr >= low))
+        and _all_finite(arr)
+        and (low == -math.inf or (np.min(arr) > low if strict else np.min(arr) >= low))
     ):
         bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
         raise DataError(f"model field {name!r}: expected finite numbers{bound} in shape {shape}, got {arr.shape}")
@@ -369,7 +411,7 @@ def _model_from_payload(payload: dict) -> GprModel:
     K[np.diag_indices_from(K)] += hyper.noise_variance
     K[np.diag_indices_from(K)] += jitter  # added after the noise, as in fit
     try:
-        chol = cholesky(K, lower=True)
+        chol = cholesky(K)
     except np.linalg.LinAlgError:
         raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
     return GprModel(

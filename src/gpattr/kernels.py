@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .specfun import NumericalError
+
 __all__ = [
     "ArdSeHyper",
     "kernel_matrix",
@@ -74,10 +76,15 @@ def kernel_cross(X, Z, hyper: ArdSeHyper) -> np.ndarray:
     weighted by 1/ls_j^2, not the norm expansion: exact symmetry and no
     cancellation for nearby points, with one n x m block as the only memory.
     Values below sv * eps^2 are returned as exact zeros, never subnormal.
+    NumericalError when a lengthscale is so short that 1/ls^2 overflows.
     """
     X = _as_points(X, hyper, "X")
     Z = _as_points(Z, hyper, "Z")
-    sq = cdist(X, Z, "sqeuclidean", w=hyper.lengthscales**-2.0)
+    with np.errstate(over="ignore"):
+        w = hyper.lengthscales**-2.0
+    if not np.all(np.isfinite(w)):
+        raise NumericalError(f"lengthscale {hyper.lengthscales.min():.3e} is too short: 1 / ls^2 overflows")
+    sq = cdist(X, Z, "sqeuclidean", w=w)
     sq *= -0.5
     sq[sq < _LOG_CUTOFF] = -np.inf
     np.exp(sq, out=sq)

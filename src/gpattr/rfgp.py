@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
-from .attrib_exact import AttributionGaussian, _baseline_values, _laws
+from .attrib_exact import AttributionGaussian, _baseline_values, _laws, _query_pair
 from .data_io import Dataset
 from .kernels import ArdSeHyper
 from .specfun import NumericalError
@@ -191,8 +191,7 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
     Completeness holds exactly within the feature class because the
     integral vectors telescope to phi(x) - phi(baseline).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    x, z = _query_pair(x, baseline, model.hyper)
     zeta = feature_gradient_integral(x, z, model.frequencies)
     gap = x - z
     means = gap * (model.weights @ zeta)

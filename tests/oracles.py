@@ -14,6 +14,10 @@ and kernel derivatives. The GP variance corrections here
 are full Cholesky solves q^T (K + noise*I)^{-1} q, independent of the
 package's one triangular pass |L^{-1} q|^2.
 
+The jittered Cholesky factor is kept in its copying form: scipy's cholesky
+on a fresh copy of the matrix, plus a new jittered matrix per retry, the
+reference for the package's factor written over its argument's buffer.
+
 It also keeps the kernel block built from an explicit (n, m, d) tensor of
 scaled differences, the reference for the weighted-distance kernel_cross,
 and the scalar kernel value and derivatives that mirror the formulas
@@ -34,7 +38,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
 from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
-from gpattr.gpr import GprModel, _clamp_variance, jittered_cholesky
+from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
 from gpattr.rfgp import _PHASE_REL_TOL, design_matrix, sample_frequencies
 from gpattr.specfun import NumericalError, erf
@@ -307,6 +311,31 @@ def path_priors_dense(x: np.ndarray, z: np.ndarray, hyper: ArdSeHyper, t: np.nda
     return delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
 
 
+def jittered_cholesky_copying(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and the jitter added, by the same jitter
+    sequence as gpattr.gpr.jittered_cholesky, leaving mat untouched: every
+    attempt factors a copy, and every retry forms mat + jitter * I anew."""
+    mat = np.asarray(mat, dtype=float)
+    try:
+        return cholesky(mat, lower=True), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    base = SOLVER_JITTER * float(np.mean(np.diag(mat)))
+    if base <= 0.0:
+        base = SOLVER_JITTER
+    jitter = base
+    eye = np.eye(mat.shape[0])
+    for _ in range(6):
+        try:
+            return cholesky(mat + jitter * eye, lower=True), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise NumericalError(
+        f"matrix not positive definite after jitter up to {jitter / 10.0:.3e} "
+        f"(diag mean {np.mean(np.diag(mat)):.3e})"
+    )
+
+
 def mc_attribution_oracle_dense(
     model: GprModel, x, baseline, i: int, grid_points: int, samples: int, seed: int
 ) -> McOracleResult:
@@ -326,7 +355,7 @@ def mc_attribution_oracle_dense(
     W = model.solve(G.T)
     cov = H - W.T @ W
     cov = 0.5 * (cov + cov.T)
-    factor, _ = jittered_cholesky(cov)
+    factor, _ = jittered_cholesky_copying(cov)
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)
     rng = np.random.default_rng(seed)

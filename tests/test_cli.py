@@ -455,13 +455,24 @@ EXIT_CASES = {
         _edit("y_train"), "training targets",
         argv=("attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp")),
     "no-query-point": (2, ["attribute", "--model", BAD], ["--query"], _edit("holdout")),
+    # finite inputs that overflow the numerics exit 4, the same for every engine
+    "query-overflow-exact": (4, ["attribute", "--model", MODEL, "--query", "1e308,1"], ["query"], None),
+    "query-overflow-rfgp": (4, ["attribute", "--model", MODEL, "--query", "1e308,1", "--engine", "rfgp"],
+                            ["query"], None),
+    "query-overflow-quad": (4, ["attribute", "--model", MODEL, "--query", "1e308,1",
+                                "--engine", "quad:simpson:8"], ["query"], None),
+    "lengthscale-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e308",
+                                 "--lengthscales", "1e-300,1", "--noise-variance", "0"], ["lengthscale"], None),
+    "weights-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e-300",
+                             "--lengthscales", "1e300,1e300", "--noise-variance", "0"], ["weights"], None),
 }
 
 
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_exit_code_and_message_name_the_fault(workdir, tmp_path, capsys, case):
     # bad flag values exit 2 at parse time; every malformed model file
-    # exits 3 naming the file and the field, never with a traceback
+    # exits 3 naming the file and the field; overflow exits 4 naming what
+    # overflowed; never with a traceback
     code, argv, names, edit = EXIT_CASES[case]
     bad = tmp_path / "bad.json"
     if edit is not None:

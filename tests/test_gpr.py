@@ -4,6 +4,7 @@ the oracle for the factored solves.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from gpattr import (
 )
 from gpattr.data_io import Dataset, simulate
 from gpattr.gpr import jittered_cholesky, load_model_payload
+from gpattr.kernels import grad_i_cross, hess_ii_cross
+from oracles import jittered_cholesky_copying
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
 
@@ -205,7 +208,7 @@ def test_search_discounts_pure_noise_feature():
 
 def test_jittered_cholesky_clean_matrix_gets_no_jitter():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    L, jitter = jittered_cholesky(A)
+    L, jitter = jittered_cholesky(A.copy())  # the factor is written over its argument
     assert jitter == 0.0
     assert np.abs(L @ L.T - A).max() <= 1e-14
 
@@ -217,6 +220,76 @@ def test_jittered_cholesky_escalates_then_reports():
     assert np.abs(L @ L.T - A).max() <= 1e-12
     with pytest.raises(NumericalError):
         jittered_cholesky(-np.eye(3))
+
+
+def _noisy_kernel_matrix() -> np.ndarray:
+    K = kernel_matrix(_dataset(50, seed=20).X, HYP)
+    K[np.diag_indices_from(K)] += HYP.noise_variance
+    return K
+
+
+def _path_gradient_covariance() -> np.ndarray:
+    # the posterior covariance of the gradient field on a 257-node path, as
+    # mc_attribution_oracle forms it; its factor needs a jitter retry
+    model = fit(_dataset(40, seed=21), HYP)
+    x, z = np.array([1.5, -1.0]), np.array([-1.0, 0.5])
+    path = z + np.linspace(0.0, 1.0, 257)[:, None] * (x - z)
+    W = model.solve(grad_i_cross(path, model.x_train, 0, HYP).T)
+    cov = hess_ii_cross(path, path, 0, HYP) - W.T @ W
+    return 0.5 * (cov + cov.T)
+
+
+FACTOR_CASES = {
+    "kernel-matrix": _noisy_kernel_matrix,
+    "singular-ones": lambda: np.ones((2, 2)),
+    "path-gradient-covariance": _path_gradient_covariance,
+}
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_jittered_cholesky_matches_the_copying_oracle_in_place(case):
+    mat = FACTOR_CASES[case]()
+    want, want_jitter = jittered_cholesky_copying(mat)  # leaves mat as it was
+    got, jitter = jittered_cholesky(mat)
+    assert np.shares_memory(got, mat)
+    assert jitter == want_jitter
+    assert (jitter > 0.0) == (case != "kernel-matrix")
+    assert np.array_equal(got, want)
+
+
+def test_jittered_cholesky_rejects_non_finite_entries():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericalError, match="non-finite"):
+            jittered_cholesky(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_fit_rejects_weights_that_overflow():
+    # K is the rank-one 1e-300 * ones: the jittered factor is ~1e-155 in
+    # its last column, and the weights overflow to inf
+    hyper = ArdSeHyper(1e-300, np.array([1e300, 1e300]), 0.0)
+    with pytest.raises(NumericalError, match="weights"):
+        fit(simulate(20, 0.5, seed=1), hyper)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_and_load_model_hold_one_n_by_n_array(tmp_path):
+    # the factor is written over K + noise*I, so the peak stays near one
+    # n x n float64 array (copying K into a new factor needs two)
+    n = 1500
+    data = _dataset(n, seed=22)
+    path = tmp_path / "model.json"
+    save_model(fit(data, HYP), str(path))
+    limit = 1.25 * 8 * n * n
+    assert _traced_peak(lambda: fit(data, HYP)) < limit
+    assert _traced_peak(lambda: load_model(str(path))) < limit
 
 
 def test_model_round_trip(tmp_path, rng):

@@ -193,7 +193,7 @@ def test_short_lengthscales_leave_no_subnormal_entries():
     sq = cdist(X, X, "sqeuclidean", w=hyper.lengthscales**-2.0)
     assert np.any((sq > 1420.0) & (sq < 1480.0))  # exp(-sq/2) in the subnormal range
     K[np.diag_indices_from(K)] += hyper.noise_variance
-    chol, _ = jittered_cholesky(K)
+    chol, _ = jittered_cholesky(K.copy())  # the factor is written over its argument
     tiny = np.finfo(float).tiny
     for block in (K, chol):
         assert np.all((block == 0.0) | (np.abs(block) >= tiny))

@@ -4,6 +4,8 @@ under a traced benchmark run."""
 
 from pathlib import Path
 
+import numpy as np
+
 import gpattr
 import gpattr.cli
 
@@ -33,3 +35,23 @@ def test_traced_solve_method_exists():
     # right-hand sides, so the attribution reports' solve counters need it
     assert "GprModel.solve" in SPANTRACE.read_text(encoding="utf-8")
     assert callable(getattr(gpattr.gpr.GprModel, "solve", None))
+
+
+def test_jittered_cholesky_calls_gpr_cholesky_once_per_attempt(monkeypatch):
+    # install() wraps gpattr.gpr.cholesky and counts its calls under
+    # jittered_cholesky as attempts; retries = attempts - calls holds only
+    # if every attempt is one call of that module-level name
+    assert "gpattr.gpr.cholesky" in SPANTRACE.read_text(encoding="utf-8")
+    real = gpattr.gpr.cholesky
+    assert callable(real)
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(gpattr.gpr, "cholesky", counted)
+    gpattr.gpr.jittered_cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert len(calls) == 1
+    gpattr.gpr.jittered_cholesky(np.ones((2, 2)))  # one retry
+    assert len(calls) == 3
