@@ -60,6 +60,6 @@ from .rfgp import (
     rfgp_fit,
     sample_frequencies,
 )
-from .specfun import NumericalError, erf
+from .specfun import NumericalError
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ because every integrand is a Gaussian in t times a low-degree polynomial:
 The closed forms are evaluated in a rearrangement whose exponents are all
 non-positive (guaranteed by Cauchy-Schwarz), so nothing overflows. When
 the path is degenerate (p2 ~ 0, query at the baseline) the formulas
-divide by ~0 and evaluation falls back to composite-Simpson quadrature.
+divide by ~0, and evaluation takes their p2 -> 0 limit instead: the
+integrands at the path's midpoint.
 
 Every feature shares the path and every training point shares the
 feature-free part of its integrand, so a report for all d features costs
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_FALLBACK_PARTITIONS = 256
 # a path with p2 = sum((x - z)^2 / ls^2) at or below this is degenerate
 SINGULAR_THRESHOLD = 1e-12
 
@@ -84,11 +84,11 @@ def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]
     """Query and baseline as flat float vectors, checked against the model.
 
     A wrong length or a non-finite value raises ValueError. A path that
-    overflows raises NumericalError: x - z, or its scaled squared length
-    p2 = sum((x - z)^2 / ls^2) that every engine forms, is not finite (an
-    infinite x - z makes p2 infinite too). Past that point the closed forms,
-    the quadrature rules and the random features would all fail or return a
-    meaningless number.
+    overflows raises NumericalError: x - z, its scaled squared length
+    p2 = sum((x - z)^2 / ls^2) that every engine forms, or p2^2, which the
+    closed forms divide by, is not finite (an infinite x - z makes both
+    infinite too). Past that point the closed forms, the quadrature rules
+    and the random features would all fail or return a meaningless number.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = _baseline_values(baseline)
@@ -97,20 +97,13 @@ def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise ValueError("query and baseline must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        p2 = np.sum((x - z) ** 2 / hyper.lengthscales**2)
-    if not math.isfinite(p2):
+        p2 = float(np.sum((x - z) ** 2 / hyper.lengthscales**2))
+    if not math.isfinite(p2 * p2):  # a Python float product: inf, no warning
         raise NumericalError(
-            "the path from the baseline to the query overflows: x - z or sum((x - z)^2 / ls^2) is not finite"
+            "the path from the baseline to the query overflows: x - z, "
+            "p2 = sum((x - z)^2 / ls^2) or p2^2 is not finite"
         )
     return x, z
-
-
-def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
-    # Local import: the quadrature module sits above this one in the
-    # dependency order, and only this degenerate-path branch needs it.
-    from .attrib_quad import QuadratureSpec, nodes_weights
-
-    return nodes_weights(QuadratureSpec(rule="simpson", partitions=_FALLBACK_PARTITIONS))
 
 
 def _path_quadrature(
@@ -206,13 +199,14 @@ def _slices_and_priors(
                           - 2 (1 - exp(-p2/2)) (p2 r0 + 2 r2) / p2^2 ]
     with r0 = sv / ls_i^2 and r2 = -sv (x_i - z_i)^2 / ls_i^4, so one scalar
     erf serves every feature. On a degenerate path (p2 ~ 0), where the
-    closed forms divide by ~0, both come from composite Simpson.
+    closed forms divide by ~0, both come from their p2 -> 0 limit: one
+    quadrature node at t = 1/2 with weight 1, whose error is O(p2) relative.
     """
     ls2 = hyper.lengthscales**2
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
     if p2 <= SINGULAR_THRESHOLD:
-        A, prior = _path_quadrature(x, z, centers, hyper, *_fallback_nodes())
+        A, prior = _path_quadrature(x, z, centers, hyper, np.array([0.5]), np.array([1.0]))
     else:
         sv = hyper.signal_variance
         r2 = -sv * delta**2 / ls2**2

@@ -48,6 +48,7 @@ from .data_io import (
     DataError,
     Dataset,
     NormStats,
+    _column_variances,
     apply_norm,
     load_csv,
     normalize,
@@ -211,8 +212,8 @@ def _resolve_hyper(args, data: Dataset) -> ArdSeHyper:
         if ls.size != data.dim:
             raise UsageError(f"--lengthscales has {ls.size} entries, data has {data.dim} features")
         return ArdSeHyper(args.signal_variance, ls, args.noise_variance)
-    y_var = max(float(np.var(data.y)), 1e-8)
-    ls = data.X.std(axis=0)
+    y_var = max(float(_column_variances(data.y[:, None], [args.target or "y"])[0]), 1e-8)
+    ls = np.sqrt(_column_variances(data.X, data.feature_names))
     ls[ls == 0.0] = 1.0
     return ArdSeHyper(y_var, ls, 0.1 * y_var)
 

@@ -144,12 +144,23 @@ def load_csv(path: str, target_column: str) -> Dataset:
     return Dataset(np.array(X_rows, dtype=float), np.array(y_vals, dtype=float), feature_names)
 
 
+def _column_variances(values: np.ndarray, names) -> np.ndarray:
+    """Variance of each column of the (n, k) values. A column whose variance
+    overflows float64 raises DataError naming it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.var(values, axis=0)
+    bad = [repr(names[j]) for j in np.flatnonzero(~np.isfinite(var))]
+    if bad:
+        raise DataError(f"the variance of column(s) {', '.join(bad)} overflows: values too large in scale")
+    return var
+
+
 def normalize(data: Dataset) -> Dataset:
     """Z-score the features; the stats are stored so apply_norm maps new points alike."""
     if data.norm_stats is not None:
         raise DataError("dataset is already normalized")
-    mean = data.X.mean(axis=0)
-    std = data.X.std(axis=0)
+    std = np.sqrt(_column_variances(data.X, data.feature_names))
+    mean = data.X.mean(axis=0)  # finite: the variances are
     zero = np.flatnonzero(std == 0.0)
     if zero.size:
         names = ", ".join(data.feature_names[j] for j in zero)

@@ -256,7 +256,7 @@ def test_model_attribution_uncertainty_grows_with_distance(sim_model):
     assert large > small
 
 
-_CASES = ("generic", "tiny_path", "far_baseline", "feature_at_baseline", "at_baseline")
+_CASES = ("generic", "tiny_path", "threshold_path", "far_baseline", "feature_at_baseline", "at_baseline")
 
 
 def _equivalence_draw(rng, dim: int, case: str, scale: float):
@@ -271,11 +271,14 @@ def _equivalence_draw(rng, dim: int, case: str, scale: float):
     model = fit(Dataset(X, y, tuple(f"f{j}" for j in range(dim))), hyper)
     x = rng.uniform(-2.0, 2.0, size=dim)
     z = rng.uniform(-2.0, 2.0, size=dim)
-    if case == "tiny_path":
-        # nonzero path below the singular threshold: the Simpson fallback
+    if case in ("tiny_path", "threshold_path"):
+        # nonzero path at or below the singular threshold, which takes the
+        # one-node fallback: at half and just under the largest p2 it serves
         step = rng.standard_normal(dim)
-        step *= math.sqrt(0.5 * SINGULAR_THRESHOLD / np.sum(step**2 / ls**2))
+        share = 0.5 if case == "tiny_path" else 1.0 - 1e-6
+        step *= math.sqrt(share * SINGULAR_THRESHOLD / np.sum(step**2 / ls**2))
         x = z + step
+        assert np.sum((x - z) ** 2 / ls**2) <= SINGULAR_THRESHOLD
     elif case == "far_baseline":
         # baseline 30 lengthscales out, query on a training point: p1 << -p2
         x = X[0].copy()
@@ -301,7 +304,7 @@ def test_one_pass_matches_per_feature_oracle():
             where = f"draw {draw} ({case}, d={dim}, scale={scale:g}), feature {i}"
             assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(sv)), where
             assert abs(got.variance - want.variance) <= 1e-13 * sv, where
-            if case == "tiny_path":
+            if case in ("tiny_path", "threshold_path"):
                 # both laws are O(step) here, far below the bounds above
                 assert abs(got.mean - want.mean) <= 1e-10 * abs(want.mean), where
                 assert abs(got.variance - want.variance) <= 1e-10 * want.variance, where
@@ -358,7 +361,7 @@ def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     assert solves == [(n, dim + 2)]
     assert sorted(erf_sizes) == [1, 2 * n]
     assert factor_solves == ["solve_triangular"]
-    # the degenerate path takes the Simpson fallback: still one solve, no erf
+    # the degenerate path takes the one-node fallback: still one solve, no erf
     solves.clear(), erf_sizes.clear(), factor_solves.clear()
     rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
     assert solves == [(n, dim + 2)] and erf_sizes == []

@@ -257,7 +257,8 @@ def test_lag_sum_priors_match_dense_node_block(rule, L):
 
 
 def test_degenerate_path_fallback_matches_dense_node_block():
-    # the exact engine's Simpson-256 fallback reads the same lag sums
+    # the exact engine's one-node (midpoint) fallback against the dense
+    # Simpson-256 node block: at p2 ~ 1e-16 the two agree to round-off
     hyper = ArdSeHyper(0.8, np.array([1.1, 0.7, 1.9]), 0.1)
     z = np.array([0.3, -1.2, 0.8])
     x = z + np.array([1e-8, -2e-8, 5e-9])

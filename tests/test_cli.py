@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import re
+import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -41,7 +44,9 @@ def workdir(tmp_path_factory):
          *HYPER_FLAGS, "--out-dir", str(fit_dir)]
     )
     assert rc == 0
-    return {"root": root, "csv": csv_path, "fit": fit_dir, "model": fit_dir / "model.json"}
+    huge = root / "huge.csv"  # finite values whose squares overflow float64
+    huge.write_text("x1,x2,y\n" + "".join(f"{k}e200,-{k}e200,{k % 2 + 1}e200\n" for k in range(1, 5)))
+    return {"root": root, "csv": csv_path, "huge": huge, "fit": fit_dir, "model": fit_dir / "model.json"}
 
 
 def test_fit_outputs(workdir):
@@ -371,6 +376,22 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_readme_commands_parse_and_its_scripts_exist():
+    # README drift fails here, before scripts/readme_commands.py would run it
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    commands = runpy.run_path(str(root / "scripts" / "readme_commands.py"))["readme_commands"](text)
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gpattr {shlex.join(argv)}")
+    scripts = re.findall(r"python (scripts/\S+\.py)", text)
+    assert scripts
+    assert [s for s in scripts if not (root / s).is_file()] == []
+
+
 def test_data_errors_exit_3(workdir, tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert main(["fit", "--data", missing, "--target", "y", "--out-dir", str(tmp_path)]) == 3
@@ -383,9 +404,9 @@ def test_data_errors_exit_3(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
-# placeholders in EXIT_CASES argvs: the workdir model, its CSV, and the
-# model file a case writes by editing the workdir model
-MODEL, DATA, BAD = "<model>", "<data>", "<bad>"
+# placeholders in EXIT_CASES argvs: the workdir model, its CSV, the
+# out-of-scale CSV, and the model file a case writes by editing the workdir model
+MODEL, DATA, HUGE, BAD = "<model>", "<data>", "<huge>", "<bad>"
 DELETE = object()
 
 
@@ -461,10 +482,21 @@ EXIT_CASES = {
                             ["query"], None),
     "query-overflow-quad": (4, ["attribute", "--model", MODEL, "--query", "1e308,1",
                                 "--engine", "quad:simpson:8"], ["query"], None),
+    # p2 ~ 7e155 is finite, but the closed forms' p2^2 is not
+    "query-long-path-exact": (4, ["attribute", "--model", MODEL, "--query", "1e78,1"], ["query"], None),
+    "query-long-path-rfgp": (4, ["attribute", "--model", MODEL, "--query", "1e78,1", "--engine", "rfgp"],
+                             ["query"], None),
+    "query-long-path-quad": (4, ["attribute", "--model", MODEL, "--query", "1e78,1",
+                                 "--engine", "quad:simpson:8"], ["query"], None),
     "lengthscale-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e308",
                                  "--lengthscales", "1e-300,1", "--noise-variance", "0"], ["lengthscale"], None),
     "weights-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e-300",
                              "--lengthscales", "1e300,1e300", "--noise-variance", "0"], ["weights"], None),
+    # finite data whose variance overflows exits 3 naming the column
+    "simulate-out-of-scale": (3, ["fit", "--simulate", "20", "--noise-scale", "1e300"], ["'y'"], None),
+    "csv-out-of-scale": (3, ["fit", "--data", HUGE, "--target", "y"], ["'y'"], None),
+    "csv-out-of-scale-normalize": (3, ["fit", "--data", HUGE, "--target", "y", "--normalize"],
+                                   ["'x1'", "'x2'"], None),
 }
 
 
@@ -477,7 +509,7 @@ def test_exit_code_and_message_name_the_fault(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     if edit is not None:
         bad.write_text(edit(json.loads(workdir["model"].read_text())))
-    paths = {MODEL: str(workdir["model"]), DATA: str(workdir["csv"]), BAD: str(bad)}
+    paths = {MODEL: str(workdir["model"]), DATA: str(workdir["csv"]), HUGE: str(workdir["huge"]), BAD: str(bad)}
     argv = [paths.get(a, a) for a in argv]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
