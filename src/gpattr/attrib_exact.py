@@ -198,9 +198,14 @@ def _slices_and_priors(
         (x_i - z_i)^2 * [ sqrt(2 pi) erf(sqrt(p2/2)) (p2 r0 + r2) / p2^{3/2}
                           - 2 (1 - exp(-p2/2)) (p2 r0 + 2 r2) / p2^2 ]
     with r0 = sv / ls_i^2 and r2 = -sv (x_i - z_i)^2 / ls_i^4, so one scalar
-    erf serves every feature. On a degenerate path (p2 ~ 0), where the
-    closed forms divide by ~0, both come from their p2 -> 0 limit: one
-    quadrature node at t = 1/2 with weight 1, whose error is O(p2) relative.
+    erf serves every feature. With a_j = (x_j - z_j)^2 / ls_j^2 (so
+    p2 = sum_j a_j and r2 = -r0 a_i) the two polynomials are
+    r0 * sum_{j != i} a_j and r0 * (sum_{j != i} a_j - a_i), and each sum
+    over j != i adds a prefix and a suffix sum: forming p2 r0 + r2 directly
+    cancels to nothing when feature i carries nearly all of p2. On a
+    degenerate path (p2 ~ 0), where the closed forms divide by ~0, both
+    come from their p2 -> 0 limit: one quadrature node at t = 1/2 with
+    weight 1, whose error is O(p2) relative.
     """
     ls2 = hyper.lengthscales**2
     delta = x - z
@@ -208,13 +213,15 @@ def _slices_and_priors(
     if p2 <= SINGULAR_THRESHOLD:
         A, prior = _path_quadrature(x, z, centers, hyper, np.array([0.5]), np.array([1.0]))
     else:
-        sv = hyper.signal_variance
-        r2 = -sv * delta**2 / ls2**2
-        r0 = sv / ls2
+        r0 = hyper.signal_variance / ls2
+        a = delta**2 / ls2
+        before = np.concatenate(([0.0], np.cumsum(a[:-1])))
+        after = np.concatenate((np.cumsum(a[:0:-1])[::-1], [0.0]))
+        others = before + after  # sum_{j != i} a_j, with no subtraction
         one_minus_exp = -math.expm1(-0.5 * p2)
-        bracket = (
-            _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * (p2 * r0 + r2) / p2**1.5
-            - 2.0 * one_minus_exp * (p2 * r0 + 2.0 * r2) / p2**2
+        bracket = r0 * (
+            _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * others / p2**1.5
+            - 2.0 * one_minus_exp * (others - a) / p2**2
         )
         A, prior = _slice_matrix(x, z, centers, hyper), delta**2 * bracket
     return A, _clamp_variance(prior, "prior attribution", hyper.signal_variance)

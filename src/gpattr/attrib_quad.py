@@ -16,6 +16,7 @@ one (the prior sums of attrib_exact._path_quadrature rely on the spacing):
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .attrib_exact import (
     AttributionGaussian,
@@ -178,7 +179,9 @@ def mc_attribution_oracle(
     and scaled by (x_i - z_i). Returns the sample mean and variance with
     the standard error of the mean.
 
-    With mean_field + F e a draw (F the lower factor of cov, e standard
+    cov is packed for jittered_cholesky and its factor F unpacked for one
+    product; at grid_points x grid_points that costs next to nothing and
+    keeps one factorization path. With mean_field + F e a draw (e standard
     normal), its integral is w.mean_field + e.(F^T w), so one matrix-vector
     product per chunk of _MC_CHUNK_ROWS draws replaces the (samples, grid)
     field matrix; the chunks read the generator's stream in the same order
@@ -203,7 +206,9 @@ def mc_attribution_oracle(
     W = model.solve(G.T)
     cov = H - W.T @ W
     cov = 0.5 * (cov + cov.T)
-    factor, _ = jittered_cholesky(cov)
+    eye = np.eye(grid_points)
+    factor, _ = jittered_cholesky(lambda jitter: lapack.dtrttf(cov + jitter * eye, transr="N", uplo="L")[0])
+    factor = np.tril(lapack.dtfttr(grid_points, factor, transr="N", uplo="L")[0])
 
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)

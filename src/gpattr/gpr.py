@@ -4,9 +4,10 @@ The prior mean is zero; targets are centered by their sample mean before
 fitting and the offset is stored on the model, so predictions and the
 marginal likelihood are expressed in the original target units. All solves
 go through one Cholesky factor of K + noise*I, retried with escalating
-diagonal jitter when the factorization fails. The factor is computed in the
-buffer that holds K + noise*I, so fitting or loading a model keeps one n x n
-array, not two.
+diagonal jitter when the factorization fails. K + noise*I is assembled
+straight into LAPACK's rectangular full packed (RFP) layout, n(n+1)/2 values
+(see kernels.kernel_matrix), and factored in place there, so fitting or
+loading a model holds half an n x n array and never forms a whole one.
 """
 
 import functools
@@ -15,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import lapack
 
 from .data_io import DataError, Dataset
-from .kernels import ArdSeHyper, kernel_cross, kernel_matrix
+from .kernels import ArdSeHyper, _packed_diagonal, _packed_order, kernel_cross, kernel_matrix
 from .specfun import NumericalError
 
 __all__ = [
@@ -41,9 +42,10 @@ SOLVER_JITTER = 1e-10
 
 @dataclass(frozen=True)
 class GprModel:
-    """Fitted state: hyperparameters, training inputs, Cholesky factor of
-    K + noise*I (lower), representer weights, target offset, and the jitter
-    that had to be added (0.0 when none).
+    """Fitted state: hyperparameters, training inputs, lower Cholesky factor
+    of K + noise*I as n(n+1)/2 values in LAPACK's RFP layout (transr "N",
+    uplo "L"), representer weights, target offset, and the jitter that had
+    to be added (0.0 when none).
 
     Construction checks that the arrays agree in shape with each other and
     with the hyperparameters and that they are finite (DataError naming the
@@ -60,7 +62,8 @@ class GprModel:
 
     def __post_init__(self) -> None:
         n = len(_checked("x_train", self.x_train, (None, self.hyper.dim)))
-        for name, shape in (("x_train", (n, self.hyper.dim)), ("chol", (n, n)), ("alpha", (n,))):
+        shapes = (("x_train", (n, self.hyper.dim)), ("chol", (n * (n + 1) // 2,)), ("alpha", (n,)))
+        for name, shape in shapes:
             arr = _checked(name, getattr(self, name), shape).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -74,10 +77,15 @@ class GprModel:
         """One triangular solve with the lower factor: v = L^{-1} b, where
         L L^T = K + noise*I. Every posterior quadratic form is a product of
         two such solves, b^T (K + noise*I)^{-1} c = solve(b)^T solve(c), so
-        it reads the factor once rather than twice. The factor was checked
-        at construction; only b is scanned for non-finite values."""
+        it reads the factor once rather than twice. b is an n-vector or an
+        (n, m) matrix; LAPACK's dtfsm solves on a Fortran-ordered copy of it
+        and reads the packed factor where it is. The factor was checked at
+        construction; only b is scanned for non-finite values."""
         b = np.asarray_chkfinite(b, dtype=float)
-        return solve_triangular(self.chol, b, lower=True, check_finite=False)
+        if b.ndim not in (1, 2) or len(b) != self.n_train:
+            raise ValueError(f"right-hand side of shape {b.shape} for a model fit on {self.n_train} points")
+        v = lapack.dtfsm(1.0, self.chol, b.reshape(self.n_train, -1), transr="N", side="L", uplo="L")
+        return v.reshape(b.shape)
 
 
 def _clamp_variance(var, what: str, scale: float):
@@ -100,59 +108,62 @@ def _all_finite(arr) -> bool:
 
 
 def cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an exactly symmetric, C-ordered float matrix,
-    written over mat's own buffer.
+    """Lower Cholesky factor of a symmetric matrix given as its n(n+1)/2
+    values in LAPACK's RFP layout (transr "N", uplo "L"), by dpftrf.
 
-    mat.T is a Fortran-ordered view holding the same values, so LAPACK
-    factors it in place, with no copy, and the factor is bit-identical to
-    that of a copy. On success the strict upper triangle of the factor is
-    zeroed column by column. On failure (LinAlgError) mat's upper triangle
-    and diagonal may be overwritten, but its strict lower triangle is intact.
-    A non-finite entry raises NumericalError before LAPACK sees the matrix.
+    A float64 mat is factored in its own buffer, with no copy, and the
+    factor is returned in the same layout. On failure (LinAlgError) mat is
+    partly overwritten. A non-finite entry raises NumericalError before
+    LAPACK sees the matrix.
     """
     if not _all_finite(mat):
         raise NumericalError("matrix to factor has non-finite entries")
-    factor, _ = cho_factor(mat.T, lower=True, overwrite_a=True, check_finite=False)
-    for j in range(1, factor.shape[0]):
-        factor[:j, j] = 0.0
+    factor, info = lapack.dpftrf(_packed_order(mat.size), mat, transr="N", uplo="L", overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
     return factor
 
 
-def jittered_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
+def jittered_cholesky(build) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, retrying with diagonal jitter.
 
-    mat must be exactly symmetric. A C-ordered float64 mat is consumed: the
-    factor is written over its buffer (any other array is copied first), so
-    the caller must not use mat afterwards. A failed attempt leaves mat's
-    strict lower triangle intact; a retry restores the upper triangle from
-    it and writes the saved diagonal plus the jitter, so no second n x n
-    array is formed. Jitter starts at SOLVER_JITTER * mean(diag) and grows
-    tenfold up to six times. Returns (factor, jitter_added). Raises
-    NumericalError on a non-finite entry, or when the matrix stays
-    non-positive-definite through the last retry.
+    build(jitter) returns a fresh packed matrix (as cholesky takes it) with
+    jitter added to its diagonal, and each attempt factors one such matrix
+    in place, so a failed attempt is rebuilt rather than restored. The
+    first attempt adds no jitter; then jitter starts at
+    SOLVER_JITTER * mean(diag) and grows tenfold up to six times. Returns
+    (factor, jitter_added). Raises NumericalError on a non-finite entry, or
+    when the matrix stays non-positive-definite through the last retry.
     """
-    mat = np.ascontiguousarray(mat, dtype=float)
-    diag = mat.diagonal().copy()
+    mat = build(0.0)
+    diag = mat[_packed_diagonal(_packed_order(mat.size))]
     try:
         return cholesky(mat), 0.0
     except np.linalg.LinAlgError:
-        pass
+        del mat  # freed before the next build, so two never coexist
     base = SOLVER_JITTER * float(np.mean(diag))
     if base <= 0.0:
         base = SOLVER_JITTER
     jitter = base
     for _ in range(6):
-        for i in range(diag.size - 1):
-            mat[i, i + 1 :] = mat[i + 1 :, i]
-        np.fill_diagonal(mat, diag + jitter)
         try:
-            return cholesky(mat), jitter
+            return cholesky(build(jitter)), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
         f"matrix not positive definite after jitter up to {jitter / 10.0:.3e} "
         f"(diag mean {np.mean(diag):.3e})"
     )
+
+
+def _noisy_kernel_matrix(X, hyper: ArdSeHyper, jitter: float) -> np.ndarray:
+    """K + noise*I + jitter*I, packed as kernel_matrix packs K; the jitter is
+    added after the noise, in fit's retries and in load_model alike."""
+    K = kernel_matrix(X, hyper)
+    diag = _packed_diagonal(len(X))
+    K[diag] += hyper.noise_variance
+    K[diag] += jitter
+    return K
 
 
 def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
@@ -162,11 +173,9 @@ def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
     jitter retries, or gives weights that overflow."""
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
-    K = kernel_matrix(data.X, hyper)
-    K[np.diag_indices_from(K)] += hyper.noise_variance
-    chol, jitter = jittered_cholesky(K)
+    chol, jitter = jittered_cholesky(functools.partial(_noisy_kernel_matrix, data.X, hyper))
     offset = float(data.y.mean())
-    alpha = cho_solve((chol, True), data.y - offset, check_finite=False)
+    alpha = lapack.dpftrs(data.n, chol, (data.y - offset)[:, None], transr="N", uplo="L")[0][:, 0]
     if not _all_finite(alpha):
         raise NumericalError(f"representer weights are not finite (jitter {jitter:.3e})")
     return GprModel(
@@ -208,7 +217,7 @@ def log_marginal_likelihood(model: GprModel, y) -> float:
     n = y.size
     return float(
         -0.5 * yc @ model.alpha
-        - np.sum(np.log(np.diag(model.chol)))
+        - np.sum(np.log(model.chol[_packed_diagonal(n)]))
         - 0.5 * n * np.log(2.0 * np.pi)
     )
 
@@ -353,11 +362,11 @@ def load_model(source: str | dict) -> GprModel:
     """Load a model written by save_model, from its file path or from the
     payload load_model_payload read from it, factoring K + noise*I once with
     the stored jitter (no retries), so the factor is the one alpha was solved
-    with. The factor is written over the buffer of K + noise*I, so the loaded
-    model holds one n x n array. A missing or malformed field (wrong type or
-    shape, non-finite or out-of-range values) raises DataError naming the
-    field; NumericalError if the factor fails. Errors from a path name the
-    file."""
+    with. K + noise*I is built and factored in RFP layout, so the loaded
+    model holds its n(n+1)/2 values, not n x n. A missing or malformed
+    field (wrong type or shape, non-finite or out-of-range values) raises
+    DataError naming the field; NumericalError if the factor fails. Errors
+    from a path name the file."""
     if isinstance(source, dict):
         return _model_from_payload(source)
     payload = load_model_payload(source)
@@ -407,11 +416,8 @@ def _model_from_payload(payload: dict) -> GprModel:
         noise_variance=field("hyper.noise_variance", low=0.0),
     )
     x_train = field("x_train", (None, hyper.dim))
-    K = kernel_matrix(x_train, hyper)
-    K[np.diag_indices_from(K)] += hyper.noise_variance
-    K[np.diag_indices_from(K)] += jitter  # added after the noise, as in fit
     try:
-        chol = cholesky(K)
+        chol = cholesky(_noisy_kernel_matrix(x_train, hyper, jitter))
     except np.linalg.LinAlgError:
         raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
     return GprModel(

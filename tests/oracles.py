@@ -14,9 +14,12 @@ and kernel derivatives. The GP variance corrections here
 are full Cholesky solves q^T (K + noise*I)^{-1} q, independent of the
 package's one triangular pass |L^{-1} q|^2.
 
-The jittered Cholesky factor is kept in its copying form: scipy's cholesky
-on a fresh copy of the matrix, plus a new jittered matrix per retry, the
-reference for the package's factor written over its argument's buffer.
+The jittered Cholesky factor is kept in its copying form: every attempt
+packs a fresh copy of the dense matrix, plus the jitter, and factors it by
+LAPACK's dpftrf or, for the dense reference, scipy's cholesky. The package
+builds and factors its packed matrices in place. pack, unpack_symmetric and
+unpack_factor convert between dense matrices and the package's RFP layout,
+and packed_builder turns a dense matrix into jittered_cholesky's builder.
 
 It also keeps the kernel block built from an explicit (n, m, d) tensor of
 scaled differences, the reference for the weighted-distance kernel_cross,
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
 from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
@@ -117,9 +120,33 @@ def ardse_hess_ii(x, x2, i: int, hyper: ArdSeHyper) -> float:
     return float(k * (1.0 / li2 - (x[i] - x2[i]) ** 2 / li2**2))
 
 
+def pack(mat: np.ndarray) -> np.ndarray:
+    """Lower triangle of a dense matrix in the RFP layout the package uses."""
+    return lapack.dtrttf(np.asarray(mat, dtype=float), transr="N", uplo="L")[0]
+
+
+def packed_builder(mat: np.ndarray):
+    """build(jitter) for gpattr.gpr.jittered_cholesky: mat + jitter * I,
+    packed anew on every call."""
+    eye = np.eye(len(mat))
+    return lambda jitter: pack(mat + jitter * eye)
+
+
+def unpack_factor(packed: np.ndarray) -> np.ndarray:
+    """Dense lower-triangular matrix of a packed factor (model.chol)."""
+    n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    return np.tril(lapack.dtfttr(n, packed, transr="N", uplo="L")[0])
+
+
+def unpack_symmetric(packed: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix of a packed one (kernel_matrix)."""
+    lower = unpack_factor(packed)
+    return lower + np.tril(lower, -1).T
+
+
 def _full_solve_form(model: GprModel, q: np.ndarray) -> float:
     """q^T (K + noise*I)^{-1} q by a full Cholesky solve on the stored factor."""
-    return float(q @ cho_solve((model.chol, True), q))
+    return float(q @ cho_solve((unpack_factor(model.chol), True), q))
 
 
 def _check(x, z, i: int, hyper: ArdSeHyper, *others) -> None:
@@ -311,13 +338,24 @@ def path_priors_dense(x: np.ndarray, z: np.ndarray, hyper: ArdSeHyper, t: np.nda
     return delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
 
 
-def jittered_cholesky_copying(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and the jitter added, by the same jitter
-    sequence as gpattr.gpr.jittered_cholesky, leaving mat untouched: every
-    attempt factors a copy, and every retry forms mat + jitter * I anew."""
+def _packed_cholesky(mat: np.ndarray) -> np.ndarray:
+    factor, info = lapack.dpftrf(mat.shape[0], pack(mat), transr="N", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
+    return factor
+
+
+def jittered_cholesky_copying(mat: np.ndarray, dense: bool = False) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a dense symmetric matrix and the jitter
+    added, by the same jitter sequence as gpattr.gpr.jittered_cholesky,
+    leaving mat untouched: every attempt factors a copy, and every retry
+    forms mat + jitter * I anew. The factor is packed and computed by
+    dpftrf, as the package computes it, or dense by scipy's cholesky (the
+    LAPACK dpotrf path) when dense is set."""
     mat = np.asarray(mat, dtype=float)
+    factor = (lambda a: cholesky(a, lower=True)) if dense else _packed_cholesky
     try:
-        return cholesky(mat, lower=True), 0.0
+        return factor(mat), 0.0
     except np.linalg.LinAlgError:
         pass
     base = SOLVER_JITTER * float(np.mean(np.diag(mat)))
@@ -327,7 +365,7 @@ def jittered_cholesky_copying(mat: np.ndarray) -> tuple[np.ndarray, float]:
     eye = np.eye(mat.shape[0])
     for _ in range(6):
         try:
-            return cholesky(mat + jitter * eye, lower=True), jitter
+            return factor(mat + jitter * eye), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
@@ -355,7 +393,7 @@ def mc_attribution_oracle_dense(
     W = model.solve(G.T)
     cov = H - W.T @ W
     cov = 0.5 * (cov + cov.T)
-    factor, _ = jittered_cholesky_copying(cov)
+    factor = unpack_factor(jittered_cholesky_copying(cov)[0])
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)
     rng = np.random.default_rng(seed)

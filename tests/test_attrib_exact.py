@@ -13,6 +13,7 @@ import json
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -180,6 +181,40 @@ def test_prior_variance_matches_tensor_simpson(rng):
             assert got == pytest.approx(want, rel=1e-6, abs=1e-10)
 
 
+def _prior_closed_form_mp(delta: np.ndarray, hyper: ArdSeHyper, i: int) -> mpmath.mpf:
+    """The closed-form prior variance of prior_attribution_variance in
+    80-digit arithmetic, from the float inputs taken as exact."""
+    with mpmath.workdps(80):
+        d = [mpmath.mpf(float(v)) for v in delta]
+        ls2 = [mpmath.mpf(float(v)) ** 2 for v in hyper.lengthscales]
+        p2 = mpmath.fsum(dj**2 / l2 for dj, l2 in zip(d, ls2))
+        r0 = mpmath.mpf(hyper.signal_variance) / ls2[i]
+        r2 = -r0 * d[i] ** 2 / ls2[i]
+        bracket = (
+            mpmath.sqrt(2 * mpmath.pi) * mpmath.erf(mpmath.sqrt(p2 / 2)) * (p2 * r0 + r2) / p2**1.5
+            - 2 * -mpmath.expm1(-p2 / 2) * (p2 * r0 + 2 * r2) / p2**2
+        )
+        return d[i] ** 2 * bracket
+
+
+def test_prior_variance_matches_high_precision_when_one_feature_dominates():
+    # one feature's step is 1e6 to 1e15 of its lengthscale and carries
+    # nearly all of p2; p2 * r0 + r2 formed in floats cancels there, which
+    # gave errors up to 30% with no error raised
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        dim = int(rng.integers(2, 6))
+        hyper = ArdSeHyper(float(10.0 ** rng.uniform(-2.0, 2.0)), 10.0 ** rng.uniform(-1.0, 1.0, size=dim), 0.0)
+        delta = rng.uniform(0.1, 3.0, size=dim) * hyper.lengthscales
+        k = int(rng.integers(dim))
+        delta[k] = hyper.lengthscales[k] * 10.0 ** rng.uniform(6.0, 15.0)
+        for i in range(dim):
+            # a zero baseline makes x - z = delta exactly
+            got = prior_attribution_variance(delta, np.zeros(dim), i, hyper)
+            want = _prior_closed_form_mp(delta, hyper, i)
+            assert abs(got - want) <= 1e-13 * want, (i, k, delta, hyper)
+
+
 def test_prior_variance_nonnegative_everywhere(rng):
     for _ in range(1000):
         dim = int(rng.integers(1, 5))
@@ -330,16 +365,18 @@ def _count_calls(monkeypatch):
     def predict(*args, **kwargs):
         raise AssertionError("attribution_report must not call predict")
 
-    def counted(real):
+    def counted(real, name):
         def wrapper(*args, **kwargs):
-            factor_solves.append(real.__name__)
+            factor_solves.append(name)
             return real(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(GprModel, "solve", solve)
     swaps = ((real_erf, erf), (gpattr.gpr.predict, predict))
-    swaps += tuple((f, counted(f)) for f in (scipy.linalg.solve_triangular, scipy.linalg.cho_solve))
+    swaps += tuple((f, counted(f, f.__name__)) for f in (scipy.linalg.solve_triangular, scipy.linalg.cho_solve))
+    for name in ("dtfsm", "dpftrs"):  # the packed-factor solves, looked up on scipy.linalg.lapack
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted(getattr(scipy.linalg.lapack, name), name))
     for module in [gpattr, *(m for m in vars(gpattr).values() if isinstance(m, types.ModuleType))]:
         for name, value in list(vars(module).items()):
             for old, new in swaps:
@@ -351,7 +388,8 @@ def _count_calls(monkeypatch):
 def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     # the paper's cost claim: d + 2 right-hand sides in one solve, one erf
     # over the 2n completed-square endpoints, one scalar erf for the prior;
-    # the solve is one triangular pass over the factor, not a full Cholesky solve
+    # the solve is one triangular pass over the packed factor (dtfsm), not a
+    # full Cholesky solve (dpftrs)
     n, dim = 23, 4
     X = rng.uniform(-2.0, 2.0, size=(n, dim))
     data = Dataset(X, np.cos(X).sum(axis=1), tuple(f"f{j}" for j in range(dim)))
@@ -360,12 +398,12 @@ def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     attribution_report(model, rng.uniform(-2.0, 2.0, size=dim), X.mean(axis=0))
     assert solves == [(n, dim + 2)]
     assert sorted(erf_sizes) == [1, 2 * n]
-    assert factor_solves == ["solve_triangular"]
+    assert factor_solves == ["dtfsm"]
     # the degenerate path takes the one-node fallback: still one solve, no erf
     solves.clear(), erf_sizes.clear(), factor_solves.clear()
     rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
     assert solves == [(n, dim + 2)] and erf_sizes == []
-    assert factor_solves == ["solve_triangular"]
+    assert factor_solves == ["dtfsm"]
     assert all(a.mean == 0.0 and a.variance == 0.0 for a in rep.attributions)
 
 

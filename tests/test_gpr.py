@@ -1,6 +1,6 @@
 """Regression-layer tests: Cholesky fit, prediction, likelihood, search,
-serialization. Dense linear algebra (explicit inverse, slogdet) serves as
-the oracle for the factored solves.
+serialization. Dense linear algebra (explicit inverse, slogdet) on the
+unpacked kernel matrix serves as the oracle for the packed factored solves.
 """
 
 import json
@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gpattr import (
     ArdSeHyper,
@@ -24,7 +25,7 @@ from gpattr import (
 from gpattr.data_io import Dataset, simulate
 from gpattr.gpr import jittered_cholesky, load_model_payload
 from gpattr.kernels import grad_i_cross, hess_ii_cross
-from oracles import jittered_cholesky_copying
+from oracles import jittered_cholesky_copying, packed_builder, unpack_factor, unpack_symmetric
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
 
@@ -52,7 +53,7 @@ def test_two_point_weights_by_hand():
 def test_weights_match_dense_solve():
     data = _dataset(40, seed=2)
     model = fit(data, HYP)
-    K = kernel_matrix(data.X, HYP) + HYP.noise_variance * np.eye(data.n)
+    K = unpack_symmetric(kernel_matrix(data.X, HYP)) + HYP.noise_variance * np.eye(data.n)
     want = np.linalg.solve(K, data.y - data.y.mean())
     assert np.abs(model.alpha - want).max() <= 1e-8
 
@@ -62,7 +63,7 @@ def test_solve_is_half_of_the_dense_quadratic_form(rng):
     # lower factor: chol @ solve(b) = b
     data = _dataset(40, seed=2)
     model = fit(data, HYP)
-    K = kernel_matrix(data.X, HYP) + HYP.noise_variance * np.eye(data.n)
+    K = unpack_symmetric(kernel_matrix(data.X, HYP)) + HYP.noise_variance * np.eye(data.n)
     B = rng.standard_normal((data.n, 3))
     C = rng.standard_normal((data.n, 4))
     got = model.solve(B).T @ model.solve(C)
@@ -70,7 +71,7 @@ def test_solve_is_half_of_the_dense_quadratic_form(rng):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     v = model.solve(B[:, 0])
     assert v.shape == (data.n,)
-    assert np.abs(model.chol @ v - B[:, 0]).max() <= 1e-14 * np.abs(B[:, 0]).max()
+    assert np.abs(unpack_factor(model.chol) @ v - B[:, 0]).max() <= 1e-14 * np.abs(B[:, 0]).max()
     with pytest.raises(ValueError):
         model.solve(np.full(data.n, np.nan))
 
@@ -78,7 +79,7 @@ def test_solve_is_half_of_the_dense_quadratic_form(rng):
 def test_prediction_matches_dense_formulas(rng):
     data = _dataset(35, seed=3)
     model = fit(data, HYP)
-    K = kernel_matrix(data.X, HYP) + HYP.noise_variance * np.eye(data.n)
+    K = unpack_symmetric(kernel_matrix(data.X, HYP)) + HYP.noise_variance * np.eye(data.n)
     Kinv = np.linalg.inv(K)
     for _ in range(10):
         xs = rng.uniform(-2.0, 2.0, size=2)
@@ -138,7 +139,7 @@ def test_loglik_single_zero_target_by_hand():
 def test_loglik_matches_dense_evaluation():
     data = _dataset(30, seed=8)
     model = fit(data, HYP)
-    K = kernel_matrix(data.X, HYP) + HYP.noise_variance * np.eye(data.n)
+    K = unpack_symmetric(kernel_matrix(data.X, HYP)) + HYP.noise_variance * np.eye(data.n)
     yc = data.y - data.y.mean()
     _, logdet = np.linalg.slogdet(K)
     want = -0.5 * yc @ np.linalg.solve(K, yc) - 0.5 * logdet - 0.5 * data.n * np.log(2 * np.pi)
@@ -208,22 +209,24 @@ def test_search_discounts_pure_noise_feature():
 
 def test_jittered_cholesky_clean_matrix_gets_no_jitter():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    L, jitter = jittered_cholesky(A.copy())  # the factor is written over its argument
+    L, jitter = jittered_cholesky(packed_builder(A))
+    L = unpack_factor(L)
     assert jitter == 0.0
     assert np.abs(L @ L.T - A).max() <= 1e-14
 
 
 def test_jittered_cholesky_escalates_then_reports():
-    L, jitter = jittered_cholesky(np.ones((2, 2)))  # singular PSD
+    L, jitter = jittered_cholesky(packed_builder(np.ones((2, 2))))  # singular PSD
+    L = unpack_factor(L)
     A = np.ones((2, 2)) + jitter * np.eye(2)
     assert jitter > 0.0
     assert np.abs(L @ L.T - A).max() <= 1e-12
     with pytest.raises(NumericalError):
-        jittered_cholesky(-np.eye(3))
+        jittered_cholesky(packed_builder(-np.eye(3)))
 
 
 def _noisy_kernel_matrix() -> np.ndarray:
-    K = kernel_matrix(_dataset(50, seed=20).X, HYP)
+    K = unpack_symmetric(kernel_matrix(_dataset(50, seed=20).X, HYP))
     K[np.diag_indices_from(K)] += HYP.noise_variance
     return K
 
@@ -250,17 +253,58 @@ FACTOR_CASES = {
 def test_jittered_cholesky_matches_the_copying_oracle_in_place(case):
     mat = FACTOR_CASES[case]()
     want, want_jitter = jittered_cholesky_copying(mat)  # leaves mat as it was
-    got, jitter = jittered_cholesky(mat)
-    assert np.shares_memory(got, mat)
+    built = []
+
+    def build(jitter):
+        built.append(packed_builder(mat)(jitter))
+        return built[-1]
+
+    got, jitter = jittered_cholesky(build)
+    assert np.shares_memory(got, built[-1])  # factored where it was built
     assert jitter == want_jitter
     assert (jitter > 0.0) == (case != "kernel-matrix")
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_packed_factor_needs_the_dense_jitter(case):
+    # dpftrf on the RFP layout retries exactly when dpotrf on the dense
+    # matrix does. The path covariance is near singular, so the two factors
+    # differ far above round-off; each reproduces mat + jitter * I to it.
+    mat = FACTOR_CASES[case]()
+    _, want_jitter = jittered_cholesky_copying(mat, dense=True)
+    got, jitter = jittered_cholesky(packed_builder(mat))
+    assert jitter == want_jitter
+    L = unpack_factor(got)
+    A = mat + jitter * np.eye(len(mat))
+    assert np.max(np.abs(L @ L.T - A)) <= 1e-14 * np.max(np.abs(A))
+
+
+def test_fit_that_needs_jitter_reports_the_dense_jitter():
+    data = _duplicated_rows()
+    hyper = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.0)
+    K = unpack_symmetric(kernel_matrix(data.X, hyper))
+    _, want = jittered_cholesky_copying(K, dense=True)
+    assert want > 0.0
+    assert fit(data, hyper).jitter == want
+
+
+@pytest.mark.parametrize("n", [99, 100])
+def test_packed_factor_and_solve_match_dense_scipy(n, rng):
+    data = _dataset(n, seed=25)
+    model = fit(data, HYP)
+    K = unpack_symmetric(kernel_matrix(data.X, HYP)) + HYP.noise_variance * np.eye(n)
+    dense = scipy.linalg.cholesky(K, lower=True)
+    assert np.max(np.abs(unpack_factor(model.chol) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    B = rng.standard_normal((n, 5))
+    want = scipy.linalg.solve_triangular(dense, B, lower=True)
+    assert np.max(np.abs(model.solve(B) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_jittered_cholesky_rejects_non_finite_entries():
     for bad in (np.inf, np.nan):
         with pytest.raises(NumericalError, match="non-finite"):
-            jittered_cholesky(np.array([[1.0, 0.0], [0.0, bad]]))
+            jittered_cholesky(packed_builder(np.array([[1.0, 0.0], [0.0, bad]])))
 
 
 def test_fit_rejects_weights_that_overflow():
@@ -280,14 +324,15 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_fit_and_load_model_hold_one_n_by_n_array(tmp_path):
-    # the factor is written over K + noise*I, so the peak stays near one
-    # n x n float64 array (copying K into a new factor needs two)
+def test_fit_and_load_model_hold_half_an_n_by_n_array(tmp_path):
+    # K + noise*I is assembled in RFP layout, n(n+1)/2 values, and factored
+    # in place there, so the peak stays near half an n x n float64 array
+    # (one dense n x n array would already exceed the limit)
     n = 1500
     data = _dataset(n, seed=22)
     path = tmp_path / "model.json"
     save_model(fit(data, HYP), str(path))
-    limit = 1.25 * 8 * n * n
+    limit = 0.7 * 8 * n * n
     assert _traced_peak(lambda: fit(data, HYP)) < limit
     assert _traced_peak(lambda: load_model(str(path))) < limit
 
@@ -340,7 +385,7 @@ def _rebuilt(model, **fields):
 def test_model_rejects_non_finite_factor():
     model = fit(_dataset(12, seed=21), HYP)
     chol = np.array(model.chol)
-    chol[5, 2] = np.nan
+    chol[17] = np.nan
     with pytest.raises(ValueError, match="chol"):
         _rebuilt(model, chol=chol)
     x_train = np.array(model.x_train)
@@ -356,7 +401,7 @@ def test_model_rejects_inconsistent_shapes():
     with pytest.raises(ValueError, match="alpha"):
         _rebuilt(model, alpha=model.alpha[:-1])
     with pytest.raises(ValueError, match="chol"):
-        _rebuilt(model, chol=model.chol[:-1, :-1])
+        _rebuilt(model, chol=model.chol[:-1])
     with pytest.raises(ValueError, match="x_train"):
         _rebuilt(model, x_train=np.hstack((model.x_train, model.x_train)))
 
@@ -364,7 +409,7 @@ def test_model_rejects_inconsistent_shapes():
 def test_model_arrays_are_read_only():
     model = fit(_dataset(12, seed=23), HYP)
     with pytest.raises(ValueError):
-        model.chol[0, 0] = 1.0
+        model.chol[0] = 1.0
     with pytest.raises(ValueError):
         model.alpha[0] = 1.0
     with pytest.raises(ValueError):
@@ -382,13 +427,17 @@ def test_load_model_rejects_truncated_alpha(tmp_path):
         load_model(str(path))
 
 
-def _jittered_model_file(tmp_path):
-    """A fit that needs jitter (duplicate rows, zero noise), saved."""
+def _duplicated_rows() -> Dataset:
     rng = np.random.default_rng(3)
     X = rng.uniform(-2.0, 2.0, size=(10, 2))
     X = np.vstack([X, X[:4]])
     y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(len(X))
-    model = fit(Dataset(X, y, ("f0", "f1")), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.0))
+    return Dataset(X, y, ("f0", "f1"))
+
+
+def _jittered_model_file(tmp_path):
+    """A fit that needs jitter (duplicate rows, zero noise), saved."""
+    model = fit(_duplicated_rows(), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.0))
     assert model.jitter > 0.0
     path = tmp_path / "model.json"
     save_model(model, str(path))

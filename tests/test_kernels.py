@@ -3,9 +3,11 @@
 Derivatives are checked against central finite differences of the plain
 kernel evaluation, which only assumes the value formula is right; that
 formula itself is pinned by hand-computed cases. The kernel block is checked
-against the explicit scaled-difference form kept in tests/oracles.py.
+against the explicit scaled-difference form kept in tests/oracles.py, and the
+packed kernel matrix against LAPACK's packing of the dense block.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -22,8 +24,17 @@ from gpattr import (
     kernel_cross,
     kernel_matrix,
 )
-from gpattr.gpr import jittered_cholesky
-from oracles import FD_STEP, ardse_eval, ardse_grad_i, ardse_hess_ii, kernel_cross_direct
+from gpattr.gpr import _noisy_kernel_matrix, jittered_cholesky
+from gpattr.kernels import _packed_diagonal
+from oracles import (
+    FD_STEP,
+    ardse_eval,
+    ardse_grad_i,
+    ardse_hess_ii,
+    kernel_cross_direct,
+    pack,
+    unpack_symmetric,
+)
 
 H2 = ArdSeHyper(2.0, np.array([1.0, 2.0]), 0.0)
 
@@ -123,9 +134,25 @@ def test_hess_cross_matches_scalar_loop(rng):
 
 def test_kernel_matrix_symmetric_with_exact_diagonal(rng):
     X = rng.uniform(-3.0, 3.0, size=(20, 2))
-    K = kernel_matrix(X, H2)
+    K = kernel_cross(X, X, H2)
     assert np.array_equal(K, K.T)
+    assert np.array_equal(unpack_symmetric(kernel_matrix(X, H2)), K)
     assert np.all(np.diag(K) == H2.signal_variance)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 65, 200, 513])
+def test_kernel_matrix_is_the_packed_dense_block_bit_for_bit(n):
+    # odd and even RFP layouts, and blocks that end on, before and after
+    # the 64-row block edge
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-3.0, 3.0, size=(n, 3))
+    hyper = ArdSeHyper(1.3, np.array([0.6, 1.1, 2.5]), 0.0)
+    K = kernel_matrix(X, hyper)
+    assert K.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(K, pack(kernel_cross(X, X, hyper)))
+    # the diagonal positions fit, load_model and the likelihood use, in order
+    ramp = np.arange(1.0, n + 1)
+    assert np.array_equal(pack(np.diag(ramp))[_packed_diagonal(n)], ramp)
 
 
 def _hostile_blocks(seed):
@@ -162,8 +189,9 @@ def test_cross_matches_direct_differences_on_hostile_inputs():
 def test_kernel_matrix_d8_symmetric_with_exact_diagonal(rng):
     X = rng.uniform(-3.0, 3.0, size=(500, 8))
     hyper = ArdSeHyper(1.7, rng.uniform(0.5, 4.0, size=8), 0.0)
-    K = kernel_matrix(X, hyper)
+    K = kernel_cross(X, X, hyper)
     assert np.array_equal(K, K.T)
+    assert np.array_equal(unpack_symmetric(kernel_matrix(X, hyper)), K)
     assert np.all(np.diag(K) == hyper.signal_variance)
 
 
@@ -177,23 +205,25 @@ def test_kernel_matrix_memory_is_one_block(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
+    # the packed matrix is 0.5 * 8n^2; each block adds about 64 x n values
+    assert peak <= 0.7 * n * n * 8
 
 
 def test_short_lengthscales_leave_no_subnormal_entries():
     # the hyperparameter search's 1/16-lengthscale start on n=800, d=8 rows
     # drawn uniformly from [0, 10]^8: entries below sv * eps^2 are exact
-    # zeros, so neither K nor its Cholesky factor holds a subnormal number
+    # zeros, so neither the packed K + noise*I nor its packed Cholesky factor
+    # holds a subnormal number
     rng = np.random.default_rng(1)
     X = rng.uniform(0.0, 10.0, size=(800, 8))
     y = np.sin(X[:, 0]) * np.sin(2.0 * X[:, 1]) + 0.5 * rng.standard_normal(800)
     y_var = float(np.var(y))
     hyper = ArdSeHyper(y_var, X.std(axis=0) / 16.0, 0.1 * y_var)
-    K = kernel_matrix(X, hyper)
     sq = cdist(X, X, "sqeuclidean", w=hyper.lengthscales**-2.0)
     assert np.any((sq > 1420.0) & (sq < 1480.0))  # exp(-sq/2) in the subnormal range
-    K[np.diag_indices_from(K)] += hyper.noise_variance
-    chol, _ = jittered_cholesky(K.copy())  # the factor is written over its argument
+    build = functools.partial(_noisy_kernel_matrix, X, hyper)
+    K = build(0.0)
+    chol, _ = jittered_cholesky(build)  # the factor is written over a fresh build
     tiny = np.finfo(float).tiny
     for block in (K, chol):
         assert np.all((block == 0.0) | (np.abs(block) >= tiny))
@@ -203,7 +233,7 @@ def test_kernel_matrix_near_psd(rng):
     # eigenvalues may round slightly negative, never materially
     X = rng.uniform(-3.0, 3.0, size=(60, 3))
     hyper = ArdSeHyper(1.5, np.array([0.7, 1.0, 1.3]), 0.0)
-    eigmin = np.linalg.eigvalsh(kernel_matrix(X, hyper)).min()
+    eigmin = np.linalg.eigvalsh(unpack_symmetric(kernel_matrix(X, hyper))).min()
     assert eigmin >= -1e-10 * hyper.signal_variance * len(X)
 
 

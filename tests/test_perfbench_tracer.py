@@ -8,6 +8,7 @@ import numpy as np
 
 import gpattr
 import gpattr.cli
+from oracles import packed_builder
 
 SPANTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
 
@@ -51,7 +52,7 @@ def test_jittered_cholesky_calls_gpr_cholesky_once_per_attempt(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(gpattr.gpr, "cholesky", counted)
-    gpattr.gpr.jittered_cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    gpattr.gpr.jittered_cholesky(packed_builder(np.array([[2.0, 0.5], [0.5, 1.0]])))
     assert len(calls) == 1
-    gpattr.gpr.jittered_cholesky(np.ones((2, 2)))  # one retry
+    gpattr.gpr.jittered_cholesky(packed_builder(np.ones((2, 2))))  # one retry
     assert len(calls) == 3
