@@ -16,7 +16,6 @@ one (the prior sums of attrib_exact._path_quadrature rely on the spacing):
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .attrib_exact import (
     AttributionGaussian,
@@ -25,7 +24,7 @@ from .attrib_exact import (
     _query_pair,
     attribution_report,
 )
-from .gpr import GprModel, _clamp_variance, jittered_cholesky
+from .gpr import GprModel, _clamp_variance
 from .kernels import _check_index, grad_i_cross, hess_ii_cross
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 _RULES = ("right_hand", "trapezoid", "simpson")
-# rows of standard normal draws the Monte Carlo oracle holds at once
-_MC_CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -173,19 +170,15 @@ def mc_attribution_oracle(
 
     The posterior gradient field along the path is jointly Gaussian with
         mean_j = sum_n alpha_n dk(path_j, x_n)/dx_i
-        cov_jk = d2k(path_j, path_k) - g_j^T (K + noise*I)^{-1} g_k,
-    the correction being W^T W with W = L^{-1} [g_1 ... g_J].
-    Draws of the field are integrated with trapezoid weights on the grid
-    and scaled by (x_i - z_i). Returns the sample mean and variance with
-    the standard error of the mean.
-
-    cov is packed for jittered_cholesky and its factor F unpacked for one
-    product; at grid_points x grid_points that costs next to nothing and
-    keeps one factorization path. With mean_field + F e a draw (e standard
-    normal), its integral is w.mean_field + e.(F^T w), so one matrix-vector
-    product per chunk of _MC_CHUNK_ROWS draws replaces the (samples, grid)
-    field matrix; the chunks read the generator's stream in the same order
-    as one (samples, grid) draw would.
+        cov_jk = d2k(path_j, path_k) - G_j^T (K + noise*I)^{-1} G_k,
+    G_j the kernel gradients at path node j. Its integral with trapezoid
+    weights w is Gaussian too, with mean g.alpha and variance
+    w^T H w - |L^{-1} g|^2, where g = G^T w, H is the block of mixed kernel
+    derivatives between the nodes and L the lower Cholesky factor of
+    K + noise*I. Each draw is (x_i - z_i) (g.alpha + sigma xi) with xi
+    standard normal: one solve with one right-hand side and one normal per
+    sample, and no field covariance to factor. Returns the sample mean and
+    variance with the standard error of the mean.
     """
     hyper = model.hyper
     x, z = _query_pair(x, baseline, hyper)
@@ -200,27 +193,16 @@ def mc_attribution_oracle(
 
     t = np.linspace(0.0, 1.0, grid_points)
     path = z[None, :] + t[:, None] * (x - z)[None, :]
-    G = grad_i_cross(path, model.x_train, i, hyper)
-    mean_field = G @ model.alpha
-    H = hess_ii_cross(path, path, i, hyper)
-    W = model.solve(G.T)
-    cov = H - W.T @ W
-    cov = 0.5 * (cov + cov.T)
-    eye = np.eye(grid_points)
-    factor, _ = jittered_cholesky(lambda jitter: lapack.dtrttf(cov + jitter * eye, transr="N", uplo="L")[0])
-    factor = np.tril(lapack.dtfttr(grid_points, factor, transr="N", uplo="L")[0])
-
     w = np.full(grid_points, 1.0 / (grid_points - 1))
     w[0] = w[-1] = 0.5 / (grid_points - 1)
-    mean_integral = mean_field @ w
-    loadings = factor.T @ w
+    g = grad_i_cross(path, model.x_train, i, hyper).T @ w
+    v = model.solve(g)
+    prior = w @ hess_ii_cross(path, path, i, hyper) @ w
+    sigma = np.sqrt(_clamp_variance(prior - v @ v, "Monte Carlo attribution", prior))
 
-    rng = np.random.default_rng(seed)
-    attr = np.empty(samples)
-    for start in range(0, samples, _MC_CHUNK_ROWS):
-        rows = min(_MC_CHUNK_ROWS, samples - start)
-        attr[start : start + rows] = rng.standard_normal(size=(rows, grid_points)) @ loadings
-    attr += mean_integral
+    attr = np.random.default_rng(seed).standard_normal(samples)
+    attr *= sigma
+    attr += g @ model.alpha
     attr *= gap
     emp_mean = float(np.mean(attr))
     emp_var = float(np.var(attr, ddof=1))

@@ -82,12 +82,16 @@ def sample_frequencies(m_features: int, hyper: ArdSeHyper, seed: int) -> np.ndar
 
 def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
     """Column n is the feature map of X[n], interleaved
-    [sin(x.v_1), cos(x.v_1), sin(x.v_2), ...]; shape (2M, N)."""
+    [sin(x.v_1), cos(x.v_1), sin(x.v_2), ...]; shape (2M, N), Fortran
+    ordered so LAPACK can factor it where it is. The projection X V^T
+    lands in the sin slots, which then give the cos and then their own
+    sin in place: one (2M, N) buffer and no temporary."""
     X = np.asarray(X, dtype=float)
-    proj = X @ frequencies.T  # (N, M)
-    out = np.empty((2 * frequencies.shape[0], X.shape[0]))
-    out[0::2] = np.sin(proj).T
-    out[1::2] = np.cos(proj).T
+    out = np.empty((2 * frequencies.shape[0], X.shape[0]), order="F")
+    sin_rows = out[0::2]
+    np.matmul(X, frequencies.T, out=sin_rows.T)
+    np.cos(sin_rows, out=out[1::2])
+    np.sin(sin_rows, out=sin_rows)
     return out
 
 
@@ -98,13 +102,14 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     ridge = M * noise_variance / signal_variance. With the thin QR Phi = Q R
     and C C^T = R R^T + ridge I (k x k, k = min(2M, N)) they are
     w = Q C^{-T} C^{-1} R y_centered: O(M N k) time and O(M N) memory, no
-    2M x 2M matrix. Zero noise makes A rank deficient whenever 2M > N, which
-    raises NumericalError.
+    2M x 2M matrix. The QR factors the design matrix in its own buffer,
+    which then holds Q. Zero noise makes A rank deficient whenever 2M > N,
+    which raises NumericalError.
     """
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
-    Q, R = qr(design_matrix(data.X, V), mode="economic")
+    Q, R = qr(design_matrix(data.X, V), mode="economic", overwrite_a=True)
     ridge = _ridge(m_features, hyper)
     core = R @ R.T
     core[np.diag_indices_from(core)] += ridge

@@ -6,8 +6,11 @@ vector, one prior variance and one training solve per feature), the
 quadrature engine (one gradient block, one Hessian block and one solve per
 feature, and every prior from the J x J kernel block between the path
 nodes) and the random-feature engine (the dense 2M x 2M primal fit, one
-gradient-integral vector and one triangular solve per feature). The Monte
-Carlo oracle is kept in its (samples, grid) field-matrix form. The package
+gradient-integral vector and one triangular solve per feature). The
+random-feature fit is also kept in its copying form, a QR of a C-ordered
+design matrix that scipy copies before factoring. The Monte Carlo oracle is
+kept in its (samples, grid) field-matrix form, and in its direct-law form
+through the dense J x J field covariance. The package
 computes all features in one pass and uses each engine's structure; tests
 check it against these functions, and these functions against quadrature
 and kernel derivatives. The GP variance corrections here
@@ -36,14 +39,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, qr, solve_triangular
 
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
 from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
-from gpattr.rfgp import _PHASE_REL_TOL, design_matrix, sample_frequencies
+from gpattr.rfgp import _PHASE_REL_TOL, RfgpModel, _ridge, design_matrix, sample_frequencies
 from gpattr.specfun import NumericalError, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -404,6 +407,53 @@ def mc_attribution_oracle_dense(
     emp_var = float(np.var(attr, ddof=1))
     sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
     return McOracleResult(emp_mean, emp_var, sem, samples)
+
+
+def mc_attribution_oracle_direct(
+    model: GprModel, x, baseline, i: int, grid_points: int, samples: int, seed: int
+) -> McOracleResult:
+    """Monte Carlo attribution draws from the law of the trapezoid integral
+    of the gradient field, with variance w^T cov w from the dense J x J
+    field covariance cov = H - G (K + noise*I)^{-1} G^T, each draw
+    (x_i - z_i) (w.mean_field + sqrt(w^T cov w) xi) from one standard normal."""
+    hyper = model.hyper
+    x = np.asarray(x, dtype=float).reshape(-1)
+    z = _baseline_values(baseline)
+    gap = float(x[i] - z[i])
+    if gap == 0.0:
+        return McOracleResult(0.0, 0.0, 0.0, samples)
+    t = np.linspace(0.0, 1.0, grid_points)
+    path = z[None, :] + t[:, None] * (x - z)[None, :]
+    G = grad_i_cross(path, model.x_train, i, hyper)
+    H = hess_ii_cross(path, path, i, hyper)
+    cov = H - G @ cho_solve((unpack_factor(model.chol), True), G.T)
+    w = np.full(grid_points, 1.0 / (grid_points - 1))
+    w[0] = w[-1] = 0.5 / (grid_points - 1)
+    var = _clamp_variance(float(w @ cov @ w), "Monte Carlo attribution", float(w @ H @ w))
+    xi = np.random.default_rng(seed).standard_normal(samples)
+    attr = gap * (w @ (G @ model.alpha) + np.sqrt(var) * xi)
+    emp_mean = float(np.mean(attr))
+    emp_var = float(np.var(attr, ddof=1))
+    sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
+    return McOracleResult(emp_mean, emp_var, sem, samples)
+
+
+def rfgp_fit_copying(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
+    """The random-feature fit with a C-ordered design matrix, filled from
+    a separate (N, M) projection, that scipy's qr copies to Fortran order
+    before factoring; the rest as gpattr.rfgp.rfgp_fit."""
+    V = sample_frequencies(m_features, hyper, seed)
+    proj = data.X @ V.T
+    Phi = np.empty((2 * m_features, data.X.shape[0]))
+    Phi[0::2] = np.sin(proj).T
+    Phi[1::2] = np.cos(proj).T
+    Q, R = qr(Phi, mode="economic")
+    core = R @ R.T
+    core[np.diag_indices_from(core)] += _ridge(m_features, hyper)
+    factor = cholesky(core, lower=True)
+    offset = float(data.y.mean())
+    weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
+    return RfgpModel(V, weights, Q, factor, hyper, seed, offset)
 
 
 def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.ndarray) -> np.ndarray:

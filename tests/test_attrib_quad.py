@@ -23,11 +23,12 @@ from gpattr import (
     quad_attribution,
 )
 from gpattr.attrib_exact import _path_quadrature
-from gpattr.attrib_quad import _MC_CHUNK_ROWS, function_evals
+from gpattr.attrib_quad import function_evals
 from gpattr.data_io import Dataset, simulate
 from oracles import (
     FD_STEP,
     mc_attribution_oracle_dense,
+    mc_attribution_oracle_direct,
     path_priors_dense,
     posterior_mean_gradient,
     quad_attribution_per_feature,
@@ -192,32 +193,48 @@ def test_mc_oracle_recovers_closed_form(sim_model):
         assert res.empirical_var == pytest.approx(exact.variance, rel=0.15)
 
 
-@pytest.mark.parametrize("samples", [2, 777, _MC_CHUNK_ROWS, 2500])
-def test_mc_oracle_matches_field_matrix_oracle(sim_model, samples):
-    # chunked draws through one matrix-vector product give the statistics
-    # of the (samples, grid) field matrix to round-off, from the same stream
+@pytest.mark.parametrize("samples", [2, 777, 1000, 2500])
+def test_mc_oracle_matches_direct_law_oracle(sim_model, samples):
+    # one normal per draw, scaled by the integral's standard deviation from
+    # one solve, gives the statistics of the same draws scaled by
+    # sqrt(w^T cov w) from the dense field covariance, to round-off
     x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
     for i in range(2):
         got = mc_attribution_oracle(sim_model, x, z, i, grid_points=65, samples=samples, seed=9)
-        want = mc_attribution_oracle_dense(sim_model, x, z, i, 65, samples, seed=9)
+        want = mc_attribution_oracle_direct(sim_model, x, z, i, 65, samples, seed=9)
         assert got.samples == want.samples == samples
         assert got.empirical_mean == pytest.approx(want.empirical_mean, rel=1e-12, abs=1e-14)
         assert got.empirical_var == pytest.approx(want.empirical_var, rel=1e-12)
         assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
 
 
+def test_mc_oracle_moments_match_field_matrix_oracle(sim_model):
+    # the draws have the law of the trapezoid integral of sampled gradient
+    # fields: at 20000 samples the two estimates of the mean agree within
+    # 5 standard errors of their difference, and the variances within 5
+    # standard errors of a Gaussian sample variance, sqrt(2 / (samples - 1))
+    samples = 20_000
+    x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
+    for i in range(2):
+        got = mc_attribution_oracle(sim_model, x, z, i, grid_points=65, samples=samples, seed=3)
+        want = mc_attribution_oracle_dense(sim_model, x, z, i, 65, samples, seed=4)
+        assert abs(got.empirical_mean - want.empirical_mean) <= 5.0 * math.hypot(got.std_error, want.std_error)
+        var_se = math.sqrt(2.0 / (samples - 1)) * math.hypot(got.empirical_var, want.empirical_var)
+        assert abs(got.empirical_var - want.empirical_var) <= 5.0 * var_se
+
+
 def test_mc_oracle_memory_is_one_chunk(sim_model):
     # defaults: 10000 samples on 257 grid points; the (samples, grid) draw
-    # matrix alone would be 20.6 MB, one chunk of draws is 2.1 MB
-    grid, samples = 257, 10_000
+    # matrix alone would be 20.6 MB, while the oracle holds one normal per
+    # sample next to its (grid, n) gradient and (grid, grid) Hessian blocks,
+    # within 3 MB
     tracemalloc.start()
     try:
         mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * _MC_CHUNK_ROWS * grid * 8
-    assert peak < samples * grid * 8 / 3
+    assert peak <= 3e6
 
 
 def test_mc_oracle_validation(sim_model):

@@ -25,6 +25,7 @@ from oracles import (
     feature_gradient_integral_per_feature,
     feature_map,
     rfgp_attribution_per_feature,
+    rfgp_fit_copying,
     rfgp_fit_dense,
     rfgp_mean,
 )
@@ -153,8 +154,9 @@ def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
 
 
 def test_fit_memory_is_linear_in_features_times_rows():
-    # M = 1000 on N = 199 rows: peak O(M N), a few (2M, N) arrays of 3.2 MB,
-    # where one 2M x 2M normal matrix alone would be 32 MB
+    # M = 1000 on N = 199 rows: peak O(M N), one (2M, N) array of 3.2 MB
+    # that the QR overwrites with Q, where one 2M x 2M normal matrix alone
+    # would be 32 MB
     data = simulate(199, 0.5, seed=5)
     m, n = 1000, 199
     tracemalloc.start()
@@ -164,7 +166,18 @@ def test_fit_memory_is_linear_in_features_times_rows():
     finally:
         tracemalloc.stop()
     assert model.basis.shape == (2 * m, n)
-    assert peak <= 5 * (2 * m) * n * 8
+    assert peak <= 1.5 * (2 * m) * n * 8
+
+
+@pytest.mark.parametrize("m", [3, 10, 100, 1000])
+@pytest.mark.parametrize("n", [37, 199, 500])
+def test_in_place_fit_is_bit_identical_to_copying_fit(n, m):
+    data = simulate(n, 0.5, seed=n)
+    got = rfgp_fit(data, HYP, m, seed=m)
+    want = rfgp_fit_copying(data, HYP, m, seed=m)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.core_factor, want.core_factor)
 
 
 def test_fit_rejects_zero_noise_rank_deficiency():
