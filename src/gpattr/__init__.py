@@ -26,7 +26,6 @@ from .attrib_quad import (
     quad_attribution,
 )
 from .data_io import (
-    Baseline,
     DataError,
     Dataset,
     NormStats,

@@ -33,13 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Baseline
 from .gpr import GprModel, _clamp_variance
 from .kernels import ArdSeHyper, _check_index, kernel_cross
 from .specfun import NumericalError, erf
 
 __all__ = [
-    "Baseline",
     "AttributionGaussian",
     "AttributionReport",
     "prior_attribution_variance",
@@ -74,12 +72,6 @@ class AttributionGaussian:
         return math.sqrt(self.variance)
 
 
-def _baseline_values(baseline) -> np.ndarray:
-    if isinstance(baseline, Baseline):
-        return baseline.values
-    return np.asarray(baseline, dtype=float).reshape(-1)
-
-
 def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]:
     """Query and baseline as flat float vectors, checked against the model.
 
@@ -91,7 +83,7 @@ def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]
     and the random features would all fail or return a meaningless number.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     if not (x.size == z.size == hyper.dim):
         raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, model {hyper.dim}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):

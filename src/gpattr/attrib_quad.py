@@ -13,6 +13,7 @@ one (the prior sums of attrib_exact._path_quadrature rely on the spacing):
     simpson      composite Simpson on L panels (2L+1 nodes, midpoints)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .attrib_exact import (
     attribution_report,
 )
 from .gpr import GprModel, _clamp_variance
-from .kernels import _check_index, grad_i_cross, hess_ii_cross
 
 __all__ = [
     "QuadratureSpec",
@@ -161,50 +161,39 @@ def mc_attribution_oracle(
     model: GprModel,
     x,
     baseline,
-    i: int,
     grid_points: int = 257,
     samples: int = 10_000,
     seed: int = 0,
-) -> McOracleResult:
-    """Monte Carlo check of the attribution law, bypassing the closed forms.
+) -> tuple[McOracleResult, ...]:
+    """Monte Carlo check of every feature's attribution law, bypassing the
+    closed forms.
 
-    The posterior gradient field along the path is jointly Gaussian with
-        mean_j = sum_n alpha_n dk(path_j, x_n)/dx_i
-        cov_jk = d2k(path_j, path_k) - G_j^T (K + noise*I)^{-1} G_k,
-    G_j the kernel gradients at path node j. Its integral with trapezoid
-    weights w is Gaussian too, with mean g.alpha and variance
-    w^T H w - |L^{-1} g|^2, where g = G^T w, H is the block of mixed kernel
-    derivatives between the nodes and L the lower Cholesky factor of
-    K + noise*I. Each draw is (x_i - z_i) (g.alpha + sigma xi) with xi
-    standard normal: one solve with one right-hand side and one normal per
-    sample, and no field covariance to factor. Returns the sample mean and
-    variance with the standard error of the mean.
+    The posterior gradient field along the path is jointly Gaussian, so its
+    integral with trapezoid weights on grid_points nodes is Gaussian too:
+    its law is quad_attribution's with the trapezoid rule on grid_points - 1
+    panels, one kernel block and one solve for all d features, and no field
+    covariance to factor. Feature i draws xi from default_rng(seed + i) and
+    takes mean_i + sign(x_i - z_i) std_i xi, the same draws as
+    (x_i - z_i) (field integral); a feature at its baseline returns exact
+    zeros. Returns, per feature, the sample mean and variance with the
+    standard error of the mean. Cost O(G n d + n^2 d + d samples) time and
+    O(G n + samples) memory for G grid points and n training rows.
     """
-    hyper = model.hyper
-    x, z = _query_pair(x, baseline, hyper)
-    _check_index(i, hyper.dim)
+    x, z = _query_pair(x, baseline, model.hyper)
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    gap = float(x[i] - z[i])
-    if gap == 0.0:
-        return McOracleResult(0.0, 0.0, 0.0, samples)
-
-    t = np.linspace(0.0, 1.0, grid_points)
-    path = z[None, :] + t[:, None] * (x - z)[None, :]
-    w = np.full(grid_points, 1.0 / (grid_points - 1))
-    w[0] = w[-1] = 0.5 / (grid_points - 1)
-    g = grad_i_cross(path, model.x_train, i, hyper).T @ w
-    v = model.solve(g)
-    prior = w @ hess_ii_cross(path, path, i, hyper) @ w
-    sigma = np.sqrt(_clamp_variance(prior - v @ v, "Monte Carlo attribution", prior))
-
-    attr = np.random.default_rng(seed).standard_normal(samples)
-    attr *= sigma
-    attr += g @ model.alpha
-    attr *= gap
-    emp_mean = float(np.mean(attr))
-    emp_var = float(np.var(attr, ddof=1))
-    sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
-    return McOracleResult(emp_mean, emp_var, sem, samples)
+    laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1))
+    results = []
+    for law, gap in zip(laws, x - z):
+        if gap == 0.0:
+            results.append(McOracleResult(0.0, 0.0, 0.0, samples))
+            continue
+        attr = np.random.default_rng(seed + law.feature_index).standard_normal(samples)
+        attr *= math.copysign(law.std, gap)
+        attr += law.mean
+        emp_var = float(np.var(attr, ddof=1))
+        sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
+        results.append(McOracleResult(float(np.mean(attr)), emp_var, sem, samples))
+    return tuple(results)

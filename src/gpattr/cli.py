@@ -44,7 +44,6 @@ from .attrib_quad import (
     quad_attribution,
 )
 from .data_io import (
-    Baseline,
     DataError,
     Dataset,
     NormStats,
@@ -66,7 +65,7 @@ from .gpr import (
     save_model,
 )
 from .kernels import ArdSeHyper
-from .rfgp import marginalized_attribution, rfgp_attribution, rfgp_fit
+from .rfgp import marginalized_attribution
 from .specfun import NumericalError
 
 __all__ = ["build_parser", "main", "entrypoint"]
@@ -329,13 +328,13 @@ def _training_dataset(args, mf: _ModelFile) -> Dataset:
     return Dataset(mf.model.x_train, mf.y_train, mf.names)
 
 
-def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, Baseline]:
+def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
     """Model file, model-space query and baseline for a command that
     attributes one query point. The model file is parsed once, and --data
     is read at most once, when the query or baseline needs it.
 
     The query is --query, a row of --data (--query-row) or the row held out
-    at fit time. Baseline policies: mean (training mean), values:...,
+    at fit time. The baseline policy is mean (training mean), values:... or
     filter:lo:hi (mean of the rows of --data, or else of the stored training
     rows, whose target falls in the window)."""
     mf = _read_model_file(args.model)
@@ -372,10 +371,10 @@ def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, Baseline]:
     elif policy == "values":
         baseline = model_space(arg, "--baseline values")
     elif args.data is not None:
-        baseline = model_space(target_filtered_baseline(dataset(), *arg).values, "--data")
+        baseline = model_space(target_filtered_baseline(dataset(), *arg), "--data")
     else:  # the stored training rows are already in model space
-        baseline = target_filtered_baseline(_training_dataset(args, mf), *arg).values
-    return mf, x, Baseline(values=baseline)
+        baseline = target_filtered_baseline(_training_dataset(args, mf), *arg)
+    return mf, x, baseline
 
 
 def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
@@ -398,27 +397,22 @@ def cmd_attribute(args) -> int:
         report = attribution_report(model, x, baseline)
     elif engine == "quad":
         report = report_from_rows(model, x, baseline, quad_attribution(model, x, baseline, quad_spec))
-    else:  # rfgp
-        train = _training_dataset(args, mf)
-        if args.rfgp_ensemble > 1:
-            mixtures = marginalized_attribution(
-                train, model.hyper, args.rfgp_features, x, baseline,
-                ensemble_size=args.rfgp_ensemble, seed=args.seed,
-            )
-            rows = [
-                AttributionGaussian(m.feature_index, m.mixture_mean, m.total_variance)
-                for m in mixtures
-            ]
-        else:
-            rfgp_model = rfgp_fit(train, model.hyper, args.rfgp_features, args.seed)
-            rows = rfgp_attribution(rfgp_model, x, baseline)
+    else:  # rfgp; an ensemble of one is the single fit's law exactly
+        mixtures = marginalized_attribution(
+            _training_dataset(args, mf), model.hyper, args.rfgp_features, x, baseline,
+            ensemble_size=args.rfgp_ensemble, seed=args.seed,
+        )
+        rows = [
+            AttributionGaussian(m.feature_index, m.mixture_mean, m.total_variance)
+            for m in mixtures
+        ]
         report = report_from_rows(model, x, baseline, rows)
 
     doc = write_report_json_dict(report, names)
     doc["engine"] = args.engine
     doc["query"] = x.tolist()
-    doc["baseline"] = baseline.values.tolist()
-    if mixtures is not None:
+    doc["baseline"] = baseline.tolist()
+    if mixtures is not None and args.rfgp_ensemble > 1:
         doc["mixtures"] = [m.to_json_dict() for m in mixtures]
     _write_json(doc, out / "attributions.json")
     write_report_csv(report, out / "attributions.csv", names)
@@ -437,7 +431,7 @@ def cmd_quad_sweep(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
     queries = _random_queries(model, args.queries, args.seed)
-    baseline = Baseline(values=model.x_train.mean(axis=0))
+    baseline = model.x_train.mean(axis=0)
 
     rows = convergence_sweep(
         model, queries, baseline, _items(args.rules, _rule), _items(args.l_values, _count)
@@ -482,9 +476,11 @@ def cmd_rfgp_compare(args) -> int:
     seeds = [args.seed + s for s in range(args.seeds)]
     per_m = [[] for _ in exact]
     for m in m_values:
-        draws = [rfgp_attribution(rfgp_fit(train, model.hyper, m, seed=s), x, baseline) for s in seeds]
-        for i, ex in enumerate(exact):
-            laws = [rows[i] for rows in draws]
+        draws = marginalized_attribution(
+            train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed
+        )
+        for i, (ex, mixture) in enumerate(zip(exact, draws)):
+            laws = mixture.components
             kls = [_sym_kl(a.mean, a.variance, ex.mean, ex.variance) for a in laws]
             kls = [k for k in kls if k is not None]
             per_m[i].append(
@@ -516,7 +512,7 @@ def cmd_rfgp_compare(args) -> int:
         "format": "gpattr-rfgp-compare",
         "version": 1,
         "query": x.tolist(),
-        "baseline": baseline.values.tolist(),
+        "baseline": baseline.tolist(),
         "m_values": m_values,
         "seeds": args.seeds,
         "features": features,
@@ -536,19 +532,18 @@ def cmd_rfgp_compare(args) -> int:
 def cmd_mc_validate(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
-    baseline = Baseline(values=model.x_train.mean(axis=0))
+    baseline = model.x_train.mean(axis=0)
     # the baseline itself is the degenerate case: exact zeros
-    queries = [*_random_queries(model, args.queries, args.seed), baseline.values]
+    queries = [*_random_queries(model, args.queries, args.seed), baseline]
 
     rows = []
     all_ok = True
     for qi, xq in enumerate(queries):
-        for i, closed in enumerate(attribution_report(model, xq, baseline).attributions):
-            mc = mc_attribution_oracle(
-                model, xq, baseline, i,
-                grid_points=args.grid_points, samples=args.samples,
-                seed=args.seed + 1000 * qi + i,
-            )
+        oracle = mc_attribution_oracle(
+            model, xq, baseline,
+            grid_points=args.grid_points, samples=args.samples, seed=args.seed + 1000 * qi,
+        )
+        for i, (closed, mc) in enumerate(zip(attribution_report(model, xq, baseline).attributions, oracle)):
             mean_ok = abs(mc.empirical_mean - closed.mean) <= 3.0 * mc.std_error + 1e-12
             if closed.variance > 0.0:
                 var_ok = abs(mc.empirical_var - closed.variance) <= 0.10 * closed.variance
@@ -575,7 +570,7 @@ def cmd_mc_validate(args) -> int:
         "version": 1,
         "samples": args.samples,
         "grid_points": args.grid_points,
-        "baseline": baseline.values.tolist(),
+        "baseline": baseline.tolist(),
         "all_ok": bool(all_ok),
         "rows": rows,
     }

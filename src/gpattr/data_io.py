@@ -15,7 +15,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "NormStats",
-    "Baseline",
     "load_csv",
     "normalize",
     "apply_norm",
@@ -76,23 +75,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """Reference input that attributions are measured against."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        object.__setattr__(self, "values", v)
-        if v.size == 0 or not np.all(np.isfinite(v)):
-            raise ValueError("baseline values must be a non-empty finite vector")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 def load_csv(path: str, target_column: str) -> Dataset:
@@ -177,12 +159,12 @@ def apply_norm(stats: NormStats, x: np.ndarray) -> np.ndarray:
     return (x - stats.mean) / stats.std
 
 
-def target_filtered_baseline(data: Dataset, y_min: float, y_max: float) -> Baseline:
+def target_filtered_baseline(data: Dataset, y_min: float, y_max: float) -> np.ndarray:
     """Feature-wise mean over the rows whose target lies in [y_min, y_max]."""
     mask = (data.y >= y_min) & (data.y <= y_max)
     if not np.any(mask):
         raise DataError(f"no rows with target in [{y_min}, {y_max}]")
-    return Baseline(values=data.X[mask].mean(axis=0))
+    return data.X[mask].mean(axis=0)
 
 
 def simulate(n_samples: int, noise_scale: float = 0.5, seed: int = 0) -> Dataset:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
-from .attrib_exact import AttributionGaussian, _baseline_values, _laws, _query_pair
+from .attrib_exact import AttributionGaussian, _laws, _query_pair
 from .data_io import Dataset
 from .kernels import ArdSeHyper
 from .specfun import NumericalError
@@ -103,13 +103,16 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     and C C^T = R R^T + ridge I (k x k, k = min(2M, N)) they are
     w = Q C^{-T} C^{-1} R y_centered: O(M N k) time and O(M N) memory, no
     2M x 2M matrix. The QR factors the design matrix in its own buffer,
-    which then holds Q. Zero noise makes A rank deficient whenever 2M > N,
-    which raises NumericalError.
+    which then holds Q; when 2M < N, Q is copied out so the model does not
+    keep the (2M, N) buffer alive behind its (2M, 2M) basis. Zero noise
+    makes A rank deficient whenever 2M > N, which raises NumericalError.
     """
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
     Q, R = qr(design_matrix(data.X, V), mode="economic", overwrite_a=True)
+    if Q.shape[1] < data.n:
+        Q = Q.copy(order="F")
     ridge = _ridge(m_features, hyper)
     core = R @ R.T
     core[np.diag_indices_from(core)] += ridge
@@ -148,7 +151,7 @@ def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarra
     to its limit, cos(c_m) and -sin(c_m).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     V = np.asarray(frequencies, dtype=float)
     if not (x.size == z.size == V.shape[1]):
         raise ValueError(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, qr, solve_triangular
 
-from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _baseline_values
+from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
 from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
@@ -166,7 +166,7 @@ def attr_coefficients(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> AttrC
     """Integrand coefficients for the kernel slice k(., x_center) and the
     variance kernel, along the path from baseline to x, feature i."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     c = np.asarray(x_center, dtype=float).reshape(-1)
     _check(x, z, i, hyper, c)
     ls2 = hyper.lengthscales**2
@@ -243,7 +243,7 @@ def kernel_slice_attribution(x, baseline, x_center, i: int, hyper: ArdSeHyper) -
     In one dimension this telescopes to k(x, x_center) - k(z, x_center).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     center = np.asarray(x_center, dtype=float).reshape(-1)
     _check(x, z, i, hyper, center)
     return float(slice_attribution_vector(x, z, center[None, :], i, hyper)[0])
@@ -252,7 +252,7 @@ def kernel_slice_attribution(x, baseline, x_center, i: int, hyper: ArdSeHyper) -
 def prior_variance_per_feature(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, one feature at a time."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     _check(x, z, i, hyper)
     ls2 = hyper.lengthscales**2
     delta = x - z
@@ -281,7 +281,7 @@ def gpr_attribution_per_feature(model: GprModel, x, baseline, i: int) -> Attribu
            - (slice attributions)^T (K + noise*I)^{-1} (slice attributions)
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     _check(x, z, i, model.hyper)
     a_vec = slice_attribution_vector(x, z, model.x_train, i, model.hyper)
     mean = float(a_vec @ model.alpha)
@@ -311,7 +311,7 @@ def quad_attribution_per_feature(
     q_n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     _check(x, z, i, model.hyper)
     gap = float(x[i] - z[i])
     t, w = nodes_weights(spec)
@@ -384,7 +384,7 @@ def mc_attribution_oracle_dense(
     sampled gradient fields, each integrated with trapezoid weights."""
     hyper = model.hyper
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     gap = float(x[i] - z[i])
     if gap == 0.0:
         return McOracleResult(0.0, 0.0, 0.0, samples)
@@ -418,7 +418,7 @@ def mc_attribution_oracle_direct(
     (x_i - z_i) (w.mean_field + sqrt(w^T cov w) xi) from one standard normal."""
     hyper = model.hyper
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     gap = float(x[i] - z[i])
     if gap == 0.0:
         return McOracleResult(0.0, 0.0, 0.0, samples)
@@ -467,7 +467,7 @@ def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.n
     to its limit, v_mi * cos(c_m) and -v_mi * sin(c_m).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     V = np.asarray(frequencies, dtype=float)
     if not (x.size == z.size == V.shape[1]):
         raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}")
@@ -531,7 +531,7 @@ def rfgp_attribution_per_feature(model: RfgpDense, x, baseline, i: int) -> Attri
     var  = (x_i - z_i)^2 * noise_variance * integral_vector^T A^{-1} integral_vector
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     zeta = feature_gradient_integral_per_feature(x, z, i, model.frequencies)
     gap = float(x[i] - z[i])
     mean = gap * float(zeta @ model.weights)
@@ -588,7 +588,7 @@ def bayes_linear_attribution(post_mean, post_cov, x, baseline, i: int) -> Attrib
     post_mean = np.asarray(post_mean, dtype=float).reshape(-1)
     post_cov = np.asarray(post_cov, dtype=float)
     x = np.asarray(x, dtype=float).reshape(-1)
-    z = _baseline_values(baseline)
+    z = np.asarray(baseline, dtype=float).reshape(-1)
     d = post_mean.size
     if post_cov.shape != (d, d) or x.size != d or z.size != d:
         raise ValueError(

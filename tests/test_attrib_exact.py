@@ -35,7 +35,7 @@ from gpattr import (
     write_report_json_dict,
 )
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
-from gpattr.data_io import Baseline, Dataset
+from gpattr.data_io import Dataset
 from gpattr.kernels import hess_ii_cross
 from oracles import (
     ardse_eval,
@@ -447,15 +447,17 @@ def test_report_rejects_non_finite_query(sim_model):
         attribution_report(sim_model, [np.nan, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         attribution_report(sim_model, [1.0, 1.0], [np.inf, 0.0])
+    with pytest.raises(ValueError):
+        attribution_report(sim_model, [1.0, 1.0], [])
 
 
 def test_report_fields_and_residual(sim_model):
     x = np.array([7.0, 2.0])
-    z = Baseline(np.array([3.0, 4.0]))
+    z = np.array([3.0, 4.0])
     rep = attribution_report(sim_model, x, z)
     assert len(rep.attributions) == 2
     assert rep.prediction_mean == pytest.approx(predict(sim_model, x)[0])
-    assert rep.baseline_prediction_mean == pytest.approx(predict(sim_model, z.values)[0])
+    assert rep.baseline_prediction_mean == pytest.approx(predict(sim_model, z)[0])
     want = abs(rep.total_mean - (rep.prediction_mean - rep.baseline_prediction_mean))
     assert rep.completeness_residual == pytest.approx(want, abs=1e-15)
     assert rep.completeness_residual <= 1e-10

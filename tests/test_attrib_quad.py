@@ -171,37 +171,43 @@ def test_simpson_beats_right_hand_at_equal_partitions(sim_model, rng):
 
 def test_mc_oracle_exact_zero_at_baseline(sim_model):
     z = np.array([3.0, 7.0])
-    res = mc_attribution_oracle(sim_model, z, z, 0, grid_points=33, samples=100)
-    assert res.empirical_mean == 0.0 and res.empirical_var == 0.0 and res.std_error == 0.0
+    for res in mc_attribution_oracle(sim_model, z, z, grid_points=33, samples=100):
+        assert res.empirical_mean == 0.0 and res.empirical_var == 0.0 and res.std_error == 0.0
+    # a feature at its baseline keeps exact zeros while the other moves
+    at, off = mc_attribution_oracle(sim_model, [3.0, 5.0], z, grid_points=33, samples=100)
+    assert at.empirical_mean == 0.0 and at.empirical_var == 0.0 and at.std_error == 0.0
+    assert off.empirical_var > 0.0
 
 
 def test_mc_oracle_deterministic_by_seed(sim_model):
     kw = dict(grid_points=65, samples=500, seed=11)
-    a = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0, **kw)
-    b = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0, **kw)
+    a = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], **kw)
+    b = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], **kw)
     assert a == b
-    c = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0, grid_points=65, samples=500, seed=12)
-    assert c.empirical_mean != a.empirical_mean
+    c = mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], grid_points=65, samples=500, seed=12)
+    assert c[0].empirical_mean != a[0].empirical_mean
 
 
 def test_mc_oracle_recovers_closed_form(sim_model):
     x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
-    for i in range(2):
+    results = mc_attribution_oracle(sim_model, x, z, grid_points=129, samples=4000, seed=5)
+    assert len(results) == 2
+    for i, res in enumerate(results):
         exact = gpr_attribution(sim_model, x, z, i)
-        res = mc_attribution_oracle(sim_model, x, z, i, grid_points=129, samples=4000, seed=5)
         assert abs(res.empirical_mean - exact.mean) <= 5.0 * res.std_error + 1e-12
         assert res.empirical_var == pytest.approx(exact.variance, rel=0.15)
 
 
 @pytest.mark.parametrize("samples", [2, 777, 1000, 2500])
 def test_mc_oracle_matches_direct_law_oracle(sim_model, samples):
-    # one normal per draw, scaled by the integral's standard deviation from
-    # one solve, gives the statistics of the same draws scaled by
-    # sqrt(w^T cov w) from the dense field covariance, to round-off
+    # feature i's normals from stream seed + i, scaled by the standard
+    # deviation of the all-feature trapezoid law, give the statistics of the
+    # same draws scaled by sqrt(w^T cov w) from that feature's dense field
+    # covariance, to round-off
     x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
-    for i in range(2):
-        got = mc_attribution_oracle(sim_model, x, z, i, grid_points=65, samples=samples, seed=9)
-        want = mc_attribution_oracle_direct(sim_model, x, z, i, 65, samples, seed=9)
+    results = mc_attribution_oracle(sim_model, x, z, grid_points=65, samples=samples, seed=9)
+    for i, got in enumerate(results):
+        want = mc_attribution_oracle_direct(sim_model, x, z, i, 65, samples, seed=9 + i)
         assert got.samples == want.samples == samples
         assert got.empirical_mean == pytest.approx(want.empirical_mean, rel=1e-12, abs=1e-14)
         assert got.empirical_var == pytest.approx(want.empirical_var, rel=1e-12)
@@ -212,12 +218,13 @@ def test_mc_oracle_moments_match_field_matrix_oracle(sim_model):
     # the draws have the law of the trapezoid integral of sampled gradient
     # fields: at 20000 samples the two estimates of the mean agree within
     # 5 standard errors of their difference, and the variances within 5
-    # standard errors of a Gaussian sample variance, sqrt(2 / (samples - 1))
+    # standard errors of a Gaussian sample variance, sqrt(2 / (samples - 1)).
+    # The oracle draws from streams 3 and 4, the field matrices from 5.
     samples = 20_000
     x, z = np.array([7.0, 2.0]), np.array([3.0, 4.0])
-    for i in range(2):
-        got = mc_attribution_oracle(sim_model, x, z, i, grid_points=65, samples=samples, seed=3)
-        want = mc_attribution_oracle_dense(sim_model, x, z, i, 65, samples, seed=4)
+    results = mc_attribution_oracle(sim_model, x, z, grid_points=65, samples=samples, seed=3)
+    for i, got in enumerate(results):
+        want = mc_attribution_oracle_dense(sim_model, x, z, i, 65, samples, seed=5)
         assert abs(got.empirical_mean - want.empirical_mean) <= 5.0 * math.hypot(got.std_error, want.std_error)
         var_se = math.sqrt(2.0 / (samples - 1)) * math.hypot(got.empirical_var, want.empirical_var)
         assert abs(got.empirical_var - want.empirical_var) <= 5.0 * var_se
@@ -226,11 +233,11 @@ def test_mc_oracle_moments_match_field_matrix_oracle(sim_model):
 def test_mc_oracle_memory_is_one_chunk(sim_model):
     # defaults: 10000 samples on 257 grid points; the (samples, grid) draw
     # matrix alone would be 20.6 MB, while the oracle holds one normal per
-    # sample next to its (grid, n) gradient and (grid, grid) Hessian blocks,
-    # within 3 MB
+    # sample next to the quadrature engine's (grid, n) kernel block and no
+    # (grid, grid) block, within 3 MB
     tracemalloc.start()
     try:
-        mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0], 0)
+        mc_attribution_oracle(sim_model, [7.0, 2.0], [3.0, 4.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,11 +246,9 @@ def test_mc_oracle_memory_is_one_chunk(sim_model):
 
 def test_mc_oracle_validation(sim_model):
     with pytest.raises(ValueError):
-        mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 0, grid_points=2)
+        mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], grid_points=2)
     with pytest.raises(ValueError):
-        mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 0, samples=1)
-    with pytest.raises(IndexError):
-        mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], 5)
+        mc_attribution_oracle(sim_model, [1.0, 1.0], [0.0, 0.0], samples=1)
 
 
 @pytest.mark.parametrize("rule", ["right_hand", "trapezoid", "simpson"])

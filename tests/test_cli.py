@@ -15,7 +15,10 @@ import pytest
 
 import gpattr
 from gpattr.cli import build_parser, main
-from gpattr.data_io import simulate
+from gpattr.data_io import Dataset, simulate
+from gpattr.gpr import load_model
+from gpattr.rfgp import rfgp_attribution, rfgp_fit
+from oracles import mc_attribution_oracle_direct
 
 HYPER_FLAGS = [
     "--signal-variance", "0.6",
@@ -181,6 +184,24 @@ def test_attribute_rfgp_engine_and_ensemble(workdir):
         assert len(m["components"]) == 5
 
 
+def test_attribute_rfgp_without_ensemble_is_the_single_fit_law(workdir):
+    # an ensemble of one writes the law of one fit bit for bit, and no mixtures
+    out = workdir["root"] / "attr_rfgp_single"
+    assert main(["attribute", "--model", str(workdir["model"]), "--query", "7.0,2.5",
+                 "--engine", "rfgp", "--rfgp-features", "30", "--seed", "2",
+                 "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "attributions.json").read_text())
+    assert "mixtures" not in doc
+    model = load_model(str(workdir["model"]))
+    y_train = json.loads(workdir["model"].read_text())["y_train"]
+    train = Dataset(model.x_train, np.array(y_train), ("x1", "x2"))
+    want = rfgp_attribution(
+        rfgp_fit(train, model.hyper, 30, 2), np.array(doc["query"]), np.array(doc["baseline"])
+    )
+    assert [a["mean"] for a in doc["attributions"]] == [w.mean for w in want]
+    assert [a["variance"] for a in doc["attributions"]] == [w.variance for w in want]
+
+
 def test_rerun_is_byte_identical(workdir):
     out = workdir["root"] / "rerun"
     cmd = ["attribute", "--model", str(workdir["model"]), "--query", "6.5,3.5",
@@ -273,6 +294,27 @@ def test_mc_validate_outputs(workdir):
     for row in tail:
         assert row["closed_mean"] == 0.0 and row["closed_variance"] == 0.0
         assert row["empirical_mean"] == 0.0 and row["empirical_variance"] == 0.0
+
+
+def test_mc_validate_rows_draw_from_one_stream_per_query_and_feature(workdir):
+    # row (q, i) holds the statistics of stream seed + 1000 q + i through
+    # the per-feature direct-law oracle, to round-off
+    out = workdir["root"] / "mc_streams"
+    assert main(["mc-validate", "--model", str(workdir["model"]), "--samples", "300",
+                 "--grid-points", "33", "--queries", "2", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "mc_validation.json").read_text())
+    model = load_model(str(workdir["model"]))
+    z = np.array(doc["baseline"])
+    assert len(doc["rows"]) == 6
+    for row in doc["rows"]:
+        qi, i = row["query_index"], row["feature_index"]
+        want = mc_attribution_oracle_direct(
+            model, np.array(row["query"]), z, i, 33, 300, seed=4 + 1000 * qi + i
+        )
+        assert row["empirical_mean"] == pytest.approx(want.empirical_mean, rel=1e-12, abs=1e-14)
+        assert row["empirical_variance"] == pytest.approx(want.empirical_var, rel=1e-12)
+        assert row["std_error"] == pytest.approx(want.std_error, rel=1e-12)
 
 
 def test_usage_errors_exit_2(workdir, tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gpattr.data_io import (
-    Baseline,
     DataError,
     Dataset,
     NormStats,
@@ -113,7 +112,7 @@ def test_target_filtered_baseline(rng):
     lo, hi = 2.0, 5.0
     mask = (y >= lo) & (y <= hi)
     want = X[mask].mean(axis=0)
-    assert np.allclose(target_filtered_baseline(data, lo, hi).values, want, atol=1e-15)
+    assert np.allclose(target_filtered_baseline(data, lo, hi), want, atol=1e-15)
     with pytest.raises(DataError):
         target_filtered_baseline(data, 100.0, 200.0)
     with pytest.raises(DataError):
@@ -129,15 +128,6 @@ def test_dataset_validation():
         Dataset(np.array([[np.nan, 0.0]]), np.zeros(1), ("a", "b"))
     with pytest.raises(ValueError):
         Dataset(np.zeros(3), np.zeros(3), ("a",))  # 1-D X
-
-
-def test_baseline_validation():
-    b = Baseline([1.0, 2.0])
-    assert b.dim == 2
-    with pytest.raises(ValueError):
-        Baseline([np.inf, 0.0])
-    with pytest.raises(ValueError):
-        Baseline([])
 
 
 def test_norm_stats_validation():

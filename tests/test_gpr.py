@@ -233,7 +233,8 @@ def _noisy_kernel_matrix() -> np.ndarray:
 
 def _path_gradient_covariance() -> np.ndarray:
     # the posterior covariance of the gradient field on a 257-node path, as
-    # mc_attribution_oracle forms it; its factor needs a jitter retry
+    # the field-matrix Monte Carlo oracle in tests/oracles.py forms it; its
+    # factor needs a jitter retry
     model = fit(_dataset(40, seed=21), HYP)
     x, z = np.array([1.5, -1.0]), np.array([-1.0, 0.5])
     path = z + np.linspace(0.0, 1.0, 257)[:, None] * (x - z)

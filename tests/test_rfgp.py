@@ -180,6 +180,14 @@ def test_in_place_fit_is_bit_identical_to_copying_fit(n, m):
     assert np.array_equal(got.core_factor, want.core_factor)
 
 
+def test_fit_keeps_no_design_sized_buffer_when_2m_is_below_n():
+    # with 2M < N the basis is (2M, 2M); it must not hold the (2M, N)
+    # buffer the QR factored the design matrix in
+    model = rfgp_fit(simulate(500, 0.5, seed=5), HYP, m_features=10, seed=0)
+    assert model.basis.shape == (20, 20)
+    assert model.basis.base is None or model.basis.base.size == model.basis.size
+
+
 def test_fit_rejects_zero_noise_rank_deficiency():
     data = simulate(20, 0.3, seed=7)
     hyper = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.0)
