@@ -11,32 +11,28 @@ Usage: python scripts/variance_profile.py --out profile.csv
 
 import argparse
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from gpattr import ArdSeHyper, attribution_report, fit, optimize_hyperparameters, simulate
 
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    n_train: int = 200
-    noise_scale: float = 0.5
-    seed: int = 5
-    search_budget: int = 60
-    t_max: float = 4.0
-    steps: int = 41
+N_TRAIN = 200
+NOISE_SCALE = 0.5
+SEARCH_BUDGET = 60
 
 
-def run(cfg: ProfileConfig, direction: np.ndarray) -> list[dict]:
-    data = simulate(cfg.n_train, cfg.noise_scale, seed=cfg.seed)
+def run(direction: np.ndarray, t_max: float, steps: int, seed: int) -> list[dict]:
+    """One row per t in linspace(0, t_max, steps): t and each feature's
+    attribution mean and std at x = t * direction, on a model searched and
+    fitted on the simulated benchmark drawn with seed."""
+    data = simulate(N_TRAIN, NOISE_SCALE, seed=seed)
     y_var = max(float(np.var(data.y)), 1e-8)
     init = ArdSeHyper(y_var, data.X.std(axis=0), 0.1 * y_var)
-    hyper = optimize_hyperparameters(data, init, cfg.search_budget)
+    hyper = optimize_hyperparameters(data, init, SEARCH_BUDGET)
     model = fit(data, hyper)
     baseline = np.zeros(data.dim)
     rows = []
-    for t in np.linspace(0.0, cfg.t_max, cfg.steps):
+    for t in np.linspace(0.0, t_max, steps):
         x = t * direction
         row = {"t": float(t)}
         report = attribution_report(model, x, baseline)
@@ -55,8 +51,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
 
-    cfg = ProfileConfig(t_max=args.t_max, steps=args.steps, seed=args.seed)
-    rows = run(cfg, direction=np.array([1.0, 1.0]))
+    rows = run(np.array([1.0, 1.0]), args.t_max, args.steps, args.seed)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -225,30 +225,6 @@ def _laws(means: np.ndarray, variances: np.ndarray) -> tuple[AttributionGaussian
     return tuple(AttributionGaussian(i, float(m), float(v)) for i, (m, v) in enumerate(pairs))
 
 
-def _exact_laws(model: GprModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attribution means and variances of every feature, plus the (2, n)
-    kernel rows at x and z, from one triangular solve W = L^{-1} [A, k_x, k_z]
-    with d + 2 right-hand sides.
-
-    mean = slice attributions A dotted with the representer weights
-    var  = prior double-integral term - colsum(W[:, :d]^2)
-    since diag(A^T (K + noise*I)^{-1} A) is the squared column norm of
-    L^{-1} A. The kernel rows ride along in the solve to give the posterior
-    variances sv - colsum(W[:, d:]^2) at x and z, which keep predict's
-    round-off guard.
-    """
-    hyper = model.hyper
-    d = hyper.dim
-    sv = hyper.signal_variance
-    A, prior = _slices_and_priors(x, z, model.x_train, hyper)
-    k_xz = kernel_cross(np.stack((x, z)), model.x_train, hyper)
-    W = model.solve(np.hstack((A, k_xz.T)))
-    squares = np.sum(W * W, axis=0)
-    _clamp_variance(sv - squares[d:], "query or baseline posterior", sv)
-    variances = _clamp_variance(prior - squares[:d], "attribution", sv)
-    return model.alpha @ A, variances, k_xz
-
-
 def prior_attribution_variance(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, read from the d prior
     variances of _slices_and_priors (which needs no training centers)."""
@@ -291,6 +267,26 @@ def _assemble(model: GprModel, rows, k_xz: np.ndarray) -> AttributionReport:
     )
 
 
+def _gaussian_report(
+    model: GprModel, x: np.ndarray, z: np.ndarray, A: np.ndarray, prior: np.ndarray
+) -> AttributionReport:
+    """Report of every feature's posterior attribution law from an engine's
+    (n, d) slice matrix A and d prior variances, by one triangular solve
+    W = L^{-1} [A, k_x, k_z]: mean = alpha . A, var = prior - colsum(W[:, :d]^2).
+    The kernel rows at x and z ride along to give the posterior variances
+    sv - colsum(W[:, d:]^2) there, which keep predict's round-off guard, and
+    the predictions whose gap the completeness residual is measured against.
+    """
+    d = model.hyper.dim
+    sv = model.hyper.signal_variance
+    k_xz = kernel_cross(np.stack((x, z)), model.x_train, model.hyper)
+    W = model.solve(np.hstack((A, k_xz.T)))
+    squares = np.sum(W * W, axis=0)
+    _clamp_variance(sv - squares[d:], "query or baseline posterior", sv)
+    variances = _clamp_variance(prior - squares[:d], "attribution", sv)
+    return _assemble(model, _laws(model.alpha @ A, variances), k_xz)
+
+
 def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
     """Attribute every feature and report the completeness residual
 
@@ -301,14 +297,13 @@ def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
     factor on d + 2 right-hand sides and one erf sweep over 2n points.
     """
     x, z = _query_pair(x, baseline, model.hyper)
-    means, variances, k_xz = _exact_laws(model, x, z)
-    return _assemble(model, _laws(means, variances), k_xz)
+    return _gaussian_report(model, x, z, *_slices_and_priors(x, z, model.x_train, model.hyper))
 
 
 def report_from_rows(model: GprModel, x, baseline, rows) -> AttributionReport:
-    """Report for engines that produce rows directly. The completeness
-    residual is measured against the exact posterior means, so approximate
-    engines show their true gap rather than zero."""
+    """Report around rows from an engine with its own posterior, the random
+    features. The completeness residual is measured against the exact
+    posterior means, so the rows show their true gap rather than zero."""
     x, z = _query_pair(x, baseline, model.hyper)
     return _assemble(model, rows, kernel_cross(np.stack((x, z)), model.x_train, model.hyper))
 

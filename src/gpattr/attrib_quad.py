@@ -19,18 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attrib_exact import (
-    AttributionGaussian,
-    _laws,
+    AttributionReport,
+    _gaussian_report,
     _path_quadrature,
     _query_pair,
     attribution_report,
 )
-from .gpr import GprModel, _clamp_variance
+from .gpr import GprModel
 
 __all__ = [
     "QuadratureSpec",
     "nodes_weights",
-    "function_evals",
     "quad_attribution",
     "SweepRow",
     "convergence_sweep",
@@ -74,14 +73,7 @@ def nodes_weights(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def function_evals(spec: QuadratureSpec) -> int:
-    """Integrand evaluations the rule spends (Simpson pays for midpoints)."""
-    return nodes_weights(spec)[0].size
-
-
-def quad_attribution(
-    model: GprModel, x, baseline, spec: QuadratureSpec
-) -> tuple[AttributionGaussian, ...]:
+def quad_attribution(model: GprModel, x, baseline, spec: QuadratureSpec) -> AttributionReport:
     """Quadrature approximation of the attribution law of every feature.
 
     mean_i: (x_i - z_i) * sum_l w_l dmu/dx_i(path_l)
@@ -90,18 +82,15 @@ def quad_attribution(
     q_i,n = (x_i - z_i) * sum_l w_l dk(path_l, x_n)/dx_i, so the variance is
     the exact posterior variance of the discretized functional. The q_i are
     the columns of one (n, d) matrix built from K(path, train), the priors
-    are sums over the J node lags (no J x J block), and one triangular solve
-    with the lower Cholesky factor on d right-hand sides gives every
-    correction as the squared norm |L^{-1} q_i|^2. Cost O(J n d + J^2 + n^2 d)
-    time and O(J n) memory for J nodes and n training rows.
+    are sums over the J node lags (no J x J block), and the rest is the
+    closed form's report: one solve on d + 2 right-hand sides. Its
+    completeness residual, against the exact gap mu(x) - mu(z), shows how
+    well the rule resolves the path. Cost O(J n d + J^2 + n^2 d) time and
+    O(J n) memory for J nodes and n training rows.
     """
     x, z = _query_pair(x, baseline, model.hyper)
     A, prior = _path_quadrature(x, z, model.x_train, model.hyper, *nodes_weights(spec))
-    means = model.alpha @ A
-    W = model.solve(A)
-    sv = model.hyper.signal_variance
-    variances = _clamp_variance(prior - np.sum(W * W, axis=0), "quadrature attribution", sv)
-    return _laws(means, variances)
+    return _gaussian_report(model, x, z, A, prior)
 
 
 @dataclass(frozen=True)
@@ -132,14 +121,14 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
             mean_errs = []
             var_errs = []
             for xq, laws in zip(queries, exact):
-                for approx, law in zip(quad_attribution(model, xq, baseline, spec), laws):
+                for approx, law in zip(quad_attribution(model, xq, baseline, spec).attributions, laws):
                     mean_errs.append(abs(approx.mean - law.mean))
                     var_errs.append(abs(approx.variance - law.variance))
             rows.append(
                 SweepRow(
                     rule=rule,
                     partitions=int(L),
-                    function_evals=function_evals(spec),
+                    function_evals=nodes_weights(spec)[0].size,
                     mean_abs_err=float(np.median(mean_errs)),
                     var_abs_err=float(np.median(var_errs)),
                 )
@@ -171,8 +160,9 @@ def mc_attribution_oracle(
     The posterior gradient field along the path is jointly Gaussian, so its
     integral with trapezoid weights on grid_points nodes is Gaussian too:
     its law is quad_attribution's with the trapezoid rule on grid_points - 1
-    panels, one kernel block and one solve for all d features, and no field
-    covariance to factor. Feature i draws xi from default_rng(seed + i) and
+    panels: one (G, n) kernel block, the (2, n) rows at x and z and one
+    solve on d + 2 columns for all d features, and no field covariance to
+    factor. Feature i draws xi from default_rng(seed + i) and
     takes mean_i + sign(x_i - z_i) std_i xi, the same draws as
     (x_i - z_i) (field integral); a feature at its baseline returns exact
     zeros. Returns, per feature, the sample mean and variance with the
@@ -184,7 +174,7 @@ def mc_attribution_oracle(
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1))
+    laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1)).attributions
     results = []
     for law, gap in zip(laws, x - z):
         if gap == 0.0:

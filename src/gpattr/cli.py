@@ -81,9 +81,11 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args, out: Path, seed_key: str) -> None:
+def _write_manifest(args, out: Path) -> None:
     """manifest.json: every parsed option under "options", except the
-    subcommand, its handler and the seed option, which goes under "seeds"."""
+    subcommand, its handler and the seed option (--data-seed for fit,
+    --seed for the others), which goes under "seeds"."""
+    seed_key = "seed" if hasattr(args, "seed") else "data_seed"
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", seed_key)}
     manifest = {
         "format": "gpattr-manifest",
@@ -172,17 +174,11 @@ def _baseline_policy(text: str) -> tuple[str, object]:
         return "values", _items(rest)
     if policy == "filter" and rest.count(":") == 1:
         lo, hi = rest.split(":")
-        return "filter", (float(lo), float(hi))
+        return "filter", (_number(lo), _number(hi))
     raise ValueError(f"expected mean, values:V1,V2,... or filter:LO:HI, got {text!r}")
 
 
 # ---------------------------------------------------------------- data
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _read_csv(args) -> Dataset:
@@ -220,8 +216,7 @@ def _resolve_hyper(args, data: Dataset) -> ArdSeHyper:
 # ---------------------------------------------------------------- fit
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+def cmd_fit(args, out: Path) -> None:
     if args.simulate is not None:
         data = simulate(args.simulate, noise_scale=args.noise_scale, seed=args.data_seed)
     else:
@@ -279,9 +274,7 @@ def cmd_fit(args) -> int:
     }
     _write_json(report, out / "fit_report.json")
 
-    _write_manifest(args, out, "data_seed")
     print(f"fit: n={data.n} lml={lml:.6f} -> {out / 'model.json'}")
-    return 0
 
 
 # ---------------------------------------------------------------- shared model/query plumbing
@@ -386,8 +379,7 @@ def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------- attribute
 
 
-def cmd_attribute(args) -> int:
-    out = _out_dir(args)
+def cmd_attribute(args, out: Path) -> None:
     mf, x, baseline = _load_query_context(args)
     model, names = mf.model, mf.names
     engine, quad_spec = _parse_engine(args.engine)
@@ -396,7 +388,7 @@ def cmd_attribute(args) -> int:
     if engine == "exact":
         report = attribution_report(model, x, baseline)
     elif engine == "quad":
-        report = report_from_rows(model, x, baseline, quad_attribution(model, x, baseline, quad_spec))
+        report = quad_attribution(model, x, baseline, quad_spec)
     else:  # rfgp; an ensemble of one is the single fit's law exactly
         mixtures = marginalized_attribution(
             _training_dataset(args, mf), model.hyper, args.rfgp_features, x, baseline,
@@ -417,18 +409,15 @@ def cmd_attribute(args) -> int:
     _write_json(doc, out / "attributions.json")
     write_report_csv(report, out / "attributions.csv", names)
 
-    _write_manifest(args, out, "seed")
     for a in report.attributions:
         print(f"attribute: {names[a.feature_index]:>12s} mean {a.mean:+.6f} std {a.std:.6f}")
     print(f"attribute: completeness residual {report.completeness_residual:.3e}")
-    return 0
 
 
 # ---------------------------------------------------------------- quad-sweep
 
 
-def cmd_quad_sweep(args) -> int:
-    out = _out_dir(args)
+def cmd_quad_sweep(args, out: Path) -> None:
     model = load_model(args.model)
     queries = _random_queries(model, args.queries, args.seed)
     baseline = model.x_train.mean(axis=0)
@@ -445,13 +434,11 @@ def cmd_quad_sweep(args) -> int:
                  repr(row.mean_abs_err), repr(row.var_abs_err)]
             )
 
-    _write_manifest(args, out, "seed")
     for row in rows:
         print(
             f"quad-sweep: {row.rule:>10s} L={row.partitions:<5d} evals={row.function_evals:<6d} "
             f"mean_err={row.mean_abs_err:.3e} var_err={row.var_abs_err:.3e}"
         )
-    return 0
 
 
 # ---------------------------------------------------------------- rfgp-compare
@@ -465,9 +452,8 @@ def _sym_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float |
     return float(kl(mean_a, var_a, mean_b, var_b) + kl(mean_b, var_b, mean_a, var_a))
 
 
-def cmd_rfgp_compare(args) -> int:
+def cmd_rfgp_compare(args, out: Path) -> None:
     m_values = _items(args.m_values, _count)
-    out = _out_dir(args)
     mf, x, baseline = _load_query_context(args)
     model, names = mf.model, mf.names
     train = _training_dataset(args, mf)
@@ -519,18 +505,15 @@ def cmd_rfgp_compare(args) -> int:
     }
     _write_json(doc, out / "rfgp_compare.json")
 
-    _write_manifest(args, out, "seed")
     for f in features:
         gaps = " ".join(f"M={p['m']}:{p['median_abs_mean_gap']:.4f}" for p in f["per_m"])
         print(f"rfgp-compare: {f['feature']:>12s} median gaps {gaps}")
-    return 0
 
 
 # ---------------------------------------------------------------- mc-validate
 
 
-def cmd_mc_validate(args) -> int:
-    out = _out_dir(args)
+def cmd_mc_validate(args, out: Path) -> None:
     model = load_model(args.model)
     baseline = model.x_train.mean(axis=0)
     # the baseline itself is the degenerate case: exact zeros
@@ -576,7 +559,6 @@ def cmd_mc_validate(args) -> int:
     }
     _write_json(doc, out / "mc_validation.json")
 
-    _write_manifest(args, out, "seed")
     for r in rows:
         flag = "ok" if (r["mean_within_3se"] and r["variance_within_10pct"]) else "MISMATCH"
         print(
@@ -585,7 +567,6 @@ def cmd_mc_validate(args) -> int:
             f"empirical ({r['empirical_mean']:+.4f}, {r['empirical_variance']:.4f}) {flag}"
         )
     print(f"mc-validate: all_ok={all_ok}")
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -669,7 +650,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        _write_manifest(args, out)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

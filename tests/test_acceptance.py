@@ -110,7 +110,7 @@ def test_criterion_02_closed_form_variances_match_tensor_quadrature(fitted):
             ref = float((x[i] - z[i]) ** 2 * sp_simpson(sp_simpson(H, x=t, axis=1), x=t))
             got = prior_attribution_variance(x, z, i, hyper)
             worst_prior = max(worst_prior, abs(got - ref) / max(abs(ref), 1e-10))
-            qv = quad[i].variance
+            qv = quad.attributions[i].variance
             ev = gpr_attribution(model, x, z, i).variance
             worst_full = max(worst_full, abs(qv - ev) / max(ev, 1e-10))
     _verdict(

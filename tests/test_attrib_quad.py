@@ -13,6 +13,7 @@ from gpattr import (
     ArdSeHyper,
     GprModel,
     QuadratureSpec,
+    attribution_report,
     convergence_sweep,
     fit,
     gpr_attribution,
@@ -23,7 +24,6 @@ from gpattr import (
     quad_attribution,
 )
 from gpattr.attrib_exact import _path_quadrature
-from gpattr.attrib_quad import function_evals
 from gpattr.data_io import Dataset, simulate
 from oracles import (
     FD_STEP,
@@ -73,9 +73,9 @@ def test_polynomial_exactness():
 
 
 def test_function_eval_counts():
-    assert function_evals(QuadratureSpec("right_hand", 8)) == 8
-    assert function_evals(QuadratureSpec("trapezoid", 8)) == 9
-    assert function_evals(QuadratureSpec("simpson", 8)) == 17
+    assert nodes_weights(QuadratureSpec("right_hand", 8))[0].size == 8
+    assert nodes_weights(QuadratureSpec("trapezoid", 8))[0].size == 9
+    assert nodes_weights(QuadratureSpec("simpson", 8))[0].size == 17
 
 
 def test_spec_validation():
@@ -105,7 +105,7 @@ def test_mean_gradient_vanishes_far_from_data(sim_model):
 def test_single_panel_right_hand_is_endpoint_gradient(sim_model):
     x = np.array([6.0, 3.0])
     z = np.array([2.0, 5.0])
-    a = quad_attribution(sim_model, x, z, QuadratureSpec("right_hand", 1))[0]
+    a = quad_attribution(sim_model, x, z, QuadratureSpec("right_hand", 1)).attributions[0]
     want = (x[0] - z[0]) * posterior_mean_gradient(sim_model, x, 0)
     assert a.mean == pytest.approx(want, rel=1e-12)
 
@@ -113,7 +113,7 @@ def test_single_panel_right_hand_is_endpoint_gradient(sim_model):
 def test_quad_zero_at_baseline(sim_model):
     z = np.array([4.0, 4.0])
     for rule in ("right_hand", "trapezoid", "simpson"):
-        a = quad_attribution(sim_model, z, z, QuadratureSpec(rule, 8))[1]
+        a = quad_attribution(sim_model, z, z, QuadratureSpec(rule, 8)).attributions[1]
         assert a.mean == 0.0 and a.variance == 0.0
 
 
@@ -122,7 +122,7 @@ def test_fine_simpson_agrees_with_closed_form(sim_model, rng):
     for _ in range(3):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        rows = quad_attribution(sim_model, x, z, spec)
+        rows = quad_attribution(sim_model, x, z, spec).attributions
         for i in range(2):
             exact = gpr_attribution(sim_model, x, z, i)
             approx = rows[i]
@@ -130,11 +130,29 @@ def test_fine_simpson_agrees_with_closed_form(sim_model, rng):
             assert approx.variance == pytest.approx(exact.variance, rel=1e-5, abs=1e-9)
 
 
+@pytest.mark.parametrize("rule", ["right_hand", "trapezoid", "simpson"])
+def test_quad_report_shares_the_exact_posterior_step(sim_model, rng, rule):
+    # the rule only changes the path integral: the predictions at x and z
+    # are the closed form's bit for bit, and the completeness residual is
+    # the rule's sum of means against the exact posterior gap mu(x) - mu(z)
+    for _ in range(4):
+        x = rng.uniform(0.0, 10.0, size=2)
+        z = rng.uniform(0.0, 10.0, size=2)
+        exact = attribution_report(sim_model, x, z)
+        gap = predict(sim_model, x)[0] - predict(sim_model, z)[0]
+        for L in (1, 8, 64):
+            quad = quad_attribution(sim_model, x, z, QuadratureSpec(rule, L))
+            assert quad.prediction_mean == exact.prediction_mean
+            assert quad.baseline_prediction_mean == exact.baseline_prediction_mean
+            want = abs(quad.total_mean - gap)
+            assert quad.completeness_residual == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_quad_variance_nonnegative(sim_model, rng):
     for _ in range(10):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        a = quad_attribution(sim_model, x, z, QuadratureSpec("trapezoid", 16))[0]
+        a = quad_attribution(sim_model, x, z, QuadratureSpec("trapezoid", 16)).attributions[0]
         assert a.variance >= 0.0
 
 
@@ -295,7 +313,7 @@ def test_quad_memory_is_one_node_by_train_block():
     # block alone would be 2049^2 * 8 bytes, about 33.6 MB
     model = fit(simulate(200, 0.5, seed=5), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1))
     spec = QuadratureSpec("simpson", 1024)
-    J, n = function_evals(spec), 200
+    J, n = nodes_weights(spec)[0].size, 200
     tracemalloc.start()
     try:
         quad_attribution(model, [7.0, 2.0], model.x_train.mean(axis=0), spec)
@@ -311,7 +329,7 @@ def test_quad_matches_exact_on_inert_feature(rng):
     X = rng.uniform(-2.0, 2.0, size=(25, 2))
     y = np.sin(X[:, 0]) + 0.2 * rng.standard_normal(25)
     model = fit(Dataset(X, y, ("a", "inert")), hyper)
-    a = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], QuadratureSpec("simpson", 64))[1]
+    a = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], QuadratureSpec("simpson", 64)).attributions[1]
     assert abs(a.mean) <= 1e-9 and a.variance <= 1e-9
 
 
@@ -343,7 +361,7 @@ def test_all_features_match_per_feature_oracle():
     for draw, (rule, L, dim, case, scale) in enumerate(grid):
         model, x, z = _quad_draw(rng, dim, case, scale)
         spec = QuadratureSpec(rule, L)
-        rows = quad_attribution(model, x, z, spec)
+        rows = quad_attribution(model, x, z, spec).attributions
         assert len(rows) == dim
         for i, got in enumerate(rows):
             want = quad_attribution_per_feature(model, x, z, i, spec)
@@ -357,9 +375,10 @@ def test_all_features_match_per_feature_oracle():
 
 
 def test_quad_costs_one_kernel_block_and_one_solve(rng, monkeypatch):
-    # every feature shares K(path, train) and one solve with d right-hand
-    # sides; the priors need no K(path, path) and no per-feature derivative
-    # blocks
+    # every feature shares K(path, train); the priors need no K(path, path)
+    # and no per-feature derivative blocks; from there the report costs what
+    # the exact engine's does: the (2, n) rows at x and z and one solve with
+    # d + 2 right-hand sides
     n, dim, L = 17, 3, 8
     X = rng.uniform(-2.0, 2.0, size=(n, dim))
     data = Dataset(X, np.cos(X).sum(axis=1), ("a", "b", "c"))
@@ -393,5 +412,5 @@ def test_quad_costs_one_kernel_block_and_one_solve(rng, monkeypatch):
         calls.clear()
         x = rng.uniform(-2.0, 2.0, size=dim)
         quad_attribution(model, x, X.mean(axis=0), QuadratureSpec(rule, L))
-        want = [("kernel_cross", nodes, n), ("solve", n, dim)]
+        want = [("kernel_cross", nodes, n), ("kernel_cross", 2, n), ("solve", n, dim + 2)]
         assert sorted(calls) == sorted(want), rule

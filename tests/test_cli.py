@@ -361,11 +361,38 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
         ("--rfgp-features", [*attr, "--engine", "rfgp", "--rfgp-features", "0"]),
         ("--rfgp-ensemble", [*attr, "--engine", "rfgp", "--rfgp-ensemble", "0"]),
         ("--rfgp-ensemble", [*attr, "--engine", "rfgp", "--rfgp-ensemble", "two"]),
+        ("--baseline", [*attr, "--baseline", "filter:nan:1"]),
+        ("--baseline", [*attr, "--baseline", "filter:1e400:2"]),
+        ("--baseline", [*attr, "--baseline", "filter:-inf:inf"]),
     ]
     for flag, argv in named:
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2, argv
         assert flag in capsys.readouterr().err, argv
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "rfgp_compare.json").exists()
+
+
+def test_quad_on_an_unresolved_path_shows_it_in_the_residual(tmp_path):
+    # the README model queried at x1 = 1e20, about 1.4e20 lengthscales from
+    # the baseline: 17 Simpson nodes cannot resolve the path, and the run
+    # still exits 0 with x1's mean about 7.05e17. The completeness residual,
+    # measured against the exact posterior gap, is the only sign of it; the
+    # closed form on the same query closes to round-off.
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--simulate", "200", "--noise-scale", "0.5", "--data-seed", "5",
+                 "--optimize", "60", "--query-row", "last", "--out-dir", str(fit_dir)]) == 0
+    docs = {}
+    for engine in ("quad:simpson:8", "exact"):
+        out = tmp_path / engine.replace(":", "-")
+        assert main(["attribute", "--model", str(fit_dir / "model.json"), "--query", "1e20,1",
+                     "--engine", engine, "--out-dir", str(out)]) == 0
+        docs[engine] = json.loads((out / "attributions.json").read_text())
+    quad, exact = docs["quad:simpson:8"], docs["exact"]
+    x1 = quad["attributions"][0]["mean"]
+    assert x1 == pytest.approx(7.05e17, rel=1e-3)
+    assert quad["completeness_residual"] == pytest.approx(x1, rel=1e-12)
+    assert exact["completeness_residual"] <= 1e-12
+    for key in ("prediction_mean", "baseline_prediction_mean"):
+        assert quad[key] == exact[key]
 
 
 def test_mc_validate_zero_queries_checks_the_baseline(workdir):
@@ -432,6 +459,18 @@ def test_readme_commands_parse_and_its_scripts_exist():
     scripts = re.findall(r"python (scripts/\S+\.py)", text)
     assert scripts
     assert [s for s in scripts if not (root / s).is_file()] == []
+
+
+def test_variance_profile_script_runs():
+    # the experiment script on a short ray: one row per step, exact zeros at
+    # the baseline (t = 0) and finite values with growing spread elsewhere
+    script = Path(__file__).resolve().parent.parent / "scripts" / "variance_profile.py"
+    rows = runpy.run_path(str(script))["run"](np.array([1.0, 1.0]), 2.0, 3, 5)
+    assert [r["t"] for r in rows] == [0.0, 1.0, 2.0]
+    assert list(rows[0]) == ["t", "mean_x1", "std_x1", "mean_x2", "std_x2"]
+    assert all(v == 0.0 for v in rows[0].values())
+    assert all(np.isfinite(v) for r in rows[1:] for v in r.values())
+    assert all(r["std_x1"] > 0.0 and r["std_x2"] > 0.0 for r in rows[1:])
 
 
 def test_data_errors_exit_3(workdir, tmp_path, capsys):
@@ -564,7 +603,7 @@ def test_main_lets_other_exceptions_surface(workdir, tmp_path, monkeypatch):
     # else is a bug and must keep its traceback
     argv = ["quad-sweep", "--model", str(workdir["model"]), "--out-dir", str(tmp_path)]
     for exc in (ValueError("bug"), KeyError("bug"), TypeError("bug")):
-        def broken(args, exc=exc):
+        def broken(args, out, exc=exc):
             raise exc
         monkeypatch.setattr(gpattr.cli, "cmd_quad_sweep", broken)
         with pytest.raises(type(exc)):
