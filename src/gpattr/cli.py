@@ -173,8 +173,10 @@ def _baseline_policy(text: str) -> tuple[str, object]:
     if policy == "values":
         return "values", _items(rest)
     if policy == "filter" and rest.count(":") == 1:
-        lo, hi = rest.split(":")
-        return "filter", (_number(lo), _number(hi))
+        lo, hi = map(_number, rest.split(":"))
+        if lo > hi:
+            raise ValueError(f"filter window needs LO <= HI, got {text!r}")
+        return "filter", (lo, hi)
     raise ValueError(f"expected mean, values:V1,V2,... or filter:LO:HI, got {text!r}")
 
 

@@ -146,6 +146,25 @@ def test_attribute_query_at_baseline_is_all_zero(workdir):
     assert doc["completeness_residual"] == 0.0
 
 
+def test_query_with_a_leading_minus_takes_the_equals_form(workdir, tmp_path, capsys):
+    # argparse reads "-1.5,2" after a space as an option, not as a value
+    attr = ["attribute", "--model", str(workdir["model"])]
+    assert main([*attr, "--query=-1.5,2", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "attributions.json").read_text())["query"] == [-1.5, 2.0]
+    assert main([*attr, "--query", "-1.5,2", "--out-dir", str(tmp_path / "bare")]) == 2
+    assert "--query: expected one argument" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # the hyperparameter search imports it only when it forks, so no command
+    # pays for it at start-up
+    src = str(Path(gpattr.__file__).resolve().parents[1])
+    code = "import sys, gpattr.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_attribute_filter_baseline_from_stored_targets(workdir):
     out = workdir["root"] / "attr_filter"
     rc = main(
@@ -364,6 +383,7 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
         ("--baseline", [*attr, "--baseline", "filter:nan:1"]),
         ("--baseline", [*attr, "--baseline", "filter:1e400:2"]),
         ("--baseline", [*attr, "--baseline", "filter:-inf:inf"]),
+        ("--baseline", [*attr, "--baseline", "filter:2:1"]),  # LO > HI
     ]
     for flag, argv in named:
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2, argv

@@ -4,6 +4,8 @@ unpacked kernel matrix serves as the oracle for the packed factored solves.
 """
 
 import json
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from gpattr import (
     save_model,
 )
 from gpattr.data_io import Dataset, simulate
+from gpattr import gpr
 from gpattr.gpr import jittered_cholesky, load_model_payload
 from gpattr.kernels import grad_i_cross, hess_ii_cross
 from oracles import jittered_cholesky_copying, packed_builder, unpack_factor, unpack_symmetric
@@ -205,6 +208,96 @@ def test_search_discounts_pure_noise_feature():
     best = optimize_hyperparameters(aug, init, 60)
     relevance = 1.0 / best.lengthscales
     assert relevance[2] < 0.5 * relevance[:2].min()
+
+
+def _large_search_case(monkeypatch):
+    """Data with just enough rows for the search to fork its starts. The
+    threshold comes down to 80 rows: this process's BLAS may run on every
+    CPU, and at 400 rows two such pools made one of these tests take 12 s
+    on two CPUs, against 0.3 s at 80 rows."""
+    monkeypatch.setattr(gpr, "_FORK_ROWS", 80)
+    data = _dataset(80, seed=21, dim=3)
+    return data, ArdSeHyper(max(np.var(data.y), 1e-8), data.X.std(axis=0), 0.1 * np.var(data.y))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 60, 61])
+def test_forked_search_matches_one_process(monkeypatch, budget):
+    data, init = _large_search_case(monkeypatch)
+    real_fit, calls = gpr.fit, []
+
+    def counted_fit(*args):
+        calls.append(args)
+        return real_fit(*args)
+
+    monkeypatch.setattr(gpr, "fit", counted_fit)
+    found = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(gpr, "_usable_cpus", lambda cpus=cpus: cpus)
+        calls.clear()
+        found[cpus] = optimize_hyperparameters(data, init, budget)
+        assert multiprocessing.active_children() == []
+        # fits in forked processes are not counted here
+        assert len(calls) == (budget if cpus == 1 or budget == 1 else (budget + 1) // 2)
+    one, forked = found[1], found[2]
+    assert forked.signal_variance == one.signal_variance
+    assert forked.noise_variance == one.noise_variance
+    assert np.array_equal(forked.lengthscales, one.lengthscales)
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    (ValueError("no fit in a child"), ValueError, "no fit in a child"),
+    (None, RuntimeError, "exited with code 3"),
+])
+def test_forked_search_reraises_child_failures_and_reaps(monkeypatch, failure, error, message):
+    data, init = _large_search_case(monkeypatch)
+    real_fit, caller = gpr.fit, os.getpid()
+
+    def fit_in_caller_only(*args):
+        if os.getpid() != caller:  # starts 1 and 3, forked
+            if failure is None:
+                os._exit(3)
+            raise failure
+        return real_fit(*args)
+
+    monkeypatch.setattr(gpr, "fit", fit_in_caller_only)
+    monkeypatch.setattr(gpr, "_usable_cpus", lambda: 2)
+    with pytest.raises(error, match=message):
+        optimize_hyperparameters(data, init, 60)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("openblas, omp, per_cpu", [
+    (None, None, None),  # BLAS runs on every CPU: no room for a second process
+    ("1", "4", 1),
+    (None, "1", 1),
+    ("2", None, 2),
+    ("0", None, None),  # OpenBLAS reads 0 as unset
+    ("two", None, None),
+])
+def test_usable_cpus_leave_each_blas_thread_a_cpu(monkeypatch, openblas, omp, per_cpu):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    expected = 1 if per_cpu is None else max(1, len(os.sched_getaffinity(0)) // per_cpu)
+    assert gpr._usable_cpus() == expected
+
+
+def test_search_raises_on_non_finite_initial_likelihood_before_forking(monkeypatch):
+    data, init = _large_search_case(monkeypatch)
+
+    def no_fit(*args):
+        raise NumericalError("matrix to factor has non-finite entries")
+
+    def no_starts(*args):
+        raise AssertionError("the search ran its starts")
+
+    monkeypatch.setattr(gpr, "fit", no_fit)
+    monkeypatch.setattr(gpr, "_run_starts", no_starts)
+    monkeypatch.setattr(gpr, "_usable_cpus", lambda: 2)
+    with pytest.raises(NumericalError, match="not finite at the initial hyperparameters"):
+        optimize_hyperparameters(data, init, 60)
 
 
 def test_jittered_cholesky_clean_matrix_gets_no_jitter():
