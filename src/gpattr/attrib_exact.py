@@ -11,14 +11,15 @@ double-integral term with a data correction through the training solve.
 Both pieces reduce to closed forms for the ARD squared-exponential kernel
 because every integrand is a Gaussian in t times a low-degree polynomial:
 
-    slice integrand  (q1*t + q0) * exp(-(p2*t^2 + p1*t + p0) / 2)
+    slice integrand  (o_i + (t-t0)*delta_i) * exp(-(|o|^2 + p2*(t-t0)^2) / 2)
     variance kernel  (r0 + r2*(s-t)^2) * exp(-p2*(s-t)^2 / 2)
 
-The closed forms are evaluated in a rearrangement whose exponents are all
-non-positive (guaranteed by Cauchy-Schwarz), so nothing overflows. When
-the path is degenerate (p2 ~ 0, query at the baseline) the formulas
-divide by ~0, and evaluation takes their p2 -> 0 limit instead: the
-integrands at the path's midpoint.
+The slice integrand is written around the training point's closest
+approach t0 to the path, where o is its perpendicular offset, so every
+exponent is -1/2 of a squared distance and none is positive. When the
+path is degenerate (p2 ~ 0, query at the baseline) the formulas divide by
+~0, and evaluation takes their p2 -> 0 limit instead: the integrands at
+the path's midpoint.
 
 Every feature shares the path and every training point shares the
 feature-free part of its integrand, so a report for all d features costs
@@ -130,53 +131,48 @@ def _path_quadrature(
     return A, delta**2 * (flat / ls2 - delta**2 * lagged / ls2**2)
 
 
-def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
-    """Attribution of every feature i applied to every kernel slice
-    k(., center_n), as an (n, d) matrix, for a non-degenerate path.
+def _others(a: np.ndarray) -> np.ndarray:
+    """sum_{j != i} a[..., j] for every i. The j = i term enters as an exact
+    zero, so nothing cancels when a[..., i] is nearly the whole sum."""
+    return a @ (1.0 - np.eye(a.shape[-1]))
 
-    Along the path the integrand is (q1*t + q0) * exp(-(p2 t^2 + p1 t + p0)/2)
-    with p2 shared by all points and features, p1 and p0 per point, q1 per
-    feature and q0 per (point, feature). Completing the square splits the
-    integral into an exponential difference and an erf difference; the erf
-    arguments t0, t1 depend on the point only, so one erf sweep over the 2n
-    values serves every feature. Every exponent here is <= 0: the erf-term
-    exponent by Cauchy-Schwarz (p1^2 <= 4 p2 p0), the others because each
-    polynomial value is a squared scaled distance.
+
+@np.errstate(over="ignore")
+def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
+    """Attribution of every feature i applied to every kernel slice k(., c),
+    as an (n, d) matrix, for a non-degenerate path.
+
+    With norms and dot products scaled by 1/ls^2 and delta = x - z, the
+    offset of the path from c is o + (t - t0) delta: t0 = -(z - c).delta/p2
+    is the closest approach and o, perpendicular to delta, the offset there.
+    With t1 = t0 - 1 = -(x - c).delta/p2 and s = sqrt(p2/2),
+
+        A[c, i] = -sv delta_i / ls_i^2 * [ delta_i/p2 (e^{-|z-c|^2/2} - e^{-|x-c|^2/2})
+                  + o_i e^{-|o|^2/2} sqrt(pi/(2 p2)) (erf(s t0) - erf(s t1)) ].
+
+    Each exponent is -1/2 of a squared distance formed directly, never
+    positive; a distance past the float range gives -inf, whose exp is 0.
+    o is projected from the nearer endpoint's offset r as
+    o_i = r_i sum_{j != i} a_j / p2 - delta_i sum_{j != i} r_j delta_j / ls_j^2 / p2,
+    a_j = delta_j^2 / ls_j^2, leaving out the j = i terms, which cancel
+    exactly: r + t0 delta would keep an along-path residual of eps |r|.
+    Near either end the slices are exact to round-off at any path length; a
+    center whose closest approach lies D lengthscales from both ends loses
+    about eps * D, as forming its offset from z does. One erf sweep over
+    the 2n arguments serves every feature.
     """
-    ls2 = hyper.lengthscales**2
-    sv = hyper.signal_variance
+    inv = hyper.lengthscales**-2.0
     delta = x - z
-    r = z[None, :] - centers
-    p2 = float(np.sum(delta**2 / ls2))
-    p1 = 2.0 * (r / ls2) @ delta
-    p0 = np.sum(r**2 / ls2, axis=1)
-    q1 = -sv * delta**2 / ls2
-    q0 = -sv * delta * r / ls2
-    root = math.sqrt(2.0 * p2)
-    # endpoint-exponential difference e^{-(p0+p1+p2)/2} - e^{-p0/2}, factored
-    # by the sign of p2 + p1 so the expm1 argument is never positive: the
-    # single-sided form overflows when the baseline sits far from a training
-    # point while the query is close (p1 << -p2), yielding inf * 0.
-    half = 0.5 * (p2 + p1)
-    down = np.expm1(-np.maximum(half, 0.0))
-    up = np.expm1(np.minimum(half, 0.0))
-    diff = np.where(
-        half >= 0.0,
-        np.exp(-0.5 * p0) * down,
-        -np.exp(-0.5 * (p0 + p1 + p2)) * up,
-    )
-    exp_part = -(q1 / p2) * diff[:, None]
-    ends = erf(np.concatenate((p1 / (2.0 * root), (2.0 * p2 + p1) / (2.0 * root))))
-    n = p1.size
-    log_pref = np.minimum(p1**2 / (8.0 * p2) - 0.5 * p0, 0.0)
-    erf_part = (
-        _SQRT_2PI
-        * (p1[:, None] * q1 - 2.0 * p2 * q0)
-        / (4.0 * p2**1.5)
-        * np.exp(log_pref)[:, None]
-        * (ends[:n] - ends[n:])[:, None]
-    )
-    return exp_part + erf_part
+    w = delta * inv
+    p2 = float(delta @ w)
+    rz, rx = z - centers, x - centers
+    t0, t1 = -(rz @ w) / p2, -(rx @ w) / p2
+    r = np.where((t0 <= 0.5)[:, None], rz, rx)
+    o = r * (_others(delta * w) / p2) - delta * (_others(r * w) / p2)
+    e0, e1 = np.split(erf(math.sqrt(0.5 * p2) * np.concatenate((t0, t1))), 2)
+    gauss = math.sqrt(0.5 * math.pi / p2) * np.exp(-0.5 * ((o * o) @ inv)) * (e0 - e1)
+    ez, ex = (np.exp(-0.5 * ((v * v) @ inv)) for v in (rz, rx))
+    return -(hyper.signal_variance * w) * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
 
 
 def _slices_and_priors(
@@ -207,9 +203,7 @@ def _slices_and_priors(
     else:
         r0 = hyper.signal_variance / ls2
         a = delta**2 / ls2
-        before = np.concatenate(([0.0], np.cumsum(a[:-1])))
-        after = np.concatenate((np.cumsum(a[:0:-1])[::-1], [0.0]))
-        others = before + after  # sum_{j != i} a_j, with no subtraction
+        others = _others(a)
         one_minus_exp = -math.expm1(-0.5 * p2)
         bracket = r0 * (
             _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * others / p2**1.5
@@ -249,10 +243,6 @@ class AttributionReport:
     completeness_residual: float
     prediction_mean: float
     baseline_prediction_mean: float
-
-    @property
-    def total_mean(self) -> float:
-        return sum(a.mean for a in self.attributions)
 
 
 def _assemble(model: GprModel, rows, k_xz: np.ndarray) -> AttributionReport:

@@ -34,10 +34,6 @@ __all__ = [
     "marginalized_attribution",
 ]
 
-# a frequency whose phase moves by at most this fraction of |v_m| |x - z|
-# along the path takes the limit of its gradient-integral quotient
-_PHASE_REL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class RfgpModel:
@@ -144,11 +140,12 @@ def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarra
     column i holds the d/dx_i integrals.
 
     With u_m = v_m . (x - baseline) and c_m = v_m . baseline:
-        sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
-        cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
-    The quotients do not depend on i, so column i is V[:, i] times them.
-    When |u_m| <= _PHASE_REL_TOL * |v_m| * |x - baseline| the quotient switches
-    to its limit, cos(c_m) and -sin(c_m).
+        sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m =  v_mi * cos(m_m) * q_m
+        cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m = -v_mi * sin(m_m) * q_m
+    with the midpoint phase m_m = v_m . (x + baseline) / 2 and
+    q_m = sin(u_m / 2) / (u_m / 2) = np.sinc(u_m / (2 pi)), which is 1 at
+    u_m = 0: no difference is taken, so no phase needs a limit branch. The
+    quotients do not depend on i, so column i is V[:, i] times them.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = np.asarray(baseline, dtype=float).reshape(-1)
@@ -157,27 +154,11 @@ def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarra
         raise ValueError(
             f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}"
         )
-    delta = x - z
-    u = V @ delta
-    c = V @ z
-    thresholds = _PHASE_REL_TOL * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
-    degenerate = np.abs(u) <= thresholds
-
-    sin_rows = np.empty(V.shape[0])
-    cos_rows = np.empty(V.shape[0])
-    safe = ~degenerate
-    if np.any(safe):
-        us, cs = u[safe], c[safe]
-        sin_rows[safe] = (np.sin(cs + us) - np.sin(cs)) / us
-        cos_rows[safe] = (np.cos(cs + us) - np.cos(cs)) / us
-    if np.any(degenerate):
-        cd = c[degenerate]
-        sin_rows[degenerate] = np.cos(cd)
-        cos_rows[degenerate] = -np.sin(cd)
-
+    m = V @ (0.5 * (x + z))
+    q = np.sinc((V @ (x - z)) / (2.0 * np.pi))
     out = np.empty((2 * V.shape[0], V.shape[1]))
-    out[0::2] = V * sin_rows[:, None]
-    out[1::2] = V * cos_rows[:, None]
+    out[0::2] = V * (np.cos(m) * q)[:, None]
+    out[1::2] = V * (-np.sin(m) * q)[:, None]
     return out
 
 

@@ -46,7 +46,7 @@ from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
-from gpattr.rfgp import _PHASE_REL_TOL, RfgpModel, _ridge, design_matrix, sample_frequencies
+from gpattr.rfgp import RfgpModel, _ridge, design_matrix, sample_frequencies
 from gpattr.specfun import NumericalError, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -185,34 +185,6 @@ def attr_coefficients(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> AttrC
     )
 
 
-def _slice_attribution_closed(
-    p2: float, p1: np.ndarray, p0: np.ndarray, q1: float, q0: np.ndarray
-) -> np.ndarray:
-    """Closed form of integral_0^1 (q1*t + q0) exp(-(p2 t^2 + p1 t + p0)/2) dt,
-    vectorized over training points (p1, p0, q0 are per-point arrays)."""
-    root = math.sqrt(2.0 * p2)
-    half = 0.5 * (p2 + p1)
-    down = np.expm1(-np.maximum(half, 0.0))
-    up = np.expm1(np.minimum(half, 0.0))
-    diff = np.where(
-        half >= 0.0,
-        np.exp(-0.5 * p0) * down,
-        -np.exp(-0.5 * (p0 + p1 + p2)) * up,
-    )
-    exp_part = -(q1 / p2) * diff
-    t0 = p1 / (2.0 * root)
-    t1 = (2.0 * p2 + p1) / (2.0 * root)
-    log_pref = np.minimum(p1**2 / (8.0 * p2) - 0.5 * p0, 0.0)
-    erf_part = (
-        _SQRT_2PI
-        * (p1 * q1 - 2.0 * p2 * q0)
-        / (4.0 * p2**1.5)
-        * np.exp(log_pref)
-        * (erf(t0) - erf(t1))
-    )
-    return exp_part + erf_part
-
-
 def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes_weights(QuadratureSpec(rule="simpson", partitions=_FALLBACK_PARTITIONS))
 
@@ -220,7 +192,17 @@ def _fallback_nodes() -> tuple[np.ndarray, np.ndarray]:
 def slice_attribution_vector(
     x: np.ndarray, z: np.ndarray, centers: np.ndarray, i: int, hyper: ArdSeHyper
 ) -> np.ndarray:
-    """Attribution of feature i applied to every kernel slice k(., center)."""
+    """Attribution of feature i applied to every kernel slice k(., c).
+
+    The closed form is written around each center's closest approach to the
+    path. With scaled dot products, delta = x - z and t0 = -(z - c).delta/p2
+    the closest approach, the offset from c along the path is
+    o + (t - t0) delta with o perpendicular to delta, so the integrand
+    -sv delta_i (o_i + (t - t0) delta_i) / ls_i^2 exp(-(|o|^2 + p2 (t - t0)^2)/2)
+    integrates to an exponential difference between the endpoints plus an
+    erf difference. t1 = t0 - 1 is formed from x - c, and o = r + t0 delta
+    from the nearer endpoint's offset r. A degenerate path takes fine
+    Simpson quadrature of the kernel gradient instead."""
     ls2 = hyper.lengthscales**2
     delta = x - z
     p2 = float(np.sum(delta**2 / ls2))
@@ -229,12 +211,16 @@ def slice_attribution_vector(
         path = z[None, :] + t[:, None] * delta[None, :]
         grads = grad_i_cross(path, centers, i, hyper)
         return delta[i] * (grads.T @ w)
-    r = z[None, :] - centers
-    p1 = 2.0 * (r / ls2) @ delta
-    p0 = np.sum(r**2 / ls2, axis=1)
-    q1 = float(-hyper.signal_variance * delta[i] ** 2 / ls2[i])
-    q0 = -hyper.signal_variance * delta[i] * r[:, i] / ls2[i]
-    return _slice_attribution_closed(p2, p1, p0, q1, q0)
+    rz = z[None, :] - centers
+    rx = x[None, :] - centers
+    t0 = -(rz / ls2) @ delta / p2
+    t1 = -(rx / ls2) @ delta / p2
+    o = np.where((t0 <= 0.5)[:, None], rz + t0[:, None] * delta, rx + t1[:, None] * delta)
+    root = math.sqrt(0.5 * p2)
+    gauss = math.sqrt(0.5 * math.pi / p2) * np.exp(-0.5 * np.sum(o**2 / ls2, axis=1))
+    gauss *= erf(root * t0) - erf(root * t1)
+    ends = np.exp(-0.5 * np.sum(rz**2 / ls2, axis=1)) - np.exp(-0.5 * np.sum(rx**2 / ls2, axis=1))
+    return -hyper.signal_variance * delta[i] / ls2[i] * (delta[i] / p2 * ends + o[:, i] * gauss)
 
 
 def kernel_slice_attribution(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> float:
@@ -460,11 +446,11 @@ def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.n
     """Path integral of each trig feature's partial derivative d/dx_i,
     averaged over the straight path from baseline to x. Length 2M.
 
-    With u_m = v_m . (x - baseline) and c_m = v_m . baseline:
-        sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m
-        cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m
-    When |u_m| <= _PHASE_REL_TOL * |v_m| * |x - baseline| the quotient switches
-    to its limit, v_mi * cos(c_m) and -v_mi * sin(c_m).
+    With u_m = v_m . (x - baseline) and the midpoint phase
+    m_m = v_m . (x + baseline) / 2, the sum-to-product identities give
+        sin row: v_mi * (sin(c_m + u_m) - sin(c_m)) / u_m =  v_mi * cos(m_m) * sinc
+        cos row: v_mi * (cos(c_m + u_m) - cos(c_m)) / u_m = -v_mi * sin(m_m) * sinc
+    with c_m = v_m . baseline and sinc = sin(u_m / 2) / (u_m / 2).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     z = np.asarray(baseline, dtype=float).reshape(-1)
@@ -473,28 +459,12 @@ def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.n
         raise ValueError(f"dimension mismatch: x {x.size}, baseline {z.size}, frequencies {V.shape}")
     if not 0 <= i < V.shape[1]:
         raise IndexError(f"feature index {i} out of range for dimension {V.shape[1]}")
-    delta = x - z
-    u = V @ delta
-    c = V @ z
+    m = V @ (0.5 * (x + z))
+    q = np.sinc((V @ (x - z)) / (2.0 * np.pi))
     vi = V[:, i]
-    thresholds = _PHASE_REL_TOL * np.linalg.norm(V, axis=1) * np.linalg.norm(delta)
-    degenerate = np.abs(u) <= thresholds
-
-    sin_rows = np.empty(V.shape[0])
-    cos_rows = np.empty(V.shape[0])
-    safe = ~degenerate
-    if np.any(safe):
-        us, cs = u[safe], c[safe]
-        sin_rows[safe] = (np.sin(cs + us) - np.sin(cs)) / us
-        cos_rows[safe] = (np.cos(cs + us) - np.cos(cs)) / us
-    if np.any(degenerate):
-        cd = c[degenerate]
-        sin_rows[degenerate] = np.cos(cd)
-        cos_rows[degenerate] = -np.sin(cd)
-
     out = np.empty(2 * V.shape[0])
-    out[0::2] = vi * sin_rows
-    out[1::2] = vi * cos_rows
+    out[0::2] = vi * (np.cos(m) * q)
+    out[1::2] = vi * (-np.sin(m) * q)
     return out
 
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -34,7 +35,7 @@ from gpattr import (
     write_report_csv,
     write_report_json_dict,
 )
-from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
+from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _query_pair, _slice_matrix
 from gpattr.data_io import Dataset
 from gpattr.kernels import hess_ii_cross
 from oracles import (
@@ -45,6 +46,7 @@ from oracles import (
     bayes_linear_posterior,
     gpr_attribution_per_feature,
     kernel_slice_attribution,
+    slice_attribution_vector,
 )
 
 
@@ -166,6 +168,62 @@ def test_slice_degenerate_path_falls_back_to_quadrature(rng):
     want = (x[0] - z[0]) * ardse_grad_i(z, c, 0, hyper)
     assert got == pytest.approx(want, rel=1e-6)
     assert kernel_slice_attribution(z, z, c, 0, hyper) == 0.0
+
+
+def _slice_mp(x: np.ndarray, z: np.ndarray, c: np.ndarray, hyper: ArdSeHyper) -> list[float]:
+    """Every feature's attribution of k(., c) along the path from z to x in
+    100-digit arithmetic, from the float inputs taken as exact: the
+    integrand (q1 t + q0) exp(-(p2 t^2 + p1 t + p0)/2) with the square
+    completed at t0 = -p1 / (2 p2)."""
+    def mp(v):
+        return [mpmath.mpf(float(a)) for a in v]
+
+    with mpmath.workdps(100):
+        d = [a - b for a, b in zip(mp(x), mp(z))]
+        r = [a - b for a, b in zip(mp(z), mp(c))]
+        ls2 = [v**2 for v in mp(hyper.lengthscales)]
+        p2 = mpmath.fsum(a**2 / l for a, l in zip(d, ls2))
+        p1 = 2 * mpmath.fsum(a * b / l for a, b, l in zip(d, r, ls2))
+        p0 = mpmath.fsum(b**2 / l for b, l in zip(r, ls2))
+        t0, root = -p1 / (2 * p2), mpmath.sqrt(p2 / 2)
+        ends = (mpmath.exp(-p0 / 2) - mpmath.exp(-(p2 + p1 + p0) / 2)) / p2
+        gauss = (
+            mpmath.exp(p2 * t0**2 / 2 - p0 / 2) * mpmath.sqrt(mpmath.pi / (2 * p2))
+            * (mpmath.erf(root * (1 - t0)) + mpmath.erf(root * t0))
+        )
+        sv = mpmath.mpf(hyper.signal_variance)
+        return [float(-sv * d[i] / ls2[i] * (d[i] * ends + (r[i] + t0 * d[i]) * gauss)) for i in range(len(d))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slice_matches_high_precision_on_every_path_length(dim):
+    # paths of 1e-5 to 1e12 lengthscales: the closed form used to lose about
+    # eps * L^2 and overflowed to inf for centers near the query. Near an
+    # endpoint it is accurate to round-off; a center mid-path sits L/2 from
+    # both ends, so forming z - c alone moves the result by about eps * L
+    rng = np.random.default_rng(dim)
+    eps = np.finfo(float).eps
+    for L in 10.0 ** np.arange(-5.0, 13.0):
+        hyper = ArdSeHyper(float(rng.uniform(0.3, 3.0)), rng.uniform(0.5, 2.0, size=dim), 0.0)
+        step = rng.standard_normal(dim)
+        step *= L / math.sqrt(np.sum(step**2 / hyper.lengthscales**2))
+        z = rng.uniform(-1.0, 1.0, size=dim)
+        x = z + step
+        offsets = rng.standard_normal((4, dim)) * hyper.lengthscales
+        centers = {
+            "near z": z + offsets[0],
+            "near x": x + offsets[1],
+            "mid-path": z + 0.5 * step + 0.3 * offsets[2],
+            "off the path": z + rng.uniform() * step + 2.0 * offsets[3],
+        }
+        sv = hyper.signal_variance
+        for where, c in centers.items():
+            bound = sv * (1e-14 if where.startswith("near") else max(1e-14, 10.0 * eps * L))
+            want = _slice_mp(x, z, c, hyper)
+            got = _slice_matrix(x, z, c[None, :], hyper)[0]
+            oracle = [slice_attribution_vector(x, z, c[None, :], i, hyper)[0] for i in range(dim)]
+            assert np.abs(got - want).max() <= bound, (L, where)
+            assert np.abs(np.array(oracle) - want).max() <= bound, (L, where)
 
 
 def test_prior_variance_matches_tensor_simpson(rng):
@@ -442,6 +500,33 @@ def test_target_scale_scales_means_and_variances(log_c):
     assert np.abs(variances / c**2 - ref_vars).max() <= 1e-10
 
 
+_COORDINATE = st.one_of(
+    st.floats(-5.0, 15.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-5.0, 300.0)),
+)
+
+
+@given(st.tuples(_COORDINATE, _COORDINATE), st.tuples(_COORDINATE, _COORDINATE), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_admitted_path_gives_finite_laws(sim_model, x, b, step):
+    # queries and baselines from the training box out to 1e300, the baseline
+    # drawn on its own or as a step from the query: long paths near the data,
+    # short paths far from it, and paths whose p2^2 overflows, which
+    # _query_pair refuses. Every path it admits gives finite laws with
+    # variances >= 0 and no RuntimeWarning
+    z = tuple(xi + bi for xi, bi in zip(x, b)) if step else b
+    try:
+        _query_pair(x, z, sim_model.hyper)
+    except NumericalError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = attribution_report(sim_model, x, z)
+    for a in report.attributions:
+        assert math.isfinite(a.mean) and math.isfinite(a.variance) and a.variance >= 0.0
+    assert math.isfinite(report.completeness_residual)
+
+
 def test_report_rejects_non_finite_query(sim_model):
     with pytest.raises(ValueError):
         attribution_report(sim_model, [np.nan, 1.0], [0.0, 0.0])
@@ -458,7 +543,7 @@ def test_report_fields_and_residual(sim_model):
     assert len(rep.attributions) == 2
     assert rep.prediction_mean == pytest.approx(predict(sim_model, x)[0])
     assert rep.baseline_prediction_mean == pytest.approx(predict(sim_model, z)[0])
-    want = abs(rep.total_mean - (rep.prediction_mean - rep.baseline_prediction_mean))
+    want = abs(sum(a.mean for a in rep.attributions) - (rep.prediction_mean - rep.baseline_prediction_mean))
     assert rep.completeness_residual == pytest.approx(want, abs=1e-15)
     assert rep.completeness_residual <= 1e-10
 

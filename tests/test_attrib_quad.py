@@ -144,7 +144,7 @@ def test_quad_report_shares_the_exact_posterior_step(sim_model, rng, rule):
             quad = quad_attribution(sim_model, x, z, QuadratureSpec(rule, L))
             assert quad.prediction_mean == exact.prediction_mean
             assert quad.baseline_prediction_mean == exact.baseline_prediction_mean
-            want = abs(quad.total_mean - gap)
+            want = abs(sum(a.mean for a in quad.attributions) - gap)
             assert quad.completeness_residual == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 

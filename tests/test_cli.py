@@ -391,19 +391,25 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "rfgp_compare.json").exists()
 
 
-def test_quad_on_an_unresolved_path_shows_it_in_the_residual(tmp_path):
+@pytest.fixture(scope="module")
+def readme_model(tmp_path_factory):
+    """model.json of the README's fit command."""
+    fit_dir = tmp_path_factory.mktemp("readme_fit")
+    assert main(["fit", "--simulate", "200", "--noise-scale", "0.5", "--data-seed", "5",
+                 "--optimize", "60", "--query-row", "last", "--out-dir", str(fit_dir)]) == 0
+    return fit_dir / "model.json"
+
+
+def test_quad_on_an_unresolved_path_shows_it_in_the_residual(readme_model, tmp_path):
     # the README model queried at x1 = 1e20, about 1.4e20 lengthscales from
     # the baseline: 17 Simpson nodes cannot resolve the path, and the run
     # still exits 0 with x1's mean about 7.05e17. The completeness residual,
     # measured against the exact posterior gap, is the only sign of it; the
     # closed form on the same query closes to round-off.
-    fit_dir = tmp_path / "fit"
-    assert main(["fit", "--simulate", "200", "--noise-scale", "0.5", "--data-seed", "5",
-                 "--optimize", "60", "--query-row", "last", "--out-dir", str(fit_dir)]) == 0
     docs = {}
     for engine in ("quad:simpson:8", "exact"):
         out = tmp_path / engine.replace(":", "-")
-        assert main(["attribute", "--model", str(fit_dir / "model.json"), "--query", "1e20,1",
+        assert main(["attribute", "--model", str(readme_model), "--query", "1e20,1",
                      "--engine", engine, "--out-dir", str(out)]) == 0
         docs[engine] = json.loads((out / "attributions.json").read_text())
     quad, exact = docs["quad:simpson:8"], docs["exact"]
@@ -413,6 +419,22 @@ def test_quad_on_an_unresolved_path_shows_it_in_the_residual(tmp_path):
     assert exact["completeness_residual"] <= 1e-12
     for key in ("prediction_mean", "baseline_prediction_mean"):
         assert quad[key] == exact[key]
+
+
+@pytest.mark.parametrize("x1", ["1e7", "1e8", "1e9", "7887114532844.254", "1e20"])
+def test_exact_closes_on_a_far_baseline(readme_model, tmp_path, capsys, x1):
+    # the README model queried at the origin, near its training data, against
+    # a baseline far out along x1: the closed form used to give x1's mean the
+    # wrong sign at 1e7, a negative variance (exit 4) at 1e8, 1e9 and 1e20, and
+    # a traceback from inf slice values at 7887114532844.254
+    out = tmp_path / "attr"
+    assert main(["attribute", "--model", str(readme_model), "--query", "0,0",
+                 "--baseline", f"values:{x1},0", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "attributions.json").read_text())
+    assert doc["completeness_residual"] <= 1e-13
+    gap = doc["prediction_mean"] - doc["baseline_prediction_mean"]
+    assert doc["attributions"][0]["mean"] == pytest.approx(gap, rel=1e-10)
+    capsys.readouterr()
 
 
 def test_mc_validate_zero_queries_checks_the_baseline(workdir):
@@ -589,6 +611,8 @@ EXIT_CASES = {
                              ["query"], None),
     "query-long-path-quad": (4, ["attribute", "--model", MODEL, "--query", "1e78,1",
                                  "--engine", "quad:simpson:8"], ["query"], None),
+    "baseline-long-path-exact": (4, ["attribute", "--model", MODEL, "--query", "1,1",
+                                     "--baseline", "values:1e78,1"], ["baseline"], None),
     "lengthscale-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e308",
                                  "--lengthscales", "1e-300,1", "--noise-variance", "0"], ["lengthscale"], None),
     "weights-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e-300",

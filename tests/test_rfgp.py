@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -239,12 +240,34 @@ def test_gradient_integral_degenerate_direction_uses_limit():
 def test_gradient_integral_continuous_across_branch():
     V = np.array([[1.0, -1.0]])
     z = np.zeros(2)
-    # nudge the projection just above the switching threshold
+    # a projection just off zero gives the u -> 0 limit
     for eps in (1e-9, 1e-7):
         x = z + np.array([1.0 + eps, 1.0])
         zeta = feature_gradient_integral(x, z, V)[:, 0]
         limit = V[0, 0] * np.cos(V[0] @ z)
         assert zeta[0] == pytest.approx(limit, rel=1e-6)
+
+
+def test_gradient_integral_matches_high_precision_at_every_step():
+    # the quotients (sin(c + u) - sin c) / u used to be formed by subtraction,
+    # which lost eps / |u| (0.04 at |x - z| = 1e-12); as a midpoint phase
+    # times sinc they are exact to round-off at every step length
+    rng = np.random.default_rng(11)
+    for step in (1.0, 1e-7, 1e-12):
+        V = rng.standard_normal((20, 3))
+        z = rng.uniform(-2.0, 2.0, size=3)
+        direction = rng.standard_normal(3)
+        x = z + step * direction / np.linalg.norm(direction)
+        got = feature_gradient_integral(x, z, V)
+        with mpmath.workdps(50):
+            for m, v in enumerate(V):
+                c = mpmath.fsum(mpmath.mpf(float(a)) * mpmath.mpf(float(b)) for a, b in zip(v, z))
+                u = mpmath.fsum(mpmath.mpf(float(a)) * (mpmath.mpf(float(b)) - mpmath.mpf(float(e)))
+                                for a, b, e in zip(v, x, z))
+                quotients = ((mpmath.sin(c + u) - mpmath.sin(c)) / u, (mpmath.cos(c + u) - mpmath.cos(c)) / u)
+                for row, q in enumerate(quotients):
+                    want = [float(mpmath.mpf(float(a)) * q) for a in v]
+                    assert np.abs(got[2 * m + row] - want).max() <= 1e-14, (step, m, row)
 
 
 def test_gradient_integral_validation():
