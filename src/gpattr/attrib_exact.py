@@ -245,9 +245,9 @@ class AttributionReport:
     baseline_prediction_mean: float
 
 
-def _assemble(model: GprModel, rows, k_xz: np.ndarray) -> AttributionReport:
+def _assemble(model: GprModel, means, variances, k_xz: np.ndarray) -> AttributionReport:
     # mu(x) - mu(z) = (k_x - k_z) . alpha: the target offset cancels exactly
-    rows = tuple(rows)
+    rows = _laws(means, variances)
     gap = float((k_xz[0] - k_xz[1]) @ model.alpha)
     return AttributionReport(
         attributions=rows,
@@ -274,7 +274,7 @@ def _gaussian_report(
     squares = np.sum(W * W, axis=0)
     _clamp_variance(sv - squares[d:], "query or baseline posterior", sv)
     variances = _clamp_variance(prior - squares[:d], "attribution", sv)
-    return _assemble(model, _laws(model.alpha @ A, variances), k_xz)
+    return _assemble(model, model.alpha @ A, variances, k_xz)
 
 
 def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
@@ -290,12 +290,12 @@ def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
     return _gaussian_report(model, x, z, *_slices_and_priors(x, z, model.x_train, model.hyper))
 
 
-def report_from_rows(model: GprModel, x, baseline, rows) -> AttributionReport:
-    """Report around rows from an engine with its own posterior, the random
-    features. The completeness residual is measured against the exact
-    posterior means, so the rows show their true gap rather than zero."""
+def report_from_rows(model: GprModel, x, baseline, means, variances) -> AttributionReport:
+    """Report around the (d,) moments of an engine with its own posterior,
+    the random features. The completeness residual is measured against the
+    exact posterior means, so the laws show their true gap rather than zero."""
     x, z = _query_pair(x, baseline, model.hyper)
-    return _assemble(model, rows, kernel_cross(np.stack((x, z)), model.x_train, model.hyper))
+    return _assemble(model, means, variances, kernel_cross(np.stack((x, z)), model.x_train, model.hyper))
 
 
 def write_report_json_dict(report: AttributionReport, feature_names=None) -> dict:

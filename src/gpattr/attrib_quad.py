@@ -13,7 +13,6 @@ one (the prior sums of attrib_exact._path_quadrature rely on the spacing):
     simpson      composite Simpson on L panels (2L+1 nodes, midpoints)
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,27 +109,25 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
     Errors are medians of |quad - exact| over all query points and
     features, separately for means and variances.
     """
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    exact = [attribution_report(model, xq, baseline).attributions for xq in queries]
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+
+    def moments(engine, *spec) -> np.ndarray:  # (Q, d, 2) means and variances
+        reports = (engine(model, xq, baseline, *spec) for xq in queries)
+        return np.array([[(a.mean, a.variance) for a in r.attributions] for r in reports])
+
+    exact = moments(attribution_report)
     rows: list[SweepRow] = []
     for rule in rules:
         for L in l_values:
             spec = QuadratureSpec(rule=rule, partitions=int(L))
-            mean_errs = []
-            var_errs = []
-            for xq, laws in zip(queries, exact):
-                for approx, law in zip(quad_attribution(model, xq, baseline, spec).attributions, laws):
-                    mean_errs.append(abs(approx.mean - law.mean))
-                    var_errs.append(abs(approx.variance - law.variance))
+            err = np.abs(moments(quad_attribution, spec) - exact)
             rows.append(
                 SweepRow(
                     rule=rule,
                     partitions=int(L),
                     function_evals=nodes_weights(spec)[0].size,
-                    mean_abs_err=float(np.median(mean_errs)),
-                    var_abs_err=float(np.median(var_errs)),
+                    mean_abs_err=float(np.median(err[..., 0])),
+                    var_abs_err=float(np.median(err[..., 1])),
                 )
             )
     return rows
@@ -138,11 +135,11 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
 
 @dataclass(frozen=True)
 class McOracleResult:
-    """Sample statistics of Monte Carlo attribution draws."""
+    """Sample statistics of every feature's Monte Carlo draws, as (d,) arrays."""
 
-    empirical_mean: float
-    empirical_var: float
-    std_error: float
+    empirical_mean: np.ndarray
+    empirical_var: np.ndarray
+    std_error: np.ndarray
     samples: int
 
 
@@ -153,21 +150,23 @@ def mc_attribution_oracle(
     grid_points: int = 257,
     samples: int = 10_000,
     seed: int = 0,
-) -> tuple[McOracleResult, ...]:
-    """Monte Carlo check of every feature's attribution law, bypassing the
-    closed forms.
+) -> McOracleResult:
+    """Monte Carlo check of every feature's attribution law.
 
     The posterior gradient field along the path is jointly Gaussian, so its
     integral with trapezoid weights on grid_points nodes is Gaussian too:
     its law is quad_attribution's with the trapezoid rule on grid_points - 1
     panels: one (G, n) kernel block, the (2, n) rows at x and z and one
     solve on d + 2 columns for all d features, and no field covariance to
-    factor. Feature i draws xi from default_rng(seed + i) and
-    takes mean_i + sign(x_i - z_i) std_i xi, the same draws as
-    (x_i - z_i) (field integral); a feature at its baseline returns exact
-    zeros. Returns, per feature, the sample mean and variance with the
-    standard error of the mean. Cost O(G n d + n^2 d + d samples) time and
-    O(G n + samples) memory for G grid points and n training rows.
+    factor. It is not independent of the closed form: both go through
+    _gaussian_report's solve, clamp and report, so the draws check only the
+    slices and priors (an independent check is ROADMAP.md item 4). Row i
+    of one (d, samples) array holds default_rng(seed + i)'s normals xi,
+    taken to mean_i + sign(x_i - z_i) std_i xi, the same draws as
+    (x_i - z_i) (field integral); a feature at its baseline has a zero law,
+    so exact zeros. Returns the rows' sample means and variances with the
+    standard errors of the means. Cost O(G n d + n^2 d + d samples) time and
+    O(G n + d samples) memory for G grid points and n training rows.
     """
     x, z = _query_pair(x, baseline, model.hyper)
     if grid_points < 3:
@@ -175,15 +174,8 @@ def mc_attribution_oracle(
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1)).attributions
-    results = []
-    for law, gap in zip(laws, x - z):
-        if gap == 0.0:
-            results.append(McOracleResult(0.0, 0.0, 0.0, samples))
-            continue
-        attr = np.random.default_rng(seed + law.feature_index).standard_normal(samples)
-        attr *= math.copysign(law.std, gap)
-        attr += law.mean
-        emp_var = float(np.var(attr, ddof=1))
-        sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
-        results.append(McOracleResult(float(np.mean(attr)), emp_var, sem, samples))
-    return tuple(results)
+    attr = np.stack([np.random.default_rng(seed + i).standard_normal(samples) for i in range(x.size)])
+    attr *= np.copysign([a.std for a in laws], x - z)[:, None]
+    attr += np.array([a.mean for a in laws])[:, None]
+    emp_var = np.var(attr, axis=1, ddof=1)
+    return McOracleResult(np.mean(attr, axis=1), emp_var, np.sqrt(emp_var) / np.sqrt(samples), samples)

@@ -31,7 +31,6 @@ import scipy
 
 from . import __version__
 from .attrib_exact import (
-    AttributionGaussian,
     attribution_report,
     report_from_rows,
     write_report_csv,
@@ -284,11 +283,13 @@ def cmd_fit(args, out: Path) -> None:
 
 @dataclass(frozen=True)
 class _ModelFile:
-    """A model.json from fit and the metadata stored beside the model:
-    holdout is the held-out query in raw units, y_train None if not stored."""
+    """A model.json from fit and the metadata stored beside the model: names
+    x0, x1, ... unless stored (named), holdout the held-out query in raw
+    units, y_train None if not stored."""
 
     model: GprModel
     names: list[str]
+    named: bool
     stats: NormStats | None
     holdout: np.ndarray | None
     y_train: np.ndarray | None
@@ -308,7 +309,7 @@ def _read_model_file(path: str) -> _ModelFile:
         stats = None if payload.get("norm_stats") is None else NormStats(
             field("norm_stats.mean", (dim,)), field("norm_stats.std", (dim,), low=0.0, strict=True))
         return _ModelFile(
-            model, names, stats,
+            model, names, "feature_names" in payload, stats,
             None if payload.get("holdout") is None else field("holdout.x", (dim,)),
             None if payload.get("y_train") is None else field("y_train", (model.n_train,)),
         )
@@ -326,7 +327,8 @@ def _training_dataset(args, mf: _ModelFile) -> Dataset:
 def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
     """Model file, model-space query and baseline for a command that
     attributes one query point. The model file is parsed once, and --data
-    is read at most once, when the query or baseline needs it.
+    is read at most once, when the query or baseline needs it; its features
+    must be the model's, by name and in order when the model names them.
 
     The query is --query, a row of --data (--query-row) or the row held out
     at fit time. The baseline policy is mean (training mean), values:... or
@@ -340,6 +342,8 @@ def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
         data = _read_csv(args)
         if data.dim != dim:
             raise DataError(f"{args.data} has {data.dim} features, model expects {dim}")
+        if mf.named and list(data.feature_names) != mf.names:
+            raise DataError(f"{args.data} has features {list(data.feature_names)}, model expects {mf.names}")
         return data
 
     def model_space(raw, flag: str) -> np.ndarray:
@@ -386,28 +390,24 @@ def cmd_attribute(args, out: Path) -> None:
     model, names = mf.model, mf.names
     engine, quad_spec = _parse_engine(args.engine)
 
-    mixtures = None
+    mixture = None
     if engine == "exact":
         report = attribution_report(model, x, baseline)
     elif engine == "quad":
         report = quad_attribution(model, x, baseline, quad_spec)
     else:  # rfgp; an ensemble of one is the single fit's law exactly
-        mixtures = marginalized_attribution(
+        mixture = marginalized_attribution(
             _training_dataset(args, mf), model.hyper, args.rfgp_features, x, baseline,
             ensemble_size=args.rfgp_ensemble, seed=args.seed,
         )
-        rows = [
-            AttributionGaussian(m.feature_index, m.mixture_mean, m.total_variance)
-            for m in mixtures
-        ]
-        report = report_from_rows(model, x, baseline, rows)
+        report = report_from_rows(model, x, baseline, mixture.mixture_mean, mixture.total_variance)
 
     doc = write_report_json_dict(report, names)
     doc["engine"] = args.engine
     doc["query"] = x.tolist()
     doc["baseline"] = baseline.tolist()
-    if mixtures is not None and args.rfgp_ensemble > 1:
-        doc["mixtures"] = [m.to_json_dict() for m in mixtures]
+    if mixture is not None and args.rfgp_ensemble > 1:
+        doc["mixtures"] = [mixture.to_json_dict(i) for i in range(len(names))]
     _write_json(doc, out / "attributions.json")
     write_report_csv(report, out / "attributions.csv", names)
 
@@ -461,39 +461,36 @@ def cmd_rfgp_compare(args, out: Path) -> None:
     train = _training_dataset(args, mf)
 
     exact = attribution_report(model, x, baseline).attributions
-    seeds = [args.seed + s for s in range(args.seeds)]
-    per_m = [[] for _ in exact]
-    for m in m_values:
-        draws = marginalized_attribution(
-            train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed
-        )
-        for i, (ex, mixture) in enumerate(zip(exact, draws)):
-            laws = mixture.components
-            kls = [_sym_kl(a.mean, a.variance, ex.mean, ex.variance) for a in laws]
-            kls = [k for k in kls if k is not None]
-            per_m[i].append(
-                {
-                    "m": m,
-                    "median_abs_mean_gap": float(np.median([abs(a.mean - ex.mean) for a in laws])),
-                    "median_sym_kl": float(np.median(kls)) if kls else None,
-                    "draws": [
-                        {"seed": s, "mean": a.mean, "variance": a.variance} for s, a in zip(seeds, laws)
-                    ],
-                }
-            )
-    mixtures = marginalized_attribution(
+    seeds = range(args.seed, args.seed + args.seeds)
+    draws = [
+        marginalized_attribution(train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed)
+        for m in m_values
+    ]
+    mixture = marginalized_attribution(
         train, model.hyper, args.ensemble_m, x, baseline,
         ensemble_size=args.ensemble, seed=args.seed,
     )
+
+    def per_m(ex, m: int, mix) -> dict:  # one feature's draws at M = m
+        i = ex.feature_index
+        laws = list(zip(mix.means[i].tolist(), mix.variances[i].tolist()))
+        kls = [k for k in (_sym_kl(a, v, ex.mean, ex.variance) for a, v in laws) if k is not None]
+        return {
+            "m": m,
+            "median_abs_mean_gap": float(np.median(np.abs(mix.means[i] - ex.mean))),
+            "median_sym_kl": float(np.median(kls)) if kls else None,
+            "draws": [{"seed": s, "mean": a, "variance": v} for s, (a, v) in zip(seeds, laws)],
+        }
+
     features = [
         {
-            "feature": names[i],
-            "feature_index": i,
+            "feature": names[ex.feature_index],
+            "feature_index": ex.feature_index,
             "exact": {"mean": ex.mean, "variance": ex.variance},
-            "per_m": per_m[i],
-            "mixture": mixture.to_json_dict(),
+            "per_m": [per_m(ex, m, mix) for m, mix in zip(m_values, draws)],
+            "mixture": mixture.to_json_dict(ex.feature_index),
         }
-        for i, (ex, mixture) in enumerate(zip(exact, mixtures))
+        for ex in exact
     ]
 
     doc = {
@@ -524,16 +521,16 @@ def cmd_mc_validate(args, out: Path) -> None:
     rows = []
     all_ok = True
     for qi, xq in enumerate(queries):
-        oracle = mc_attribution_oracle(
+        mc = mc_attribution_oracle(
             model, xq, baseline,
             grid_points=args.grid_points, samples=args.samples, seed=args.seed + 1000 * qi,
         )
-        for i, (closed, mc) in enumerate(zip(attribution_report(model, xq, baseline).attributions, oracle)):
-            mean_ok = abs(mc.empirical_mean - closed.mean) <= 3.0 * mc.std_error + 1e-12
+        for i, closed in enumerate(attribution_report(model, xq, baseline).attributions):
+            mean_ok = abs(mc.empirical_mean[i] - closed.mean) <= 3.0 * mc.std_error[i] + 1e-12
             if closed.variance > 0.0:
-                var_ok = abs(mc.empirical_var - closed.variance) <= 0.10 * closed.variance
+                var_ok = abs(mc.empirical_var[i] - closed.variance) <= 0.10 * closed.variance
             else:
-                var_ok = mc.empirical_var == 0.0
+                var_ok = mc.empirical_var[i] == 0.0
             all_ok = all_ok and mean_ok and var_ok
             rows.append(
                 {
@@ -542,9 +539,9 @@ def cmd_mc_validate(args, out: Path) -> None:
                     "feature_index": i,
                     "closed_mean": closed.mean,
                     "closed_variance": closed.variance,
-                    "empirical_mean": mc.empirical_mean,
-                    "empirical_variance": mc.empirical_var,
-                    "std_error": mc.std_error,
+                    "empirical_mean": float(mc.empirical_mean[i]),
+                    "empirical_variance": float(mc.empirical_var[i]),
+                    "std_error": float(mc.std_error[i]),
                     "mean_within_3se": bool(mean_ok),
                     "variance_within_10pct": bool(var_ok),
                 }

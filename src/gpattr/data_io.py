@@ -91,6 +91,8 @@ def load_csv(path: str, target_column: str) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     header = [h.strip() for h in header]
+    if "" in header or len(set(header)) < len(header):
+        raise DataError(f"{path}: column names must be non-empty and distinct, got header {header}")
     if target_column not in header:
         raise DataError(f"{path}: target column {target_column!r} not in header {header}")
     target_idx = header.index(target_column)
@@ -99,31 +101,26 @@ def load_csv(path: str, target_column: str) -> Dataset:
         raise DataError(f"{path}: no feature columns besides the target")
 
     bad_rows: list[int] = []
-    X_rows: list[list[float]] = []
-    y_vals: list[float] = []
+    table: list[list[float]] = []
     for r, row in enumerate(rows, start=2):  # header is line 1
-        if len(row) != len(header):
-            bad_rows.append(r)
-            continue
         try:
             vals = [float(c) for c in row]
         except ValueError:
+            vals = []
+        if len(vals) == len(header) and np.all(np.isfinite(vals)):
+            table.append(vals)
+        else:
             bad_rows.append(r)
-            continue
-        if not all(np.isfinite(v) for v in vals):
-            bad_rows.append(r)
-            continue
-        y_vals.append(vals[target_idx])
-        X_rows.append([v for j, v in enumerate(vals) if j != target_idx])
 
     if bad_rows:
         shown = ", ".join(str(r) for r in bad_rows[:20])
         more = "" if len(bad_rows) <= 20 else f" (+{len(bad_rows) - 20} more)"
         raise DataError(f"{path}: missing or non-numeric cells in rows {shown}{more}")
-    if not X_rows:
+    if not table:
         raise DataError(f"{path}: no data rows")
 
-    return Dataset(np.array(X_rows, dtype=float), np.array(y_vals, dtype=float), feature_names)
+    values = np.array(table, dtype=float)
+    return Dataset(np.delete(values, target_idx, axis=1), values[:, target_idx], feature_names)
 
 
 def _column_variances(values: np.ndarray, names) -> np.ndarray:

@@ -54,7 +54,6 @@ class RfgpModel:
     basis: np.ndarray
     core_factor: np.ndarray
     hyper: ArdSeHyper
-    seed: int
     y_mean_offset: float
 
     @property
@@ -129,7 +128,6 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
         basis=Q,
         core_factor=factor,
         hyper=hyper,
-        seed=seed,
         y_mean_offset=offset,
     )
 
@@ -195,22 +193,25 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
 
 @dataclass(frozen=True)
 class AttributionMixture:
-    """Equal-weight Gaussian mixture over frequency draws for one feature."""
+    """Equal-weight Gaussian mixtures over R frequency draws: row i of the
+    C-contiguous (d, R) means and variances holds feature i's components in
+    seed order, entry i of mixture_mean and total_variance its mixture's."""
 
-    feature_index: int
-    components: tuple[AttributionGaussian, ...]
-    mixture_mean: float
-    total_variance: float
+    means: np.ndarray
+    variances: np.ndarray
+    mixture_mean: np.ndarray
+    total_variance: np.ndarray
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, i: int) -> dict:
         return {
             "format": "gpattr-attribution-mixture",
             "version": 1,
-            "feature_index": self.feature_index,
-            "mixture_mean": self.mixture_mean,
-            "total_variance": self.total_variance,
+            "feature_index": i,
+            "mixture_mean": float(self.mixture_mean[i]),
+            "total_variance": float(self.total_variance[i]),
             "components": [
-                {"mean": c.mean, "variance": c.variance} for c in self.components
+                {"mean": m, "variance": v}
+                for m, v in zip(self.means[i].tolist(), self.variances[i].tolist())
             ],
         }
 
@@ -223,7 +224,7 @@ def marginalized_attribution(
     baseline,
     ensemble_size: int,
     seed: int = 0,
-) -> tuple[AttributionMixture, ...]:
+) -> AttributionMixture:
     """Average the attribution law of every feature over an ensemble of
     frequency draws.
 
@@ -235,14 +236,13 @@ def marginalized_attribution(
     """
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    draws = [
+    draws = (
         rfgp_attribution(rfgp_fit(data, hyper, m_features, seed + r), x, baseline)
         for r in range(ensemble_size)
-    ]
-    mixtures = []
-    for i, components in enumerate(zip(*draws)):
-        means = np.array([c.mean for c in components])
-        variances = np.array([c.variance for c in components])
-        total_variance = float(np.mean(variances) + np.var(means))
-        mixtures.append(AttributionMixture(i, components, float(np.mean(means)), total_variance))
-    return tuple(mixtures)
+    )
+    moments = np.array([[(a.mean, a.variance) for a in laws] for laws in draws])  # (R, d, 2)
+    # C-contiguous (d, R) rows, which numpy reduces as it does 1-D arrays
+    means, variances = moments.transpose(2, 1, 0).copy()
+    return AttributionMixture(
+        means, variances, means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
+    )

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, qr, solve_triangular
 
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
-from gpattr.attrib_quad import McOracleResult, QuadratureSpec, nodes_weights
+from gpattr.attrib_quad import QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
@@ -363,9 +363,19 @@ def jittered_cholesky_copying(mat: np.ndarray, dense: bool = False) -> tuple[np.
     )
 
 
+@dataclass(frozen=True)
+class McStats:
+    """Monte Carlo statistics of one feature's attribution draws."""
+
+    empirical_mean: float
+    empirical_var: float
+    std_error: float
+    samples: int
+
+
 def mc_attribution_oracle_dense(
     model: GprModel, x, baseline, i: int, grid_points: int, samples: int, seed: int
-) -> McOracleResult:
+) -> McStats:
     """Monte Carlo attribution draws through the (samples, grid) matrix of
     sampled gradient fields, each integrated with trapezoid weights."""
     hyper = model.hyper
@@ -373,7 +383,7 @@ def mc_attribution_oracle_dense(
     z = np.asarray(baseline, dtype=float).reshape(-1)
     gap = float(x[i] - z[i])
     if gap == 0.0:
-        return McOracleResult(0.0, 0.0, 0.0, samples)
+        return McStats(0.0, 0.0, 0.0, samples)
     t = np.linspace(0.0, 1.0, grid_points)
     path = z[None, :] + t[:, None] * (x - z)[None, :]
     G = grad_i_cross(path, model.x_train, i, hyper)
@@ -392,12 +402,12 @@ def mc_attribution_oracle_dense(
     emp_mean = float(np.mean(attr))
     emp_var = float(np.var(attr, ddof=1))
     sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
-    return McOracleResult(emp_mean, emp_var, sem, samples)
+    return McStats(emp_mean, emp_var, sem, samples)
 
 
 def mc_attribution_oracle_direct(
     model: GprModel, x, baseline, i: int, grid_points: int, samples: int, seed: int
-) -> McOracleResult:
+) -> McStats:
     """Monte Carlo attribution draws from the law of the trapezoid integral
     of the gradient field, with variance w^T cov w from the dense J x J
     field covariance cov = H - G (K + noise*I)^{-1} G^T, each draw
@@ -407,7 +417,7 @@ def mc_attribution_oracle_direct(
     z = np.asarray(baseline, dtype=float).reshape(-1)
     gap = float(x[i] - z[i])
     if gap == 0.0:
-        return McOracleResult(0.0, 0.0, 0.0, samples)
+        return McStats(0.0, 0.0, 0.0, samples)
     t = np.linspace(0.0, 1.0, grid_points)
     path = z[None, :] + t[:, None] * (x - z)[None, :]
     G = grad_i_cross(path, model.x_train, i, hyper)
@@ -421,7 +431,7 @@ def mc_attribution_oracle_direct(
     emp_mean = float(np.mean(attr))
     emp_var = float(np.var(attr, ddof=1))
     sem = float(np.std(attr, ddof=1) / np.sqrt(samples))
-    return McOracleResult(emp_mean, emp_var, sem, samples)
+    return McStats(emp_mean, emp_var, sem, samples)
 
 
 def rfgp_fit_copying(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
@@ -439,7 +449,7 @@ def rfgp_fit_copying(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: in
     factor = cholesky(core, lower=True)
     offset = float(data.y.mean())
     weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
-    return RfgpModel(V, weights, Q, factor, hyper, seed, offset)
+    return RfgpModel(V, weights, Q, factor, hyper, offset)
 
 
 def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.ndarray) -> np.ndarray:

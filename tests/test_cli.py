@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import runpy
@@ -49,7 +50,15 @@ def workdir(tmp_path_factory):
     assert rc == 0
     huge = root / "huge.csv"  # finite values whose squares overflow float64
     huge.write_text("x1,x2,y\n" + "".join(f"{k}e200,-{k}e200,{k % 2 + 1}e200\n" for k in range(1, 5)))
-    return {"root": root, "csv": csv_path, "huge": huge, "fit": fit_dir, "model": fit_dir / "model.json"}
+    headers = {}  # CSVs whose header names a column twice or not at all
+    for stem, header in (("dup", "a,a,y"), ("twin", "a,y,y"), ("blank", "a,,y")):
+        headers[stem] = root / f"{stem}.csv"
+        headers[stem].write_text(f"{header}\n1,2,3\n4,5,6\n")
+    swapped = root / "swapped.csv"  # the demo data with its feature columns in x2, x1 order
+    with open(csv_path, newline="") as src, open(swapped, "w", newline="") as dst:
+        csv.writer(dst).writerows([b, a, y] for a, b, y in csv.reader(src))
+    return {"root": root, "csv": csv_path, "huge": huge, "swapped": swapped, **headers,
+            "fit": fit_dir, "model": fit_dir / "model.json"}
 
 
 def test_fit_outputs(workdir):
@@ -308,11 +317,14 @@ def test_mc_validate_outputs(workdir):
     assert doc["format"] == "gpattr-mc-validation"
     assert isinstance(doc["all_ok"], bool)
     assert len(doc["rows"]) == 4  # (1 random query + baseline) x 2 features
-    # the appended baseline query must come out exactly zero on both sides
+    # the appended baseline query must come out exactly zero on both sides,
+    # as +0.0 and never -0.0
     tail = doc["rows"][-2:]
     for row in tail:
         assert row["closed_mean"] == 0.0 and row["closed_variance"] == 0.0
         assert row["empirical_mean"] == 0.0 and row["empirical_variance"] == 0.0
+        for key in ("closed_mean", "closed_variance", "empirical_mean", "empirical_variance", "std_error"):
+            assert math.copysign(1.0, row[key]) == 1.0, (key, row[key])
 
 
 def test_mc_validate_rows_draw_from_one_stream_per_query_and_feature(workdir):
@@ -528,7 +540,8 @@ def test_data_errors_exit_3(workdir, tmp_path, capsys):
 
 
 # placeholders in EXIT_CASES argvs: the workdir model, its CSV, the
-# out-of-scale CSV, and the model file a case writes by editing the workdir model
+# out-of-scale CSV, and the model file a case writes by editing the workdir model;
+# "<key>" of any other workdir entry is that path
 MODEL, DATA, HUGE, BAD = "<model>", "<data>", "<huge>", "<bad>"
 DELETE = object()
 
@@ -622,6 +635,18 @@ EXIT_CASES = {
     "csv-out-of-scale": (3, ["fit", "--data", HUGE, "--target", "y"], ["'y'"], None),
     "csv-out-of-scale-normalize": (3, ["fit", "--data", HUGE, "--target", "y", "--normalize"],
                                    ["'x1'", "'x2'"], None),
+    # every CSV column needs its own non-empty name
+    "csv-duplicate-feature": (3, ["fit", "--data", "<dup>", "--target", "y"], ["<dup>", "'a', 'a'"], None),
+    "csv-duplicate-target": (3, ["fit", "--data", "<twin>", "--target", "y"], ["<twin>", "'y', 'y'"], None),
+    "csv-empty-name": (3, ["fit", "--data", "<blank>", "--target", "y"], ["<blank>", "''"], None),
+    # --data must hold the model's features, by name and in order
+    "data-swapped-query-row": (3, ["attribute", "--model", MODEL, "--data", "<swapped>", "--target", "y",
+                                   "--query-row", "0"], ["<swapped>", "['x2', 'x1']", "['x1', 'x2']"], None),
+    "data-swapped-filter": (3, ["attribute", "--model", MODEL, "--data", "<swapped>", "--target", "y",
+                                "--query", "1,2", "--baseline", "filter:-1:1"],
+                            ["<swapped>", "['x2', 'x1']", "['x1', 'x2']"], None),
+    "data-swapped-rfgp-compare": (3, ["rfgp-compare", "--model", MODEL, "--data", "<swapped>", "--target", "y",
+                                      "--query-row", "0"], ["<swapped>", "['x2', 'x1']", "['x1', 'x2']"], None),
 }
 
 
@@ -634,7 +659,7 @@ def test_exit_code_and_message_name_the_fault(workdir, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     if edit is not None:
         bad.write_text(edit(json.loads(workdir["model"].read_text())))
-    paths = {MODEL: str(workdir["model"]), DATA: str(workdir["csv"]), HUGE: str(workdir["huge"]), BAD: str(bad)}
+    paths = {**{f"<{key}>": str(path) for key, path in workdir.items()}, DATA: str(workdir["csv"]), BAD: str(bad)}
     argv = [paths.get(a, a) for a in argv]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err

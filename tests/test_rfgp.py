@@ -304,15 +304,14 @@ def test_mixture_law_of_total_variance():
     mix = marginalized_attribution(
         data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0],
         ensemble_size=12, seed=5,
-    )[0]
-    means = np.array([c.mean for c in mix.components])
-    variances = np.array([c.variance for c in mix.components])
-    assert len(mix.components) == 12
-    assert mix.mixture_mean == pytest.approx(means.mean(), abs=1e-14)
+    )
+    means, variances = mix.means[0], mix.variances[0]
+    assert mix.means.shape == mix.variances.shape == (2, 12)
+    assert mix.mixture_mean[0] == pytest.approx(means.mean(), abs=1e-14)
     want = variances.mean() + np.var(means)
-    assert mix.total_variance == pytest.approx(want, abs=1e-14)
+    assert mix.total_variance[0] == pytest.approx(want, abs=1e-14)
     # mean spread across draws makes the mixture wider than the average component
-    assert mix.total_variance >= variances.mean()
+    assert mix.total_variance[0] >= variances.mean()
 
 
 def test_mixture_single_component_degenerates():
@@ -320,12 +319,12 @@ def test_mixture_single_component_degenerates():
     mix = marginalized_attribution(
         data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0],
         ensemble_size=1, seed=6,
-    )[1]
+    )
     single = rfgp_attribution(
         rfgp_fit(data, HYP, m_features=30, seed=6), [7.0, 2.0], [3.0, 4.0]
     )[1]
-    assert mix.mixture_mean == pytest.approx(single.mean, abs=1e-15)
-    assert mix.total_variance == pytest.approx(single.variance, abs=1e-15)
+    assert mix.mixture_mean[1] == pytest.approx(single.mean, abs=1e-15)
+    assert mix.total_variance[1] == pytest.approx(single.variance, abs=1e-15)
 
 
 def test_mixture_uses_consecutive_seeds():
@@ -333,11 +332,11 @@ def test_mixture_uses_consecutive_seeds():
     mix = marginalized_attribution(
         data, HYP, m_features=25, x=[6.0, 3.0], baseline=[2.0, 5.0],
         ensemble_size=3, seed=20,
-    )[0]
-    for offset, comp in enumerate(mix.components):
+    )
+    for offset, (mean, variance) in enumerate(zip(mix.means[0], mix.variances[0])):
         model = rfgp_fit(data, HYP, m_features=25, seed=20 + offset)
         want = rfgp_attribution(model, [6.0, 3.0], [2.0, 5.0])[0]
-        assert comp.mean == want.mean and comp.variance == want.variance
+        assert mean == want.mean and variance == want.variance
 
 
 def test_mixture_json_dict():
@@ -345,10 +344,30 @@ def test_mixture_json_dict():
     mix = marginalized_attribution(
         data, HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0],
         ensemble_size=2, seed=0,
-    )[1]
-    doc = mix.to_json_dict()
+    )
+    doc = mix.to_json_dict(1)
     assert doc["format"] == "gpattr-attribution-mixture" and doc["version"] == 1
     assert doc["feature_index"] == 1 and len(doc["components"]) == 2
+
+
+def test_mixture_json_moments_equal_one_dimensional_reductions_bit_for_bit():
+    # numpy sums 8 or more entries with eight accumulators, and a row of a
+    # C-contiguous (d, R) array exactly as it sums the 1-D array of that
+    # feature's components; a strided column of an (R, d) array is summed
+    # in another order and can differ in the last digit
+    data = simulate(40, 0.3, seed=17)
+    mix = marginalized_attribution(
+        data, HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0],
+        ensemble_size=25, seed=1,
+    )
+    assert mix.means.flags.c_contiguous and mix.variances.flags.c_contiguous
+    for i in range(2):
+        doc = mix.to_json_dict(i)
+        means = np.array([c["mean"] for c in doc["components"]])
+        variances = np.array([c["variance"] for c in doc["components"]])
+        assert means.size == 25
+        assert doc["mixture_mean"] == float(np.mean(means))
+        assert doc["total_variance"] == float(np.mean(variances) + np.var(means))
 
 
 def test_mixture_validation():
