@@ -64,7 +64,7 @@ class AttributionGaussian:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("attribution mean and variance must be finite")
+            raise NumericalError(f"attribution law of feature {self.feature_index} is not finite: it overflowed")
         if self.variance < 0.0:
             raise ValueError(f"attribution variance must be >= 0, got {self.variance!r}")
 
@@ -99,6 +99,7 @@ def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]
     return x, z
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _path_quadrature(
     x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper, t: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +138,6 @@ def _others(a: np.ndarray) -> np.ndarray:
     return a @ (1.0 - np.eye(a.shape[-1]))
 
 
-@np.errstate(over="ignore")
 def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
     """Attribution of every feature i applied to every kernel slice k(., c),
     as an (n, d) matrix, for a non-degenerate path.
@@ -175,6 +175,7 @@ def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdS
     return -(hyper.signal_variance * w) * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _slices_and_priors(
     x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +194,9 @@ def _slices_and_priors(
     cancels to nothing when feature i carries nearly all of p2. On a
     degenerate path (p2 ~ 0), where the closed forms divide by ~0, both
     come from their p2 -> 0 limit: one quadrature node at t = 1/2 with
-    weight 1, whose error is O(p2) relative.
+    weight 1, whose error is O(p2) relative. Overflow is silent here and in
+    _path_quadrature (a lengthscale past the float range gives 1/ls^2 = 0,
+    the right limit); _gaussian_report checks what it leaves.
     """
     ls2 = hyper.lengthscales**2
     delta = x - z
@@ -257,6 +260,7 @@ def _assemble(model: GprModel, means, variances, k_xz: np.ndarray) -> Attributio
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gaussian_report(
     model: GprModel, x: np.ndarray, z: np.ndarray, A: np.ndarray, prior: np.ndarray
 ) -> AttributionReport:
@@ -266,6 +270,8 @@ def _gaussian_report(
     The kernel rows at x and z ride along to give the posterior variances
     sv - colsum(W[:, d:]^2) there, which keep predict's round-off guard, and
     the predictions whose gap the completeness residual is measured against.
+    A value that overflowed raises NumericalError here, in the solve, the
+    clamp or the laws, for the exact and quadrature engines alike.
     """
     d = model.hyper.dim
     sv = model.hyper.signal_variance

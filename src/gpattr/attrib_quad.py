@@ -24,7 +24,8 @@ from .attrib_exact import (
     _query_pair,
     attribution_report,
 )
-from .gpr import GprModel
+from .gpr import GprModel, _all_finite
+from .specfun import NumericalError
 
 __all__ = [
     "QuadratureSpec",
@@ -175,7 +176,10 @@ def mc_attribution_oracle(
         raise ValueError(f"samples must be >= 2, got {samples}")
     laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1)).attributions
     attr = np.stack([np.random.default_rng(seed + i).standard_normal(samples) for i in range(x.size)])
-    attr *= np.copysign([a.std for a in laws], x - z)[:, None]
-    attr += np.array([a.mean for a in laws])[:, None]
-    emp_var = np.var(attr, axis=1, ddof=1)
-    return McOracleResult(np.mean(attr, axis=1), emp_var, np.sqrt(emp_var) / np.sqrt(samples), samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # laws near the float range: checked below
+        attr *= np.copysign([a.std for a in laws], x - z)[:, None]
+        attr += np.array([a.mean for a in laws])[:, None]
+        emp_mean, emp_var = np.mean(attr, axis=1), np.var(attr, axis=1, ddof=1)
+    if not (_all_finite(emp_mean) and _all_finite(emp_var)):
+        raise NumericalError("Monte Carlo sample moments overflow: the attribution laws are too wide")
+    return McOracleResult(emp_mean, emp_var, np.sqrt(emp_var) / np.sqrt(samples), samples)

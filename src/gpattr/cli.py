@@ -20,7 +20,6 @@ LinAlgError). Any other exception is a bug and surfaces with its traceback.
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -55,7 +54,9 @@ from .data_io import (
 )
 from .gpr import (
     GprModel,
+    _all_finite,
     _payload_field,
+    _write_json,
     fit,
     load_model,
     load_model_payload,
@@ -72,12 +73,6 @@ __all__ = ["build_parser", "main", "entrypoint"]
 
 class UsageError(Exception):
     """Flag combination or value count the parser cannot check."""
-
-
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_manifest(args, out: Path) -> None:
@@ -226,11 +221,7 @@ def cmd_fit(args, out: Path) -> None:
     holdout = None
     if args.query_row is not None:
         idx = _row_index(args.query_row, data.n)
-        holdout = {
-            "row": idx,
-            "x": data.X[idx].tolist(),
-            "y": float(data.y[idx]),
-        }
+        holdout = {"row": idx, "x": data.X[idx].tolist(), "y": float(data.y[idx])}
         data = Dataset(np.delete(data.X, idx, axis=0), np.delete(data.y, idx), data.feature_names)
         if data.n < 1:
             raise DataError("holding out the query row leaves no training rows")
@@ -243,34 +234,24 @@ def cmd_fit(args, out: Path) -> None:
         hyper = optimize_hyperparameters(data, hyper, args.optimize)
     model = fit(data, hyper)
 
-    metadata: dict = {"feature_names": list(data.feature_names), "y_train": data.y.tolist()}
+    metadata: dict = {"feature_names": list(data.feature_names)}
     if args.target is not None:
         metadata["target_column"] = args.target
     if data.norm_stats is not None:
-        metadata["norm_stats"] = {
-            "mean": data.norm_stats.mean.tolist(),
-            "std": data.norm_stats.std.tolist(),
-        }
+        metadata["norm_stats"] = {"mean": data.norm_stats.mean.tolist(), "std": data.norm_stats.std.tolist()}
     if holdout is not None:
         metadata["holdout"] = holdout
     save_model(model, out / "model.json", metadata=metadata)
 
-    lml = log_marginal_likelihood(model, data.y)
+    lml = log_marginal_likelihood(model)
     report = {
         "format": "gpattr-fit-report",
         "version": 1,
         "n_train": data.n,
         "log_marginal_likelihood": lml,
         "jitter": model.jitter,
-        "hyper": {
-            "signal_variance": hyper.signal_variance,
-            "lengthscales": hyper.lengthscales.tolist(),
-            "noise_variance": hyper.noise_variance,
-        },
-        "relevance": {
-            name: 1.0 / float(ls)
-            for name, ls in zip(data.feature_names, hyper.lengthscales)
-        },
+        "hyper": hyper.to_json_dict(),
+        "relevance": {name: 1.0 / float(ls) for name, ls in zip(data.feature_names, hyper.lengthscales)},
         "normalized": data.norm_stats is not None,
     }
     _write_json(report, out / "fit_report.json")
@@ -285,14 +266,18 @@ def cmd_fit(args, out: Path) -> None:
 class _ModelFile:
     """A model.json from fit and the metadata stored beside the model: names
     x0, x1, ... unless stored (named), holdout the held-out query in raw
-    units, y_train None if not stored."""
+    units."""
 
     model: GprModel
     names: list[str]
     named: bool
     stats: NormStats | None
     holdout: np.ndarray | None
-    y_train: np.ndarray | None
+
+    @property
+    def train(self) -> Dataset:
+        """The training rows and targets, in model space."""
+        return Dataset(self.model.x_train, self.model.y_train, self.names)
 
 
 def _read_model_file(path: str) -> _ModelFile:
@@ -311,17 +296,9 @@ def _read_model_file(path: str) -> _ModelFile:
         return _ModelFile(
             model, names, "feature_names" in payload, stats,
             None if payload.get("holdout") is None else field("holdout.x", (dim,)),
-            None if payload.get("y_train") is None else field("y_train", (model.n_train,)),
         )
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def _training_dataset(args, mf: _ModelFile) -> Dataset:
-    """The training rows and targets stored in the model file, in model space."""
-    if mf.y_train is None:
-        raise DataError(f"{args.model} stores no training targets; refit with this version")
-    return Dataset(mf.model.x_train, mf.y_train, mf.names)
 
 
 def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
@@ -372,13 +349,17 @@ def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
     elif args.data is not None:
         baseline = model_space(target_filtered_baseline(dataset(), *arg), "--data")
     else:  # the stored training rows are already in model space
-        baseline = target_filtered_baseline(_training_dataset(args, mf), *arg)
+        baseline = target_filtered_baseline(mf.train, *arg)
     return mf, x, baseline
 
 
 def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
-    """count query points drawn uniformly from the box of the training inputs."""
+    """count query points drawn uniformly from the box of the training inputs;
+    NumericalError when the box is wider than the float range."""
     lo, hi = model.x_train.min(axis=0), model.x_train.max(axis=0)
+    with np.errstate(over="ignore"):
+        if not _all_finite(hi - lo):
+            raise NumericalError("the box of the training inputs, where queries are drawn, overflows")
     return np.random.default_rng(seed).uniform(lo, hi, size=(count, model.hyper.dim))
 
 
@@ -397,7 +378,7 @@ def cmd_attribute(args, out: Path) -> None:
         report = quad_attribution(model, x, baseline, quad_spec)
     else:  # rfgp; an ensemble of one is the single fit's law exactly
         mixture = marginalized_attribution(
-            _training_dataset(args, mf), model.hyper, args.rfgp_features, x, baseline,
+            mf.train, model.hyper, args.rfgp_features, x, baseline,
             ensemble_size=args.rfgp_ensemble, seed=args.seed,
         )
         report = report_from_rows(model, x, baseline, mixture.mixture_mean, mixture.total_variance)
@@ -446,35 +427,41 @@ def cmd_quad_sweep(args, out: Path) -> None:
 # ---------------------------------------------------------------- rfgp-compare
 
 
-def _sym_kl(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float | None:
+def _sym_kl(feature: str, mean_a: float, var_a: float, mean_b: float, var_b: float) -> float | None:
+    """Symmetric KL divergence of two Gaussian laws of the feature's attribution,
+    None when either is degenerate; NumericalError naming the feature on overflow."""
     if var_a <= 0.0 or var_b <= 0.0:
         return None
     def kl(m1, v1, m2, v2):
         return 0.5 * (np.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1.0)
-    return float(kl(mean_a, var_a, mean_b, var_b) + kl(mean_b, var_b, mean_a, var_a))
+    with np.errstate(all="ignore"):  # in float64 an overflow gives inf, checked below
+        a, b = np.float64([mean_a, var_a]), np.float64([mean_b, var_b])
+        out = float(kl(*a, *b) + kl(*b, *a))
+    if not math.isfinite(out):
+        raise NumericalError(f"symmetric KL divergence overflows for feature {feature!r}")
+    return out
 
 
 def cmd_rfgp_compare(args, out: Path) -> None:
     m_values = _items(args.m_values, _count)
     mf, x, baseline = _load_query_context(args)
     model, names = mf.model, mf.names
-    train = _training_dataset(args, mf)
 
     exact = attribution_report(model, x, baseline).attributions
     seeds = range(args.seed, args.seed + args.seeds)
     draws = [
-        marginalized_attribution(train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed)
+        marginalized_attribution(mf.train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed)
         for m in m_values
     ]
     mixture = marginalized_attribution(
-        train, model.hyper, args.ensemble_m, x, baseline,
+        mf.train, model.hyper, args.ensemble_m, x, baseline,
         ensemble_size=args.ensemble, seed=args.seed,
     )
 
     def per_m(ex, m: int, mix) -> dict:  # one feature's draws at M = m
         i = ex.feature_index
         laws = list(zip(mix.means[i].tolist(), mix.variances[i].tolist()))
-        kls = [k for k in (_sym_kl(a, v, ex.mean, ex.variance) for a, v in laws) if k is not None]
+        kls = [k for k in (_sym_kl(names[i], a, v, ex.mean, ex.variance) for a, v in laws) if k is not None]
         return {
             "m": m,
             "median_abs_mean_gap": float(np.median(np.abs(mix.means[i] - ex.mean))),

@@ -124,13 +124,15 @@ def load_csv(path: str, target_column: str) -> Dataset:
 
 
 def _column_variances(values: np.ndarray, names) -> np.ndarray:
-    """Variance of each column of the (n, k) values. A column whose variance
-    overflows float64 raises DataError naming it."""
+    """Variance of each column of the (n, k) values, exactly 0 for a column
+    whose entries are all equal (np.var can leave ulps, as the float mean is
+    off by one). A column whose variance overflows raises DataError naming it."""
     with np.errstate(over="ignore", invalid="ignore"):
         var = np.var(values, axis=0)
     bad = [repr(names[j]) for j in np.flatnonzero(~np.isfinite(var))]
     if bad:
         raise DataError(f"the variance of column(s) {', '.join(bad)} overflows: values too large in scale")
+    var[values.max(axis=0) == values.min(axis=0)] = 0.0
     return var
 
 
@@ -142,7 +144,7 @@ def normalize(data: Dataset) -> Dataset:
     mean = data.X.mean(axis=0)  # finite: the variances are
     zero = np.flatnonzero(std == 0.0)
     if zero.size:
-        names = ", ".join(data.feature_names[j] for j in zero)
+        names = ", ".join(repr(data.feature_names[j]) for j in zero)
         raise DataError(f"zero-variance feature(s) cannot be normalized: {names}")
     stats = NormStats(mean=mean, std=std)
     return Dataset((data.X - mean) / std, data.y, data.feature_names, norm_stats=stats)

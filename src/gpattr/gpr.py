@@ -1,13 +1,13 @@
 """Exact Gaussian process regression with the ARD squared-exponential kernel.
 
-The prior mean is zero; targets are centered by their sample mean before
-fitting and the offset is stored on the model, so predictions and the
-marginal likelihood are expressed in the original target units. All solves
-go through one Cholesky factor of K + noise*I, retried with escalating
-diagonal jitter when the factorization fails. K + noise*I is assembled
-straight into LAPACK's rectangular full packed (RFP) layout, n(n+1)/2 values
-(see kernels.kernel_matrix), and factored in place there, so fitting or
-loading a model holds half an n x n array and never forms a whole one.
+The prior mean is zero; targets are centered by their sample mean, which the
+model keeps as its offset, so predictions and the marginal likelihood are
+expressed in the original target units. All solves go through one Cholesky
+factor of K + noise*I, retried with escalating diagonal jitter when the
+factorization fails. K + noise*I is assembled straight into LAPACK's
+rectangular full packed (RFP) layout, n(n+1)/2 values (see
+kernels.kernel_matrix), and factored in place there, so fitting or loading
+a model holds half an n x n array and never forms a whole one.
 """
 
 import functools
@@ -15,7 +15,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -37,39 +37,49 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "gpattr-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # starting jitter of jittered_cholesky, relative to the mean diagonal
 SOLVER_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
 class GprModel:
-    """Fitted state: hyperparameters, training inputs, lower Cholesky factor
-    of K + noise*I as n(n+1)/2 values in LAPACK's RFP layout (transr "N",
-    uplo "L"), representer weights, target offset, and the jitter that had
-    to be added (0.0 when none).
+    """Fitted state: hyperparameters, training inputs and targets, lower
+    Cholesky factor L of K + noise*I as n(n+1)/2 values in LAPACK's RFP
+    layout (transr "N", uplo "L"), and the jitter that had to be added (0.0
+    when none).
 
     Construction checks that the arrays agree in shape with each other and
     with the hyperparameters and that they are finite (DataError naming the
     field otherwise), then freezes them read-only, so solves can skip
-    rescanning the factor.
+    rescanning the factor. It derives the target offset y_mean_offset =
+    mean(y_train) and the representer weights alpha = L^{-T} L^{-1}
+    (y_train - offset), by one dpftrs; NumericalError if they overflow.
     """
 
     hyper: ArdSeHyper
     x_train: np.ndarray
+    y_train: np.ndarray
     chol: np.ndarray
-    alpha: np.ndarray
-    y_mean_offset: float
     jitter: float = 0.0
+    alpha: np.ndarray = field(init=False)
+    y_mean_offset: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(_checked("x_train", self.x_train, (None, self.hyper.dim)))
-        shapes = (("x_train", (n, self.hyper.dim)), ("chol", (n * (n + 1) // 2,)), ("alpha", (n,)))
+        shapes = (("x_train", (n, self.hyper.dim)), ("y_train", (n,)), ("chol", (n * (n + 1) // 2,)))
         for name, shape in shapes:
             arr = _checked(name, getattr(self, name), shape).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _checked("y_mean_offset", self.y_mean_offset)
+        with np.errstate(over="ignore", invalid="ignore"):  # targets near the float range: checked below
+            offset = float(self.y_train.mean())
+            alpha = lapack.dpftrs(n, self.chol, (self.y_train - offset)[:, None], transr="N", uplo="L")[0][:, 0]
+        if not _all_finite(alpha):
+            raise NumericalError(f"representer weights are not finite (jitter {self.jitter:.3e})")
+        alpha.flags.writeable = False
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "y_mean_offset", offset)
 
     @property
     def n_train(self) -> int:
@@ -82,10 +92,13 @@ class GprModel:
         it reads the factor once rather than twice. b is an n-vector or an
         (n, m) matrix; LAPACK's dtfsm solves on a Fortran-ordered copy of it
         and reads the packed factor where it is. The factor was checked at
-        construction; only b is scanned for non-finite values."""
-        b = np.asarray_chkfinite(b, dtype=float)
+        construction; only b is scanned, and a non-finite entry, which only
+        an overflow upstream can put there, raises NumericalError."""
+        b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or len(b) != self.n_train:
             raise ValueError(f"right-hand side of shape {b.shape} for a model fit on {self.n_train} points")
+        if not _all_finite(b):
+            raise NumericalError("right-hand side of a posterior solve is not finite: an intermediate overflowed")
         v = lapack.dtfsm(1.0, self.chol, b.reshape(self.n_train, -1), transr="N", side="L", uplo="L")
         return v.reshape(b.shape)
 
@@ -93,9 +106,9 @@ class GprModel:
 def _clamp_variance(var, what: str, scale: float):
     """Round-off negatives (>= -1e-10 * scale, with scale the variance scale
     of the model, its signal variance for a GP) become zero; anything more
-    negative raises. Works on a float or elementwise on an array."""
-    worst = float(np.min(var))
-    if worst < -1e-10 * scale:
+    negative, or NaN, raises. Works on a float or elementwise on an array."""
+    worst = float(np.min(var))  # NaN if any entry is
+    if not worst >= -1e-10 * scale:
         raise NumericalError(
             f"{what} variance {worst:.6e} is negative beyond round-off tolerance at scale {scale:.3e}"
         )
@@ -169,25 +182,13 @@ def _noisy_kernel_matrix(X, hyper: ArdSeHyper, jitter: float) -> np.ndarray:
 
 
 def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
-    """Fit the GP: factor K + noise*I and solve for the representer weights
-    of the targets centered by their mean, which is stored as the offset.
-    NumericalError when K is not finite, stays indefinite through the
-    jitter retries, or gives weights that overflow."""
-    if data.dim != hyper.dim:
-        raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
+    """Fit the GP: factor K + noise*I, retrying with jitter, and build the
+    model on copies of the data, which derives the weights. ValueError when
+    the data's features do not match the hyperparameters (kernel_matrix
+    checks); NumericalError when K is not finite, stays indefinite through
+    the jitter retries, or gives weights that overflow."""
     chol, jitter = jittered_cholesky(functools.partial(_noisy_kernel_matrix, data.X, hyper))
-    offset = float(data.y.mean())
-    alpha = lapack.dpftrs(data.n, chol, (data.y - offset)[:, None], transr="N", uplo="L")[0][:, 0]
-    if not _all_finite(alpha):
-        raise NumericalError(f"representer weights are not finite (jitter {jitter:.3e})")
-    return GprModel(
-        hyper=hyper,
-        x_train=np.array(data.X, dtype=float, copy=True),
-        chol=chol,
-        alpha=alpha,
-        y_mean_offset=offset,
-        jitter=jitter,
-    )
+    return GprModel(hyper, np.array(data.X, dtype=float), np.array(data.y, dtype=float), chol, jitter)
 
 
 def predict(model: GprModel, x_star) -> tuple[float, float]:
@@ -206,17 +207,10 @@ def predict(model: GprModel, x_star) -> tuple[float, float]:
     return mean, _clamp_variance(float(sv - w @ w), "posterior", sv)
 
 
-def log_marginal_likelihood(model: GprModel, y) -> float:
-    """Log marginal likelihood of targets y under the fitted model.
-
-    y is centered with the model's stored offset so the quadratic form is
-    consistent with the stored weights.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != model.n_train:
-        raise ValueError(f"y has {y.size} entries, model was fit on {model.n_train}")
-    yc = y - model.y_mean_offset
-    n = y.size
+def log_marginal_likelihood(model: GprModel) -> float:
+    """Log marginal likelihood of the model's training targets."""
+    yc = model.y_train - model.y_mean_offset
+    n = model.n_train
     return float(
         -0.5 * yc @ model.alpha
         - np.sum(np.log(model.chol[_packed_diagonal(n)]))
@@ -255,7 +249,7 @@ def _score(data: Dataset, theta: np.ndarray) -> float:
         model = fit(data, _hyper_from_log(theta))
     except NumericalError:
         return -np.inf
-    return log_marginal_likelihood(model, data.y)
+    return log_marginal_likelihood(model)
 
 
 def _descend(data: Dataset, theta: np.ndarray, share: int, current: float | None = None) -> tuple[np.ndarray, float]:
@@ -368,34 +362,36 @@ def optimize_hyperparameters(data: Dataset, init: ArdSeHyper, budget: int) -> Ar
     return _hyper_from_log(best_theta)
 
 
-def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None:
-    """Write the model as versioned JSON. The Cholesky factor is not stored:
-    load_model rebuilds it from the stored hyperparameters, inputs and jitter.
+def _write_json(payload: dict, path) -> None:
+    """Indented JSON with sorted keys, the form of every file gpattr writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    metadata entries (feature names, normalization stats, training targets,
-    a held-out query) ride along under their own keys for tooling; they are
-    ignored by load_model.
+
+def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None:
+    """Write the model as versioned JSON: the hyperparameters, training
+    inputs and targets, and jitter, which fix the posterior. The Cholesky
+    factor, the weights and the offset are not stored: load_model derives
+    them again, as fit did.
+
+    metadata entries (feature names, normalization stats, a held-out query)
+    ride along under their own keys for tooling; they are ignored by
+    load_model.
     """
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "hyper": {
-            "signal_variance": model.hyper.signal_variance,
-            "lengthscales": model.hyper.lengthscales.tolist(),
-            "noise_variance": model.hyper.noise_variance,
-        },
+        "hyper": model.hyper.to_json_dict(),
         "x_train": model.x_train.tolist(),
-        "alpha": model.alpha.tolist(),
-        "y_mean_offset": model.y_mean_offset,
+        "y_train": model.y_train.tolist(),
         "jitter": model.jitter,
     }
     for key, value in (metadata or {}).items():
         if key in payload:
             raise ValueError(f"metadata key {key!r} collides with a model field")
         payload[key] = value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, path)
 
 
 def load_model_payload(path: str) -> dict:
@@ -416,20 +412,32 @@ def load_model_payload(path: str) -> dict:
 
 def load_model(source: str | dict) -> GprModel:
     """Load a model written by save_model, from its file path or from the
-    payload load_model_payload read from it, factoring K + noise*I once with
-    the stored jitter (no retries), so the factor is the one alpha was solved
-    with. K + noise*I is built and factored in RFP layout, so the loaded
-    model holds its n(n+1)/2 values, not n x n. A missing or malformed
-    field (wrong type or shape, non-finite or out-of-range values) raises
-    DataError naming the field; NumericalError if the factor fails. Errors
-    from a path name the file."""
-    if isinstance(source, dict):
-        return _model_from_payload(source)
-    payload = load_model_payload(source)
+    payload load_model_payload read from it. K + noise*I is built and
+    factored once in RFP layout with the stored jitter (no retries), so the
+    factor, and the weights GprModel derives with it, are the ones fit made,
+    and the loaded model holds n(n+1)/2 values, not n x n. A missing or
+    malformed field (wrong type or shape, non-finite or out-of-range values)
+    raises DataError naming the field; NumericalError if the factor or the
+    weights fail. Errors from a path name the file."""
+    payload = source if isinstance(source, dict) else load_model_payload(source)
+    where = "" if isinstance(source, dict) else f"{source}: "
+    field = functools.partial(_payload_field, payload)
     try:
-        return _model_from_payload(payload)
+        jitter = field("jitter", low=0.0)
+        hyper = ArdSeHyper(
+            signal_variance=field("hyper.signal_variance", low=0.0, strict=True),
+            lengthscales=field("hyper.lengthscales", (None,), low=0.0, strict=True),
+            noise_variance=field("hyper.noise_variance", low=0.0),
+        )
+        x_train = field("x_train", (None, hyper.dim))
+        y_train = field("y_train", (len(x_train),))
+        try:
+            chol = cholesky(_noisy_kernel_matrix(x_train, hyper, jitter))
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
+        return GprModel(hyper, x_train, y_train, chol, jitter)
     except (DataError, NumericalError) as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+        raise type(exc)(f"{where}{exc}") from None
 
 
 def _checked(name: str, value, shape: tuple = (), low: float = -math.inf, strict: bool = False):
@@ -461,26 +469,3 @@ def _payload_field(payload: dict, name: str, shape: tuple = (), low: float = -ma
     except (KeyError, TypeError, ValueError) as exc:  # missing, a non-object indexed, ragged lists
         raise DataError(f"model field {name!r} is missing or malformed ({type(exc).__name__}: {exc})") from None
     return _checked(name, value, shape, low, strict)
-
-
-def _model_from_payload(payload: dict) -> GprModel:
-    field = functools.partial(_payload_field, payload)
-    jitter = field("jitter", low=0.0)
-    hyper = ArdSeHyper(
-        signal_variance=field("hyper.signal_variance", low=0.0, strict=True),
-        lengthscales=field("hyper.lengthscales", (None,), low=0.0, strict=True),
-        noise_variance=field("hyper.noise_variance", low=0.0),
-    )
-    x_train = field("x_train", (None, hyper.dim))
-    try:
-        chol = cholesky(_noisy_kernel_matrix(x_train, hyper, jitter))
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
-    return GprModel(
-        hyper=hyper,
-        x_train=x_train,
-        chol=chol,
-        alpha=field("alpha", (len(x_train),)),
-        y_mean_offset=field("y_mean_offset"),
-        jitter=jitter,
-    )

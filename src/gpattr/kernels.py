@@ -64,6 +64,10 @@ class ArdSeHyper:
     def dim(self) -> int:
         return self.lengthscales.size
 
+    def to_json_dict(self) -> dict:
+        return {"signal_variance": self.signal_variance, "lengthscales": self.lengthscales.tolist(),
+                "noise_variance": self.noise_variance}
+
 
 def _check_index(i: int, dim: int) -> None:
     if not 0 <= i < dim:

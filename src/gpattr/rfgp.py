@@ -13,6 +13,7 @@ ensemble of frequency draws marginalizes the approximation noise into an
 equal-weight Gaussian mixture.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
 from .attrib_exact import AttributionGaussian, _laws, _query_pair
 from .data_io import Dataset
+from .gpr import _all_finite
 from .kernels import ArdSeHyper
 from .specfun import NumericalError
 
@@ -90,6 +92,7 @@ def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inputs near the float range: checked below
 def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
     """Fit the random-feature regressor.
 
@@ -100,15 +103,18 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     2M x 2M matrix. The QR factors the design matrix in its own buffer,
     which then holds Q; when 2M < N, Q is copied out so the model does not
     keep the (2M, N) buffer alive behind its (2M, 2M) basis. Zero noise
-    makes A rank deficient whenever 2M > N, which raises NumericalError.
+    makes A rank deficient whenever 2M > N, which raises NumericalError, as
+    does a design matrix (so R), ridge or weights that overflow.
     """
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
-    Q, R = qr(design_matrix(data.X, V), mode="economic", overwrite_a=True)
+    Q, R = qr(design_matrix(data.X, V), mode="economic", overwrite_a=True, check_finite=False)
     if Q.shape[1] < data.n:
         Q = Q.copy(order="F")
     ridge = _ridge(m_features, hyper)
+    if not (_all_finite(R) and math.isfinite(ridge)):
+        raise NumericalError(f"random-feature design matrix or ridge ({ridge:.3e}) is not finite: inputs too large")
     core = R @ R.T
     core[np.diag_indices_from(core)] += ridge
     try:
@@ -121,7 +127,9 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
             "noise_variance = 0 makes it rank deficient"
         ) from exc
     offset = float(data.y.mean())
-    weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
+    weights = Q @ cho_solve((factor, True), R @ (data.y - offset), check_finite=False)
+    if not _all_finite(weights):
+        raise NumericalError("random-feature weights are not finite: targets too large")
     return RfgpModel(
         frequencies=V,
         weights=weights,
@@ -160,6 +168,7 @@ def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarra
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a law that overflows raises in _laws
 def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian, ...]:
     """Attribution law of every feature under the random-feature posterior.
 
@@ -243,6 +252,8 @@ def marginalized_attribution(
     moments = np.array([[(a.mean, a.variance) for a in laws] for laws in draws])  # (R, d, 2)
     # C-contiguous (d, R) rows, which numpy reduces as it does 1-D arrays
     means, variances = moments.transpose(2, 1, 0).copy()
-    return AttributionMixture(
-        means, variances, means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # components near the float range: checked below
+        mixture_mean, total_variance = means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
+    if not (_all_finite(mixture_mean) and _all_finite(total_variance)):
+        raise NumericalError("attribution mixture is not finite: its components are too spread")
+    return AttributionMixture(means, variances, mixture_mean, total_variance)

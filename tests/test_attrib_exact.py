@@ -576,7 +576,7 @@ def test_report_csv_round_trips(sim_model, tmp_path):
 def test_attribution_gaussian_validation():
     a = AttributionGaussian(0, 1.0, 4.0)
     assert a.std == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="feature 0"):
         AttributionGaussian(0, np.nan, 1.0)
     with pytest.raises(ValueError):
         AttributionGaussian(0, 0.0, -1e-6)

@@ -57,8 +57,18 @@ def workdir(tmp_path_factory):
     swapped = root / "swapped.csv"  # the demo data with its feature columns in x2, x1 order
     with open(csv_path, newline="") as src, open(swapped, "w", newline="") as dst:
         csv.writer(dst).writerows([b, a, y] for a, b, y in csv.reader(src))
-    return {"root": root, "csv": csv_path, "huge": huge, "swapped": swapped, **headers,
-            "fit": fit_dir, "model": fit_dir / "model.json"}
+    const = root / "const.csv"  # column a never varies, yet np.var gives 7.9e-31 for it
+    const.write_text("a,b,y\n" + "".join(f"2.0540891014965688,{k},{k % 3}\n" for k in range(20)))
+    # one input and one target at 1e154: the fit is finite, and an rfgp
+    # attribution at a far query overflows
+    wide = _write_sim_csv(root / "wide.csv", n=30)
+    rows = wide.read_text().splitlines()
+    rows[16] = "1e154," + rows[16].split(",", 1)[1]
+    rows[9] = rows[9].rsplit(",", 1)[0] + ",1e154"
+    wide.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(wide), "--target", "y", "--out-dir", str(root / "wide")]) == 0
+    return {"root": root, "csv": csv_path, "huge": huge, "swapped": swapped, "const": const, **headers,
+            "fit": fit_dir, "model": fit_dir / "model.json", "wide_model": root / "wide" / "model.json"}
 
 
 def test_fit_outputs(workdir):
@@ -269,6 +279,14 @@ def test_fit_normalize_stores_stats_and_maps_queries(tmp_path):
     doc = json.loads((attr_out / "attributions.json").read_text())
     want = (np.array([5.0, 5.0]) - np.array(stats["mean"])) / np.array(stats["std"])
     assert doc["query"] == pytest.approx(want.tolist())
+
+
+def test_fit_gives_a_constant_column_the_unit_lengthscale(workdir, tmp_path):
+    # the default lengthscale is the column's std, or 1 for a constant column
+    # (not the 8.9e-16 its float variance gives)
+    assert main(["fit", "--data", str(workdir["const"]), "--target", "y", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["hyper"]["lengthscales"] == [1.0, float(np.std(np.arange(20)))]
 
 
 def test_fit_with_small_search_budget(tmp_path):
@@ -547,11 +565,12 @@ DELETE = object()
 
 
 def _edit(path: str, value=DELETE):
-    """The workdir model payload with the dotted field path deleted, set to
-    value, or mapped through value when it is callable, as file text."""
+    """The workdir model payload with the dotted field path (a number in it
+    indexes a list) deleted, set to value, or mapped through value when it
+    is callable, as file text."""
 
     def apply(payload: dict) -> str:
-        *parents, last = path.split(".")
+        *parents, last = (int(key) if key.isdigit() else key for key in path.split("."))
         node = payload
         for key in parents:
             node = node[key]
@@ -591,9 +610,7 @@ EXIT_CASES = {
     "empty": _bad_model(lambda payload: ""),
     "truncated": _bad_model(lambda payload: json.dumps(payload)[:300]),
     "no-hyper": _bad_model(_edit("hyper"), "hyper"),
-    "no-alpha": _bad_model(_edit("alpha"), "alpha"),
     "no-x_train": _bad_model(_edit("x_train"), "x_train"),
-    "no-y_mean_offset": _bad_model(_edit("y_mean_offset"), "y_mean_offset"),
     "hyper-a-list": _bad_model(_edit("hyper", [1]), "hyper"),
     "signal-variance-null": _bad_model(_edit("hyper.signal_variance", None), "signal_variance"),
     "x_train-ragged": _bad_model(_edit("x_train", lambda x: [x[0][:1], *x[1:]]), "x_train"),
@@ -603,13 +620,16 @@ EXIT_CASES = {
     "holdout-nan": _bad_model(_edit("holdout.x", [float("nan"), 1.0]), "holdout.x"),
     "y_train-text": _bad_model(_edit("y_train", lambda y: ["a"] * len(y)), "y_train"),
     "y_train-short": _bad_model(_edit("y_train", lambda y: y[:-1]), "y_train"),
+    "no-y_train": _bad_model(_edit("y_train"), "y_train", argv=("quad-sweep", "--model", BAD)),
+    "version-1": _bad_model(_edit("version", 1), "version 1"),
     "feature_names-a-number": _bad_model(_edit("feature_names", 5), "feature_names"),
-    # a model without stored targets fails the same way for both of its uses
+    # the targets are a model field: without them no command loads the file,
+    # whether or not it reads the targets itself
     "no-targets-filter-baseline": _bad_model(
-        _edit("y_train"), "training targets",
+        _edit("y_train"), "y_train",
         argv=("attribute", "--model", BAD, "--query", "1,2", "--baseline", "filter:-1:1")),
     "no-targets-rfgp-engine": _bad_model(
-        _edit("y_train"), "training targets",
+        _edit("y_train"), "y_train",
         argv=("attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp")),
     "no-query-point": (2, ["attribute", "--model", BAD], ["--query"], _edit("holdout")),
     # finite inputs that overflow the numerics exit 4, the same for every engine
@@ -630,11 +650,39 @@ EXIT_CASES = {
                                  "--lengthscales", "1e-300,1", "--noise-variance", "0"], ["lengthscale"], None),
     "weights-overflow": (4, ["fit", "--simulate", "20", "--signal-variance", "1e-300",
                              "--lengthscales", "1e300,1e300", "--noise-variance", "0"], ["weights"], None),
+    # finite model values that overflow an engine's numerics exit 4 from that
+    # engine's one check: the exact report's solve, the rfgp fit's design
+    # matrix and ridge, the weights at load, rfgp-compare's divergence and
+    # mixtures, the Monte Carlo moments and the laws themselves
+    "signal-variance-overflow-exact": (4, ["attribute", "--model", BAD, "--query", "1,2"],
+                                       ["solve", "not finite"], _edit("hyper.signal_variance", 1e308)),
+    "signal-variance-overflow-mc": (4, ["mc-validate", "--model", BAD, "--samples", "20", "--grid-points", "5",
+                                        "--queries", "1"], ["Monte Carlo"], _edit("hyper.signal_variance", 1e308)),
+    "x_train-overflow-rfgp": (4, ["attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp"],
+                              ["design matrix"], _edit("x_train.3.0", 1e308)),
+    "ridge-overflow-rfgp": (4, ["attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp"],
+                            ["ridge (inf)"], _edit("hyper.signal_variance", 1e-320)),
+    "y_train-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
+                                          "--seeds", "2", "--ensemble", "2", "--ensemble-m", "5"],
+                                      [BAD, "weights"], _edit("y_train.5", 1e308)),
+    "mixture-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
+                                          "--seeds", "2", "--ensemble", "2", "--ensemble-m", "5"],
+                                      ["attribution mixture"], _edit("y_train.5", 1e160)),
+    "sym-kl-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
+                                         "--seeds", "1", "--ensemble", "1", "--ensemble-m", "5"],
+                                     ["divergence", "'x1'"], _edit("y_train.5", 1e160)),
+    "query-box-overflow-quad-sweep": (4, ["quad-sweep", "--model", BAD, "--queries", "1"], ["box"],
+                                      _edit("x_train", lambda x: [[1e308, 0.0], [-1e308, 0.0], *x[2:]])),
+    "laws-overflow-rfgp": (4, ["attribute", "--model", "<wide_model>", "--query", "1e100,2", "--engine", "rfgp"],
+                           ["law of feature 0", "not finite"], None),
     # finite data whose variance overflows exits 3 naming the column
     "simulate-out-of-scale": (3, ["fit", "--simulate", "20", "--noise-scale", "1e300"], ["'y'"], None),
     "csv-out-of-scale": (3, ["fit", "--data", HUGE, "--target", "y"], ["'y'"], None),
     "csv-out-of-scale-normalize": (3, ["fit", "--data", HUGE, "--target", "y", "--normalize"],
                                    ["'x1'", "'x2'"], None),
+    # a column whose entries are all equal is constant, whatever its float variance
+    "csv-constant-normalize": (3, ["fit", "--data", "<const>", "--target", "y", "--normalize"],
+                               ["zero-variance", "'a'"], None),
     # every CSV column needs its own non-empty name
     "csv-duplicate-feature": (3, ["fit", "--data", "<dup>", "--target", "y"], ["<dup>", "'a', 'a'"], None),
     "csv-duplicate-target": (3, ["fit", "--data", "<twin>", "--target", "y"], ["<twin>", "'y', 'y'"], None),
@@ -667,6 +715,56 @@ def test_exit_code_and_message_name_the_fault(workdir, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+# the seeded fuzz of the model file: single-field mutations of the workdir
+# model, each run in process through one of these commands with small flags
+FUZZ_VALUES = (None, "text", [1.0, 2.0], 1e308, -1e308, math.nan, math.inf, 1e-320, DELETE)
+FUZZ_COMMANDS = (
+    ("attribute", "--query", "1,2"),
+    ("attribute", "--query", "1,2", "--engine", "quad:simpson:4"),
+    ("attribute", "--query", "1,2", "--engine", "rfgp", "--rfgp-features", "20"),
+    ("quad-sweep", "--queries", "1", "--rules", "simpson", "--l-values", "2"),
+    ("rfgp-compare", "--query", "1,2", "--m-values", "5", "--seeds", "2", "--ensemble", "2", "--ensemble-m", "5"),
+    ("mc-validate", "--samples", "20", "--grid-points", "5", "--queries", "1"),
+)
+
+
+def _fuzz_paths(node, rng, prefix="") -> list[str]:
+    """Dotted path of every object field and sub-object of the payload node,
+    and of three seeded entries of each list (all of a shorter one)."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+    elif isinstance(node, list):
+        keys = sorted(rng.choice(len(node), min(3, len(node)), replace=False).tolist())
+    else:
+        return []
+    paths = []
+    for key in keys:
+        path = f"{prefix}{key}"
+        paths += [path, *_fuzz_paths(node[key], rng, path + ".")]
+    return paths
+
+
+def test_model_file_fuzz_exits_with_a_documented_code(workdir, tmp_path, capsys):
+    # every mutation exits 0, 2, 3 or 4 with no traceback; a numpy warning,
+    # an error under this suite's settings, counts as an escape too
+    payload = json.loads(workdir["model"].read_text())
+    rng = np.random.default_rng(2024)
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    cases = [(path, value) for path in _fuzz_paths(payload, rng) for value in FUZZ_VALUES]
+    assert len(cases) >= 250
+    escapes = []
+    for (path, value), k in zip(cases, rng.integers(len(FUZZ_COMMANDS), size=len(cases))):
+        command, *flags = FUZZ_COMMANDS[k]
+        bad.write_text(_edit(path, value)(json.loads(json.dumps(payload))))
+        try:
+            code = main([command, "--model", str(bad), *flags, "--out-dir", out])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 2, 3, 4) or "Traceback" in capsys.readouterr().err:
+            escapes.append((path, value, command, *flags, code))
+    assert not escapes, "\n".join(map(repr, escapes))
+
+
 def test_main_lets_other_exceptions_surface(workdir, tmp_path, monkeypatch):
     # only the documented exception types map to exit codes; anything
     # else is a bug and must keep its traceback
@@ -694,17 +792,6 @@ def test_numerical_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_attribute_rejects_truncated_alpha_at_load(workdir, tmp_path, capsys):
-    payload = json.loads(workdir["model"].read_text())
-    payload["alpha"] = payload["alpha"][:-1]
-    bad = tmp_path / "truncated.json"
-    bad.write_text(json.dumps(payload))
-    rc = main(["attribute", "--model", str(bad), "--query", "1,2", "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "alpha" in err and "matmul" not in err
-
-
 def test_attribute_load_uses_the_stored_jitter(workdir, tmp_path, capsys):
     payload = json.loads(workdir["model"].read_text())
     query = ["--query", "1,2", "--out-dir", str(tmp_path)]
@@ -715,7 +802,7 @@ def test_attribute_load_uses_the_stored_jitter(workdir, tmp_path, capsys):
     assert "jitter" in capsys.readouterr().err
     # duplicate every training row at zero noise: singular without jitter
     payload["x_train"] = payload["x_train"] * 2
-    payload["alpha"] = payload["alpha"] * 2
+    payload["y_train"] = payload["y_train"] * 2
     payload["hyper"]["noise_variance"] = 0.0
     payload["jitter"] = 0.0
     bad = tmp_path / "singular.json"

@@ -87,6 +87,16 @@ def test_normalize_rejects_constant_feature(rng):
     assert "flat" in str(err.value)
 
 
+def test_normalize_rejects_a_constant_feature_whose_float_variance_is_not_zero(rng):
+    # the float mean of 20 copies of this value is one ulp off, so np.var
+    # gives 7.9e-31 for a column that never varies
+    flat = np.full(20, 2.0540891014965688)
+    assert np.var(flat) > 0.0
+    data = Dataset(np.column_stack([rng.standard_normal(20), flat]), np.zeros(20), ("good", "flat"))
+    with pytest.raises(DataError, match="zero-variance feature.*'flat'"):
+        normalize(data)
+
+
 def test_normalize_twice_rejected(rng):
     data = Dataset(rng.standard_normal((10, 2)), np.zeros(10), ("a", "b"))
     with pytest.raises(DataError):

@@ -75,7 +75,7 @@ def test_solve_is_half_of_the_dense_quadratic_form(rng):
     v = model.solve(B[:, 0])
     assert v.shape == (data.n,)
     assert np.abs(unpack_factor(model.chol) @ v - B[:, 0]).max() <= 1e-14 * np.abs(B[:, 0]).max()
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="not finite"):
         model.solve(np.full(data.n, np.nan))
 
 
@@ -136,7 +136,7 @@ def test_loglik_single_zero_target_by_hand():
     data = Dataset(np.array([[0.0]]), np.array([0.0]), ("a",))
     model = fit(data, ArdSeHyper(0.5, np.array([1.0]), 0.5))
     want = -0.5 * np.log(2.0 * np.pi)
-    assert log_marginal_likelihood(model, data.y) == pytest.approx(want, rel=1e-14)
+    assert log_marginal_likelihood(model) == pytest.approx(want, rel=1e-14)
 
 
 def test_loglik_matches_dense_evaluation():
@@ -146,14 +146,7 @@ def test_loglik_matches_dense_evaluation():
     yc = data.y - data.y.mean()
     _, logdet = np.linalg.slogdet(K)
     want = -0.5 * yc @ np.linalg.solve(K, yc) - 0.5 * logdet - 0.5 * data.n * np.log(2 * np.pi)
-    assert log_marginal_likelihood(model, data.y) == pytest.approx(want, rel=1e-10)
-
-
-def test_loglik_rejects_wrong_length():
-    data = _dataset(10, seed=9)
-    model = fit(data, HYP)
-    with pytest.raises(ValueError):
-        log_marginal_likelihood(model, np.zeros(11))
+    assert log_marginal_likelihood(model) == pytest.approx(want, rel=1e-10)
 
 
 def test_centering_offset():
@@ -176,7 +169,7 @@ def test_search_objective_monotone_in_budget():
     scores = []
     for budget in (1, 8, 25, 60, 120):
         best = optimize_hyperparameters(data, init, budget)
-        scores.append(log_marginal_likelihood(fit(data, best), data.y))
+        scores.append(log_marginal_likelihood(fit(data, best)))
     for a, b in zip(scores, scores[1:]):
         assert b >= a - 1e-12
     assert scores[-1] > scores[0]  # the search actually moved
@@ -185,9 +178,9 @@ def test_search_objective_monotone_in_budget():
 def test_search_never_worse_than_init():
     data = _dataset(25, seed=12)
     init = ArdSeHyper(0.4, np.array([0.9, 1.1]), 0.3)
-    base = log_marginal_likelihood(fit(data, init), data.y)
+    base = log_marginal_likelihood(fit(data, init))
     best = optimize_hyperparameters(data, init, 30)
-    assert log_marginal_likelihood(fit(data, best), data.y) >= base - 1e-12
+    assert log_marginal_likelihood(fit(data, best)) >= base - 1e-12
 
 
 def test_search_rejects_bad_budget():
@@ -442,14 +435,20 @@ def test_model_round_trip(tmp_path, rng):
         assert predict(loaded, xs) == pytest.approx(predict(model, xs), abs=1e-12)
     payload = load_model_payload(str(path))
     assert payload["feature_names"] == ["f0", "f1"]
-    assert payload["version"] == 1
+    assert payload["version"] == 2
+    # the file stores what fixes the posterior; the weights and the offset
+    # are derived again at load, to the bit
+    assert not {"alpha", "y_mean_offset"} & set(payload)
+    assert np.array_equal(loaded.y_train, data.y)
+    assert np.array_equal(loaded.alpha, model.alpha)
+    assert loaded.y_mean_offset == model.y_mean_offset
 
 
 def test_model_metadata_key_collision(tmp_path):
     data = _dataset(5, seed=15)
     model = fit(data, HYP)
     with pytest.raises(ValueError):
-        save_model(model, str(tmp_path / "m.json"), metadata={"alpha": [1.0]})
+        save_model(model, str(tmp_path / "m.json"), metadata={"y_train": [1.0]})
 
 
 def test_model_load_rejects_foreign_payload(tmp_path):
@@ -470,8 +469,7 @@ def test_fit_dimension_mismatch():
 
 
 def _rebuilt(model, **fields):
-    parts = dict(hyper=model.hyper, x_train=model.x_train, chol=model.chol,
-                 alpha=model.alpha, y_mean_offset=model.y_mean_offset)
+    parts = dict(hyper=model.hyper, x_train=model.x_train, y_train=model.y_train, chol=model.chol)
     parts.update(fields)
     return GprModel(**parts)
 
@@ -486,14 +484,24 @@ def test_model_rejects_non_finite_factor():
     x_train[0, 1] = np.inf
     with pytest.raises(ValueError, match="x_train"):
         _rebuilt(model, x_train=x_train)
-    with pytest.raises(ValueError, match="y_mean_offset"):
-        _rebuilt(model, y_mean_offset=float("nan"))
+    with pytest.raises(ValueError, match="y_train"):
+        _rebuilt(model, y_train=np.full(model.n_train, np.nan))
+
+
+def test_model_derives_the_weights_and_rejects_overflowing_ones():
+    model = fit(_dataset(12, seed=21), HYP)
+    assert np.array_equal(_rebuilt(model).alpha, model.alpha)
+    # finite targets whose mean overflows, and targets whose weights do
+    with pytest.raises(NumericalError, match="weights"):
+        _rebuilt(model, y_train=np.full(model.n_train, 1e308))
+    with pytest.raises(NumericalError, match="weights"):
+        _rebuilt(model, y_train=np.resize([1e308, -1e308], model.n_train))
 
 
 def test_model_rejects_inconsistent_shapes():
     model = fit(_dataset(12, seed=22), HYP)
-    with pytest.raises(ValueError, match="alpha"):
-        _rebuilt(model, alpha=model.alpha[:-1])
+    with pytest.raises(ValueError, match="y_train"):
+        _rebuilt(model, y_train=model.y_train[:-1])
     with pytest.raises(ValueError, match="chol"):
         _rebuilt(model, chol=model.chol[:-1])
     with pytest.raises(ValueError, match="x_train"):
@@ -507,17 +515,19 @@ def test_model_arrays_are_read_only():
     with pytest.raises(ValueError):
         model.alpha[0] = 1.0
     with pytest.raises(ValueError):
+        model.y_train[0] = 1.0
+    with pytest.raises(ValueError):
         model.x_train[0, 0] = 1.0
 
 
-def test_load_model_rejects_truncated_alpha(tmp_path):
+def test_load_model_rejects_truncated_y_train(tmp_path):
     model = fit(_dataset(12, seed=24), HYP)
     path = tmp_path / "model.json"
     save_model(model, str(path))
     payload = json.loads(path.read_text())
-    payload["alpha"] = payload["alpha"][:-1]
+    payload["y_train"] = payload["y_train"][:-1]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="y_train"):
         load_model(str(path))
 
 

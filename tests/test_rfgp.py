@@ -196,6 +196,20 @@ def test_fit_rejects_zero_noise_rank_deficiency():
         rfgp_fit(data, hyper, m_features=50, seed=0)
 
 
+def test_fit_rejects_inputs_and_targets_that_overflow():
+    # finite data whose design matrix (x . v past the float range) or whose
+    # weights (targets near it) overflow raise NumericalError, not numpy's
+    # or scipy's ValueError
+    data = simulate(20, 0.3, seed=7)
+    X = data.X.copy()
+    X[3, 0] = 1e308
+    with pytest.raises(NumericalError, match="design matrix"):
+        rfgp_fit(Dataset(X, data.y, data.feature_names), HYP, m_features=50, seed=0)
+    y = np.resize([1e308, -1e308], data.n)
+    with pytest.raises(NumericalError, match="weights"):
+        rfgp_fit(Dataset(data.X, y, data.feature_names), HYP, m_features=50, seed=0)
+
+
 def test_prediction_improves_with_more_features():
     train = simulate(120, 0.2, seed=8)
     test = simulate(200, 0.0, seed=9)  # noise-free targets
