@@ -36,9 +36,9 @@ def run(direction: np.ndarray, t_max: float, steps: int, seed: int) -> list[dict
         x = t * direction
         row = {"t": float(t)}
         report = attribution_report(model, x, baseline)
-        for name, attr in zip(data.feature_names, report.attributions):
-            row[f"mean_{name}"] = attr.mean
-            row[f"std_{name}"] = float(np.sqrt(attr.variance))
+        for name, mean, std in zip(data.feature_names, report.means.tolist(), np.sqrt(report.variances).tolist()):
+            row[f"mean_{name}"] = mean
+            row[f"std_{name}"] = std
         rows.append(row)
     return rows
 

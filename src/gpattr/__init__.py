@@ -13,8 +13,6 @@ from .attrib_exact import (
     gpr_attribution,
     prior_attribution_variance,
     report_from_rows,
-    write_report_csv,
-    write_report_json_dict,
 )
 from .attrib_quad import (
     McOracleResult,

@@ -28,9 +28,9 @@ Cholesky factor on d + 2 right-hand sides: every data correction is a
 squared norm of a column of that solve.
 """
 
-import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "gpr_attribution",
     "attribution_report",
     "report_from_rows",
-    "write_report_json_dict",
-    "write_report_csv",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -54,23 +52,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 SINGULAR_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class AttributionGaussian:
-    """Gaussian law of one feature's attribution: index, mean, variance."""
+class AttributionGaussian(NamedTuple):
+    """Law of one feature's attribution: index, mean, variance. In the
+    package only AttributionReport.attributions builds it."""
 
     feature_index: int
     mean: float
     variance: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise NumericalError(f"attribution law of feature {self.feature_index} is not finite: it overflowed")
-        if self.variance < 0.0:
-            raise ValueError(f"attribution variance must be >= 0, got {self.variance!r}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def _query_pair(x, baseline, hyper: ArdSeHyper) -> tuple[np.ndarray, np.ndarray]:
@@ -216,12 +204,6 @@ def _slices_and_priors(
     return A, _clamp_variance(prior, "prior attribution", hyper.signal_variance)
 
 
-def _laws(means: np.ndarray, variances: np.ndarray) -> tuple[AttributionGaussian, ...]:
-    """One AttributionGaussian per feature, in feature order."""
-    pairs = zip(means, variances)
-    return tuple(AttributionGaussian(i, float(m), float(v)) for i, (m, v) in enumerate(pairs))
-
-
 def prior_attribution_variance(x, baseline, i: int, hyper: ArdSeHyper) -> float:
     """Prior variance of feature i's attribution, read from the d prior
     variances of _slices_and_priors (which needs no training centers)."""
@@ -240,21 +222,49 @@ def gpr_attribution(model: GprModel, x, baseline, i: int) -> AttributionGaussian
 
 @dataclass(frozen=True)
 class AttributionReport:
-    """Per-feature attribution laws plus the completeness diagnostic."""
+    """Attribution law of every feature as read-only (d,) means and
+    variances, plus the completeness diagnostic."""
 
-    attributions: tuple[AttributionGaussian, ...]
+    means: np.ndarray
+    variances: np.ndarray
     completeness_residual: float
     prediction_mean: float
     baseline_prediction_mean: float
 
+    @property
+    def attributions(self) -> tuple[AttributionGaussian, ...]:
+        # one law per feature, built on demand: kept for gpr_attribution and
+        # perfbench/explain_child.py, which the benchmark's tracer times
+        pairs = zip(self.means.tolist(), self.variances.tolist())
+        return tuple(AttributionGaussian(i, m, v) for i, (m, v) in enumerate(pairs))
+
+
+def _moments(means, variances, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dim,) means and variances of the attribution laws as read-only float
+    copies. A wrong shape or a negative variance raises ValueError, a law
+    that is not finite NumericalError naming the first such feature."""
+    means, variances = np.array(means, dtype=float), np.array(variances, dtype=float)
+    if not (means.shape == variances.shape == (dim,)):
+        raise ValueError(f"expected ({dim},) means and variances, got {means.shape} and {variances.shape}")
+    finite = np.isfinite(means) & np.isfinite(variances)
+    if not finite.all():
+        raise NumericalError(f"attribution law of feature {int(np.argmin(finite))} is not finite: it overflowed")
+    if np.any(variances < 0.0):
+        raise ValueError(f"attribution variance must be >= 0, got {float(variances.min())!r}")
+    means.flags.writeable = variances.flags.writeable = False
+    return means, variances
+
 
 def _assemble(model: GprModel, means, variances, k_xz: np.ndarray) -> AttributionReport:
-    # mu(x) - mu(z) = (k_x - k_z) . alpha: the target offset cancels exactly
-    rows = _laws(means, variances)
+    # mu(x) - mu(z) = (k_x - k_z) . alpha: the target offset cancels exactly.
+    # sum() adds the means left to right; np.sum pairs them from d = 8 on,
+    # which would move the residual's last digits
+    means, variances = _moments(means, variances, model.hyper.dim)
     gap = float((k_xz[0] - k_xz[1]) @ model.alpha)
     return AttributionReport(
-        attributions=rows,
-        completeness_residual=float(abs(sum(r.mean for r in rows) - gap)),
+        means=means,
+        variances=variances,
+        completeness_residual=float(abs(sum(means.tolist()) - gap)),
         prediction_mean=model.y_mean_offset + float(k_xz[0] @ model.alpha),
         baseline_prediction_mean=model.y_mean_offset + float(k_xz[1] @ model.alpha),
     )
@@ -271,7 +281,7 @@ def _gaussian_report(
     sv - colsum(W[:, d:]^2) there, which keep predict's round-off guard, and
     the predictions whose gap the completeness residual is measured against.
     A value that overflowed raises NumericalError here, in the solve, the
-    clamp or the laws, for the exact and quadrature engines alike.
+    clamp or the moments, for the exact and quadrature engines alike.
     """
     d = model.hyper.dim
     sv = model.hyper.signal_variance
@@ -299,50 +309,7 @@ def attribution_report(model: GprModel, x, baseline) -> AttributionReport:
 def report_from_rows(model: GprModel, x, baseline, means, variances) -> AttributionReport:
     """Report around the (d,) moments of an engine with its own posterior,
     the random features. The completeness residual is measured against the
-    exact posterior means, so the laws show their true gap rather than zero."""
+    exact posterior means, so the laws show their true gap rather than zero.
+    Moments of another shape than (d,) raise ValueError."""
     x, z = _query_pair(x, baseline, model.hyper)
     return _assemble(model, means, variances, kernel_cross(np.stack((x, z)), model.x_train, model.hyper))
-
-
-def write_report_json_dict(report: AttributionReport, feature_names=None) -> dict:
-    """Report as a JSON-ready dict. feature_names defaults to x0, x1, ..."""
-    names = _names(feature_names, len(report.attributions))
-    return {
-        "format": "gpattr-attribution-report",
-        "version": 1,
-        "prediction_mean": report.prediction_mean,
-        "baseline_prediction_mean": report.baseline_prediction_mean,
-        "completeness_residual": report.completeness_residual,
-        "attributions": [
-            {
-                "feature": names[a.feature_index],
-                "feature_index": a.feature_index,
-                "mean": a.mean,
-                "variance": a.variance,
-                "std": a.std,
-            }
-            for a in report.attributions
-        ],
-    }
-
-
-def write_report_csv(report: AttributionReport, path: str, feature_names=None) -> None:
-    """Write rows (feature, mean, std, completeness_residual)."""
-    names = _names(feature_names, len(report.attributions))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean", "std", "completeness_residual"])
-        for a in report.attributions:
-            writer.writerow(
-                [names[a.feature_index], repr(a.mean), repr(a.std), repr(report.completeness_residual)]
-            )
-
-
-def _names(feature_names, n: int) -> list[str]:
-    if feature_names is None:
-        return [f"x{j}" for j in range(n)]
-    names = list(feature_names)
-    if len(names) != n:
-        raise ValueError(f"got {len(names)} feature names for {n} attributions")
-    return names
-

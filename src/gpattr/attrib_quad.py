@@ -112,9 +112,9 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
 
-    def moments(engine, *spec) -> np.ndarray:  # (Q, d, 2) means and variances
+    def moments(engine, *spec) -> np.ndarray:  # (Q, 2, d) means and variances
         reports = (engine(model, xq, baseline, *spec) for xq in queries)
-        return np.array([[(a.mean, a.variance) for a in r.attributions] for r in reports])
+        return np.array([(r.means, r.variances) for r in reports])
 
     exact = moments(attribution_report)
     rows: list[SweepRow] = []
@@ -127,8 +127,8 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
                     rule=rule,
                     partitions=int(L),
                     function_evals=nodes_weights(spec)[0].size,
-                    mean_abs_err=float(np.median(err[..., 0])),
-                    var_abs_err=float(np.median(err[..., 1])),
+                    mean_abs_err=float(np.median(err[:, 0])),
+                    var_abs_err=float(np.median(err[:, 1])),
                 )
             )
     return rows
@@ -174,11 +174,11 @@ def mc_attribution_oracle(
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    laws = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1)).attributions
+    law = quad_attribution(model, x, z, QuadratureSpec("trapezoid", grid_points - 1))
     attr = np.stack([np.random.default_rng(seed + i).standard_normal(samples) for i in range(x.size)])
     with np.errstate(over="ignore", invalid="ignore"):  # laws near the float range: checked below
-        attr *= np.copysign([a.std for a in laws], x - z)[:, None]
-        attr += np.array([a.mean for a in laws])[:, None]
+        attr *= np.copysign(np.sqrt(law.variances), x - z)[:, None]
+        attr += law.means[:, None]
         emp_mean, emp_var = np.mean(attr, axis=1), np.var(attr, axis=1, ddof=1)
     if not (_all_finite(emp_mean) and _all_finite(emp_var)):
         raise NumericalError("Monte Carlo sample moments overflow: the attribution laws are too wide")

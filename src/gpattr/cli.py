@@ -29,12 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attrib_exact import (
-    attribution_report,
-    report_from_rows,
-    write_report_csv,
-    write_report_json_dict,
-)
+from .attrib_exact import AttributionReport, attribution_report, report_from_rows
 from .attrib_quad import (
     QuadratureSpec,
     convergence_sweep,
@@ -65,7 +60,7 @@ from .gpr import (
     save_model,
 )
 from .kernels import ArdSeHyper
-from .rfgp import marginalized_attribution
+from .rfgp import AttributionMixture, marginalized_attribution
 from .specfun import NumericalError
 
 __all__ = ["build_parser", "main", "entrypoint"]
@@ -233,6 +228,7 @@ def cmd_fit(args, out: Path) -> None:
     if args.optimize is not None:
         hyper = optimize_hyperparameters(data, hyper, args.optimize)
     model = fit(data, hyper)
+    lml = log_marginal_likelihood(model)
 
     metadata: dict = {"feature_names": list(data.feature_names)}
     if args.target is not None:
@@ -243,7 +239,6 @@ def cmd_fit(args, out: Path) -> None:
         metadata["holdout"] = holdout
     save_model(model, out / "model.json", metadata=metadata)
 
-    lml = log_marginal_likelihood(model)
     report = {
         "format": "gpattr-fit-report",
         "version": 1,
@@ -366,6 +361,47 @@ def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------- attribute
 
 
+def _report_doc(report: AttributionReport, names) -> dict:
+    """attributions.json without its engine, query and baseline: ValueError
+    unless names has one entry per feature."""
+    laws = zip(names, report.means.tolist(), report.variances.tolist(), strict=True)
+    return {
+        "format": "gpattr-attribution-report",
+        "version": 1,
+        "prediction_mean": report.prediction_mean,
+        "baseline_prediction_mean": report.baseline_prediction_mean,
+        "completeness_residual": report.completeness_residual,
+        "attributions": [
+            {"feature": name, "feature_index": i, "mean": m, "variance": v, "std": math.sqrt(v)}
+            for i, (name, m, v) in enumerate(laws)
+        ],
+    }
+
+
+def _attributions_csv(doc: dict, path) -> None:
+    """attributions.csv: one row (feature, mean, std, completeness_residual)
+    per feature of the report doc, every number as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["feature", "mean", "std", "completeness_residual"])
+        for a in doc["attributions"]:
+            writer.writerow([a["feature"], repr(a["mean"]), repr(a["std"]), repr(doc["completeness_residual"])])
+
+
+def _mixture_doc(mixture: AttributionMixture, i: int) -> dict:
+    """Feature i's equal-weight mixture, its components in seed order."""
+    return {
+        "format": "gpattr-attribution-mixture",
+        "version": 1,
+        "feature_index": i,
+        "mixture_mean": float(mixture.mixture_mean[i]),
+        "total_variance": float(mixture.total_variance[i]),
+        "components": [
+            {"mean": m, "variance": v} for m, v in zip(mixture.means[i].tolist(), mixture.variances[i].tolist())
+        ],
+    }
+
+
 def cmd_attribute(args, out: Path) -> None:
     mf, x, baseline = _load_query_context(args)
     model, names = mf.model, mf.names
@@ -383,17 +419,17 @@ def cmd_attribute(args, out: Path) -> None:
         )
         report = report_from_rows(model, x, baseline, mixture.mixture_mean, mixture.total_variance)
 
-    doc = write_report_json_dict(report, names)
+    doc = _report_doc(report, names)
     doc["engine"] = args.engine
     doc["query"] = x.tolist()
     doc["baseline"] = baseline.tolist()
     if mixture is not None and args.rfgp_ensemble > 1:
-        doc["mixtures"] = [mixture.to_json_dict(i) for i in range(len(names))]
+        doc["mixtures"] = [_mixture_doc(mixture, i) for i in range(len(names))]
     _write_json(doc, out / "attributions.json")
-    write_report_csv(report, out / "attributions.csv", names)
+    _attributions_csv(doc, out / "attributions.csv")
 
-    for a in report.attributions:
-        print(f"attribute: {names[a.feature_index]:>12s} mean {a.mean:+.6f} std {a.std:.6f}")
+    for a in doc["attributions"]:
+        print(f"attribute: {a['feature']:>12s} mean {a['mean']:+.6f} std {a['std']:.6f}")
     print(f"attribute: completeness residual {report.completeness_residual:.3e}")
 
 
@@ -447,7 +483,7 @@ def cmd_rfgp_compare(args, out: Path) -> None:
     mf, x, baseline = _load_query_context(args)
     model, names = mf.model, mf.names
 
-    exact = attribution_report(model, x, baseline).attributions
+    exact = attribution_report(model, x, baseline)
     seeds = range(args.seed, args.seed + args.seeds)
     draws = [
         marginalized_attribution(mf.train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed)
@@ -458,26 +494,25 @@ def cmd_rfgp_compare(args, out: Path) -> None:
         ensemble_size=args.ensemble, seed=args.seed,
     )
 
-    def per_m(ex, m: int, mix) -> dict:  # one feature's draws at M = m
-        i = ex.feature_index
+    def per_m(i: int, mean: float, variance: float, m: int, mix) -> dict:  # feature i's draws at M = m
         laws = list(zip(mix.means[i].tolist(), mix.variances[i].tolist()))
-        kls = [k for k in (_sym_kl(names[i], a, v, ex.mean, ex.variance) for a, v in laws) if k is not None]
+        kls = [k for k in (_sym_kl(names[i], a, v, mean, variance) for a, v in laws) if k is not None]
         return {
             "m": m,
-            "median_abs_mean_gap": float(np.median(np.abs(mix.means[i] - ex.mean))),
+            "median_abs_mean_gap": float(np.median(np.abs(mix.means[i] - mean))),
             "median_sym_kl": float(np.median(kls)) if kls else None,
             "draws": [{"seed": s, "mean": a, "variance": v} for s, (a, v) in zip(seeds, laws)],
         }
 
     features = [
         {
-            "feature": names[ex.feature_index],
-            "feature_index": ex.feature_index,
-            "exact": {"mean": ex.mean, "variance": ex.variance},
-            "per_m": [per_m(ex, m, mix) for m, mix in zip(m_values, draws)],
-            "mixture": mixture.to_json_dict(ex.feature_index),
+            "feature": names[i],
+            "feature_index": i,
+            "exact": {"mean": mean, "variance": variance},
+            "per_m": [per_m(i, mean, variance, m, mix) for m, mix in zip(m_values, draws)],
+            "mixture": _mixture_doc(mixture, i),
         }
-        for ex in exact
+        for i, (mean, variance) in enumerate(zip(exact.means.tolist(), exact.variances.tolist()))
     ]
 
     doc = {
@@ -512,10 +547,11 @@ def cmd_mc_validate(args, out: Path) -> None:
             model, xq, baseline,
             grid_points=args.grid_points, samples=args.samples, seed=args.seed + 1000 * qi,
         )
-        for i, closed in enumerate(attribution_report(model, xq, baseline).attributions):
-            mean_ok = abs(mc.empirical_mean[i] - closed.mean) <= 3.0 * mc.std_error[i] + 1e-12
-            if closed.variance > 0.0:
-                var_ok = abs(mc.empirical_var[i] - closed.variance) <= 0.10 * closed.variance
+        closed = attribution_report(model, xq, baseline)
+        for i, (mean, variance) in enumerate(zip(closed.means.tolist(), closed.variances.tolist())):
+            mean_ok = abs(mc.empirical_mean[i] - mean) <= 3.0 * mc.std_error[i] + 1e-12
+            if variance > 0.0:
+                var_ok = abs(mc.empirical_var[i] - variance) <= 0.10 * variance
             else:
                 var_ok = mc.empirical_var[i] == 0.0
             all_ok = all_ok and mean_ok and var_ok
@@ -524,8 +560,8 @@ def cmd_mc_validate(args, out: Path) -> None:
                     "query_index": qi,
                     "query": xq.tolist(),
                     "feature_index": i,
-                    "closed_mean": closed.mean,
-                    "closed_variance": closed.variance,
+                    "closed_mean": mean,
+                    "closed_variance": variance,
                     "empirical_mean": float(mc.empirical_mean[i]),
                     "empirical_variance": float(mc.empirical_var[i]),
                     "std_error": float(mc.std_error[i]),

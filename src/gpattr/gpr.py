@@ -207,15 +207,21 @@ def predict(model: GprModel, x_star) -> tuple[float, float]:
     return mean, _clamp_variance(float(sv - w @ w), "posterior", sv)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below
 def log_marginal_likelihood(model: GprModel) -> float:
-    """Log marginal likelihood of the model's training targets."""
+    """Log marginal likelihood of the model's training targets;
+    NumericalError when it is not finite, as when targets past about 1e154
+    overflow the quadratic form y^T alpha."""
     yc = model.y_train - model.y_mean_offset
     n = model.n_train
-    return float(
+    lml = float(
         -0.5 * yc @ model.alpha
         - np.sum(np.log(model.chol[_packed_diagonal(n)]))
         - 0.5 * n * np.log(2.0 * np.pi)
     )
+    if not math.isfinite(lml):
+        raise NumericalError("log marginal likelihood is not finite: the targets are too large")
+    return lml
 
 
 def _hyper_from_log(theta: np.ndarray) -> ArdSeHyper:
@@ -246,10 +252,9 @@ def _usable_cpus() -> int:
 
 def _score(data: Dataset, theta: np.ndarray) -> float:
     try:
-        model = fit(data, _hyper_from_log(theta))
+        return log_marginal_likelihood(fit(data, _hyper_from_log(theta)))
     except NumericalError:
         return -np.inf
-    return log_marginal_likelihood(model)
 
 
 def _descend(data: Dataset, theta: np.ndarray, share: int, current: float | None = None) -> tuple[np.ndarray, float]:

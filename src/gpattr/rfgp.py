@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
-from .attrib_exact import AttributionGaussian, _laws, _query_pair
+from .attrib_exact import _moments, _query_pair
 from .data_io import Dataset
 from .gpr import _all_finite
 from .kernels import ArdSeHyper
@@ -168,9 +168,10 @@ def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarra
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a law that overflows raises in _laws
-def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian, ...]:
-    """Attribution law of every feature under the random-feature posterior.
+@np.errstate(over="ignore", invalid="ignore")  # a law that overflows raises in _moments
+def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndarray]:
+    """Attribution law of every feature under the random-feature posterior,
+    as read-only (d,) means and variances.
 
     mean_i = (x_i - z_i) * zeta_i . weights
     var_i  = (x_i - z_i)^2 * noise_variance * zeta_i^T A^{-1} zeta_i
@@ -197,7 +198,7 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[AttributionGaussian
     if model.basis.shape[1] < model.basis.shape[0]:
         resid = zeta - model.basis @ proj
         form += np.sum(resid * resid, axis=0) / _ridge(model.m_features, model.hyper)
-    return _laws(means, gap**2 * model.hyper.noise_variance * form)
+    return _moments(means, gap**2 * model.hyper.noise_variance * form, model.hyper.dim)
 
 
 @dataclass(frozen=True)
@@ -210,19 +211,6 @@ class AttributionMixture:
     variances: np.ndarray
     mixture_mean: np.ndarray
     total_variance: np.ndarray
-
-    def to_json_dict(self, i: int) -> dict:
-        return {
-            "format": "gpattr-attribution-mixture",
-            "version": 1,
-            "feature_index": i,
-            "mixture_mean": float(self.mixture_mean[i]),
-            "total_variance": float(self.total_variance[i]),
-            "components": [
-                {"mean": m, "variance": v}
-                for m, v in zip(self.means[i].tolist(), self.variances[i].tolist())
-            ],
-        }
 
 
 def marginalized_attribution(
@@ -245,13 +233,13 @@ def marginalized_attribution(
     """
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    draws = (
+    draws = [
         rfgp_attribution(rfgp_fit(data, hyper, m_features, seed + r), x, baseline)
         for r in range(ensemble_size)
-    )
-    moments = np.array([[(a.mean, a.variance) for a in laws] for laws in draws])  # (R, d, 2)
-    # C-contiguous (d, R) rows, which numpy reduces as it does 1-D arrays
-    means, variances = moments.transpose(2, 1, 0).copy()
+    ]
+    # C-contiguous (d, R) rows of the (R, 2, d) moments, which numpy reduces
+    # as it does 1-D arrays
+    means, variances = np.array(draws).transpose(1, 2, 0).copy()
     with np.errstate(over="ignore", invalid="ignore"):  # components near the float range: checked below
         mixture_mean, total_variance = means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
     if not (_all_finite(mixture_mean) and _all_finite(total_variance)):

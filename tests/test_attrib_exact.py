@@ -32,10 +32,10 @@ from gpattr import (
     gpr_attribution,
     predict,
     prior_attribution_variance,
-    write_report_csv,
-    write_report_json_dict,
+    report_from_rows,
 )
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _query_pair, _slice_matrix
+from gpattr.cli import _attributions_csv, _report_doc
 from gpattr.data_io import Dataset
 from gpattr.kernels import hess_ii_cross
 from oracles import (
@@ -390,19 +390,19 @@ def test_one_pass_matches_per_feature_oracle():
     for draw, (dim, case, scale) in enumerate(grid):
         model, x, z = _equivalence_draw(rng, dim, case, scale)
         sv = model.hyper.signal_variance
-        rows = attribution_report(model, x, z).attributions
-        assert len(rows) == dim
-        for i, got in enumerate(rows):
+        rep = attribution_report(model, x, z)
+        assert rep.means.shape == rep.variances.shape == (dim,)
+        for i, (mean, variance) in enumerate(zip(rep.means, rep.variances)):
             want = gpr_attribution_per_feature(model, x, z, i)
             where = f"draw {draw} ({case}, d={dim}, scale={scale:g}), feature {i}"
-            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(sv)), where
-            assert abs(got.variance - want.variance) <= 1e-13 * sv, where
+            assert abs(mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(sv)), where
+            assert abs(variance - want.variance) <= 1e-13 * sv, where
             if case in ("tiny_path", "threshold_path"):
                 # both laws are O(step) here, far below the bounds above
-                assert abs(got.mean - want.mean) <= 1e-10 * abs(want.mean), where
-                assert abs(got.variance - want.variance) <= 1e-10 * want.variance, where
+                assert abs(mean - want.mean) <= 1e-10 * abs(want.mean), where
+                assert abs(variance - want.variance) <= 1e-10 * want.variance, where
             if x[i] == z[i]:
-                assert got.mean == 0.0 and got.variance == 0.0, where
+                assert mean == 0.0 and variance == 0.0, where
 
 
 def _count_calls(monkeypatch):
@@ -462,7 +462,7 @@ def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
     assert solves == [(n, dim + 2)] and erf_sizes == []
     assert factor_solves == ["dtfsm"]
-    assert all(a.mean == 0.0 and a.variance == 0.0 for a in rep.attributions)
+    assert np.all(rep.means == 0.0) and np.all(rep.variances == 0.0)
 
 
 @functools.cache
@@ -477,10 +477,10 @@ def _zero_noise_laws(c: float) -> tuple[np.ndarray, np.ndarray]:
     model = fit(Dataset(X, c * y, ("a", "b")), ArdSeHyper(c**2, np.full(2, 0.5), 0.0))
     means, variances = [], []
     for row in X:
-        laws = attribution_report(model, row, X.mean(axis=0)).attributions
+        rep = attribution_report(model, row, X.mean(axis=0))
         mean, var = predict(model, row)
-        means.append([a.mean for a in laws] + [mean])
-        variances.append([a.variance for a in laws] + [var])
+        means.append([*rep.means, mean])
+        variances.append([*rep.variances, var])
     return np.array(means), np.array(variances)
 
 
@@ -522,8 +522,8 @@ def test_every_admitted_path_gives_finite_laws(sim_model, x, b, step):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = attribution_report(sim_model, x, z)
-    for a in report.attributions:
-        assert math.isfinite(a.mean) and math.isfinite(a.variance) and a.variance >= 0.0
+    assert np.all(np.isfinite(report.means)) and np.all(np.isfinite(report.variances))
+    assert np.all(report.variances >= 0.0)
     assert math.isfinite(report.completeness_residual)
 
 
@@ -540,46 +540,63 @@ def test_report_fields_and_residual(sim_model):
     x = np.array([7.0, 2.0])
     z = np.array([3.0, 4.0])
     rep = attribution_report(sim_model, x, z)
-    assert len(rep.attributions) == 2
+    assert rep.means.shape == rep.variances.shape == (2,)
+    assert not (rep.means.flags.writeable or rep.variances.flags.writeable)
+    assert rep.attributions == tuple(AttributionGaussian(i, *law) for i, law in enumerate(zip(rep.means, rep.variances)))
     assert rep.prediction_mean == pytest.approx(predict(sim_model, x)[0])
     assert rep.baseline_prediction_mean == pytest.approx(predict(sim_model, z)[0])
-    want = abs(sum(a.mean for a in rep.attributions) - (rep.prediction_mean - rep.baseline_prediction_mean))
+    want = abs(sum(rep.means.tolist()) - (rep.prediction_mean - rep.baseline_prediction_mean))
     assert rep.completeness_residual == pytest.approx(want, abs=1e-15)
     assert rep.completeness_residual <= 1e-10
 
 
 def test_report_json_dict_shape(sim_model):
     rep = attribution_report(sim_model, [7.0, 2.0], [3.0, 4.0])
-    doc = write_report_json_dict(rep, feature_names=["alpha", "beta"])
+    doc = _report_doc(rep, ["alpha", "beta"])
     assert doc["format"] == "gpattr-attribution-report" and doc["version"] == 1
     assert [a["feature"] for a in doc["attributions"]] == ["alpha", "beta"]
     a0 = doc["attributions"][0]
     assert a0["std"] == pytest.approx(math.sqrt(a0["variance"]))
     json.dumps(doc)  # must be serializable as-is
     with pytest.raises(ValueError):
-        write_report_json_dict(rep, feature_names=["only-one"])
+        _report_doc(rep, ["only-one"])
 
 
 def test_report_csv_round_trips(sim_model, tmp_path):
     rep = attribution_report(sim_model, [7.0, 2.0], [3.0, 4.0])
     path = tmp_path / "report.csv"
-    write_report_csv(rep, str(path))
+    _attributions_csv(_report_doc(rep, ["x0", "x1"]), str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["feature", "mean", "std", "completeness_residual"]
     assert len(rows) == 3
     # repr round-trips floats exactly
-    assert float(rows[1][1]) == rep.attributions[0].mean
-    assert float(rows[2][2]) == rep.attributions[1].std
+    assert float(rows[1][1]) == rep.means[0]
+    assert float(rows[2][2]) == math.sqrt(rep.variances[1])
 
 
-def test_attribution_gaussian_validation():
-    a = AttributionGaussian(0, 1.0, 4.0)
-    assert a.std == 2.0
+def test_report_moments_validation(sim_model):
+    # one vectorized check serves every engine: a law that is not finite
+    # names its feature, a negative variance is a caller's error
+    x, z = [7.0, 2.0], [3.0, 4.0]
+    rep = report_from_rows(sim_model, x, z, [1.0, 0.0], [4.0, 0.0])
+    assert rep.attributions[0] == AttributionGaussian(0, 1.0, 4.0)
+    assert _report_doc(rep, ["a", "b"])["attributions"][0]["std"] == 2.0
     with pytest.raises(NumericalError, match="feature 0"):
-        AttributionGaussian(0, np.nan, 1.0)
+        report_from_rows(sim_model, x, z, [np.nan, 0.0], [1.0, 0.0])
+    with pytest.raises(NumericalError, match="feature 1"):
+        report_from_rows(sim_model, x, z, [0.0, 0.0], [1.0, np.inf])
     with pytest.raises(ValueError):
-        AttributionGaussian(0, 0.0, -1e-6)
+        report_from_rows(sim_model, x, z, [0.0, 0.0], [0.0, -1e-6])
+
+
+def test_report_from_rows_rejects_moments_of_the_wrong_length(sim_model):
+    # a model with d = 2 takes exactly two means and two variances: a
+    # shorter or longer list must not become a report of fewer features
+    x, z = [7.0, 2.0], [3.0, 4.0]
+    for means, variances in (([0.1], [0.2, 0.3, 0.4]), ([0.1, 0.2], [0.3]), ([[0.1, 0.2]], [[0.3, 0.4]])):
+        with pytest.raises(ValueError, match=r"expected \(2,\) means and variances"):
+            report_from_rows(sim_model, x, z, means, variances)
 
 
 def test_variance_clamp_policy():

@@ -106,16 +106,16 @@ def test_mean_gradient_vanishes_far_from_data(sim_model):
 def test_single_panel_right_hand_is_endpoint_gradient(sim_model):
     x = np.array([6.0, 3.0])
     z = np.array([2.0, 5.0])
-    a = quad_attribution(sim_model, x, z, QuadratureSpec("right_hand", 1)).attributions[0]
+    mean = quad_attribution(sim_model, x, z, QuadratureSpec("right_hand", 1)).means[0]
     want = (x[0] - z[0]) * posterior_mean_gradient(sim_model, x, 0)
-    assert a.mean == pytest.approx(want, rel=1e-12)
+    assert mean == pytest.approx(want, rel=1e-12)
 
 
 def test_quad_zero_at_baseline(sim_model):
     z = np.array([4.0, 4.0])
     for rule in ("right_hand", "trapezoid", "simpson"):
-        a = quad_attribution(sim_model, z, z, QuadratureSpec(rule, 8)).attributions[1]
-        assert a.mean == 0.0 and a.variance == 0.0
+        rep = quad_attribution(sim_model, z, z, QuadratureSpec(rule, 8))
+        assert rep.means[1] == 0.0 and rep.variances[1] == 0.0
 
 
 def test_fine_simpson_agrees_with_closed_form(sim_model, rng):
@@ -123,12 +123,11 @@ def test_fine_simpson_agrees_with_closed_form(sim_model, rng):
     for _ in range(3):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        rows = quad_attribution(sim_model, x, z, spec).attributions
+        approx = quad_attribution(sim_model, x, z, spec)
         for i in range(2):
             exact = gpr_attribution(sim_model, x, z, i)
-            approx = rows[i]
-            assert approx.mean == pytest.approx(exact.mean, rel=1e-7, abs=1e-9)
-            assert approx.variance == pytest.approx(exact.variance, rel=1e-5, abs=1e-9)
+            assert approx.means[i] == pytest.approx(exact.mean, rel=1e-7, abs=1e-9)
+            assert approx.variances[i] == pytest.approx(exact.variance, rel=1e-5, abs=1e-9)
 
 
 @pytest.mark.parametrize("rule", ["right_hand", "trapezoid", "simpson"])
@@ -145,7 +144,7 @@ def test_quad_report_shares_the_exact_posterior_step(sim_model, rng, rule):
             quad = quad_attribution(sim_model, x, z, QuadratureSpec(rule, L))
             assert quad.prediction_mean == exact.prediction_mean
             assert quad.baseline_prediction_mean == exact.baseline_prediction_mean
-            want = abs(sum(a.mean for a in quad.attributions) - gap)
+            want = abs(sum(quad.means.tolist()) - gap)
             assert quad.completeness_residual == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -153,8 +152,7 @@ def test_quad_variance_nonnegative(sim_model, rng):
     for _ in range(10):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        a = quad_attribution(sim_model, x, z, QuadratureSpec("trapezoid", 16)).attributions[0]
-        assert a.variance >= 0.0
+        assert quad_attribution(sim_model, x, z, QuadratureSpec("trapezoid", 16)).variances[0] >= 0.0
 
 
 def test_sweep_errors_shrink_with_partitions(sim_model, rng):
@@ -332,8 +330,8 @@ def test_quad_matches_exact_on_inert_feature(rng):
     X = rng.uniform(-2.0, 2.0, size=(25, 2))
     y = np.sin(X[:, 0]) + 0.2 * rng.standard_normal(25)
     model = fit(Dataset(X, y, ("a", "inert")), hyper)
-    a = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], QuadratureSpec("simpson", 64)).attributions[1]
-    assert abs(a.mean) <= 1e-9 and a.variance <= 1e-9
+    rep = quad_attribution(model, [1.0, 3.0], [0.0, -3.0], QuadratureSpec("simpson", 64))
+    assert abs(rep.means[1]) <= 1e-9 and rep.variances[1] <= 1e-9
 
 
 def _quad_draw(rng, dim: int, case: str, scale: float):
@@ -364,17 +362,16 @@ def test_all_features_match_per_feature_oracle():
     for draw, (rule, L, dim, case, scale) in enumerate(grid):
         model, x, z = _quad_draw(rng, dim, case, scale)
         spec = QuadratureSpec(rule, L)
-        rows = quad_attribution(model, x, z, spec).attributions
-        assert len(rows) == dim
-        for i, got in enumerate(rows):
+        rep = quad_attribution(model, x, z, spec)
+        assert rep.means.shape == rep.variances.shape == (dim,)
+        for i, (mean, variance) in enumerate(zip(rep.means, rep.variances)):
             want = quad_attribution_per_feature(model, x, z, i, spec)
             prior = prior_attribution_variance(x, z, i, model.hyper)
             where = f"draw {draw} ({rule}, L={L}, d={dim}, {case}, scale={scale:g}), feature {i}"
-            assert got.feature_index == i, where
-            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
-            assert abs(got.variance - want.variance) <= 1e-12 * max(want.variance, prior), where
+            assert abs(mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
+            assert abs(variance - want.variance) <= 1e-12 * max(want.variance, prior), where
             if x[i] == z[i]:
-                assert got.mean == 0.0 and got.variance == 0.0, where
+                assert mean == 0.0 and variance == 0.0, where
 
 
 def test_quad_costs_one_kernel_block_and_one_solve(rng, monkeypatch):

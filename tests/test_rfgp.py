@@ -19,6 +19,7 @@ from gpattr import (
     rfgp_fit,
     sample_frequencies,
 )
+from gpattr.cli import _mixture_doc
 from gpattr.data_io import Dataset, simulate
 from gpattr.rfgp import design_matrix, feature_gradient_integral
 from oracles import (
@@ -147,11 +148,11 @@ def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
         x = rng.uniform(-2.0, 2.0, size=2)
         z = rng.uniform(-2.0, 2.0, size=2)
         zeta = feature_gradient_integral(x, z, dense.frequencies)
-        for i, got in enumerate(rfgp_attribution(model, x, z)):
+        for i, (mean, variance) in enumerate(zip(*rfgp_attribution(model, x, z))):
             want = rfgp_attribution_per_feature(dense, x, z, i)
             scale = abs(x[i] - z[i]) * np.abs(zeta[:, i]) @ np.abs(dense.weights)
-            assert abs(got.mean - want.mean) <= tol * scale
-            assert abs(got.variance - want.variance) <= tol * want.variance
+            assert abs(mean - want.mean) <= tol * scale
+            assert abs(variance - want.variance) <= tol * want.variance
 
 
 def test_fit_memory_is_linear_in_features_times_rows():
@@ -296,7 +297,7 @@ def test_attribution_completeness_within_feature_class(rng):
     for _ in range(10):
         x = rng.uniform(0.0, 10.0, size=2)
         z = rng.uniform(0.0, 10.0, size=2)
-        total = sum(a.mean for a in rfgp_attribution(model, x, z))
+        total = sum(rfgp_attribution(model, x, z)[0].tolist())
         want = rfgp_mean(model, x) - rfgp_mean(model, z)
         assert abs(total - want) <= 1e-9
 
@@ -305,12 +306,12 @@ def test_attribution_zero_at_baseline_and_nonnegative_variance(rng):
     data = simulate(50, 0.3, seed=11)
     model = rfgp_fit(data, HYP, m_features=40, seed=4)
     z = np.array([5.0, 5.0])
-    a = rfgp_attribution(model, z, z)[0]
-    assert a.mean == 0.0 and a.variance == 0.0
+    means, variances = rfgp_attribution(model, z, z)
+    assert means[0] == 0.0 and variances[0] == 0.0
     for _ in range(20):
         x = rng.uniform(0.0, 10.0, size=2)
         zq = rng.uniform(0.0, 10.0, size=2)
-        assert rfgp_attribution(model, x, zq)[0].variance >= 0.0
+        assert rfgp_attribution(model, x, zq)[1][0] >= 0.0
 
 
 def test_mixture_law_of_total_variance():
@@ -334,11 +335,11 @@ def test_mixture_single_component_degenerates():
         data, HYP, m_features=30, x=[7.0, 2.0], baseline=[3.0, 4.0],
         ensemble_size=1, seed=6,
     )
-    single = rfgp_attribution(
+    means, variances = rfgp_attribution(
         rfgp_fit(data, HYP, m_features=30, seed=6), [7.0, 2.0], [3.0, 4.0]
-    )[1]
-    assert mix.mixture_mean[1] == pytest.approx(single.mean, abs=1e-15)
-    assert mix.total_variance[1] == pytest.approx(single.variance, abs=1e-15)
+    )
+    assert mix.mixture_mean[1] == pytest.approx(means[1], abs=1e-15)
+    assert mix.total_variance[1] == pytest.approx(variances[1], abs=1e-15)
 
 
 def test_mixture_uses_consecutive_seeds():
@@ -349,8 +350,8 @@ def test_mixture_uses_consecutive_seeds():
     )
     for offset, (mean, variance) in enumerate(zip(mix.means[0], mix.variances[0])):
         model = rfgp_fit(data, HYP, m_features=25, seed=20 + offset)
-        want = rfgp_attribution(model, [6.0, 3.0], [2.0, 5.0])[0]
-        assert mean == want.mean and variance == want.variance
+        want_means, want_variances = rfgp_attribution(model, [6.0, 3.0], [2.0, 5.0])
+        assert mean == want_means[0] and variance == want_variances[0]
 
 
 def test_mixture_json_dict():
@@ -359,7 +360,7 @@ def test_mixture_json_dict():
         data, HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0],
         ensemble_size=2, seed=0,
     )
-    doc = mix.to_json_dict(1)
+    doc = _mixture_doc(mix, 1)
     assert doc["format"] == "gpattr-attribution-mixture" and doc["version"] == 1
     assert doc["feature_index"] == 1 and len(doc["components"]) == 2
 
@@ -376,7 +377,7 @@ def test_mixture_json_moments_equal_one_dimensional_reductions_bit_for_bit():
     )
     assert mix.means.flags.c_contiguous and mix.variances.flags.c_contiguous
     for i in range(2):
-        doc = mix.to_json_dict(i)
+        doc = _mixture_doc(mix, i)
         means = np.array([c["mean"] for c in doc["components"]])
         variances = np.array([c["variance"] for c in doc["components"]])
         assert means.size == 25
@@ -414,16 +415,16 @@ def test_all_features_match_per_feature_oracle():
         elif case == "at_baseline":
             x = z.copy()
         integrals = feature_gradient_integral(x, z, model.frequencies)
-        rows = rfgp_attribution(model, x, z)
-        assert integrals.shape == (2 * m, dim) and len(rows) == dim
-        for i, got in enumerate(rows):
+        means, variances = rfgp_attribution(model, x, z)
+        assert integrals.shape == (2 * m, dim) and means.shape == variances.shape == (dim,)
+        assert not (means.flags.writeable or variances.flags.writeable)
+        for i, (mean, variance) in enumerate(zip(means, variances)):
             where = f"draw {draw} (d={dim}, {case}, scale={scale:g}, M={m}), feature {i}"
             column = feature_gradient_integral_per_feature(x, z, i, model.frequencies)
             assert np.array_equal(integrals[:, i], column), where
             want = rfgp_attribution_per_feature(dense, x, z, i)
             prior = prior_attribution_variance(x, z, i, hyper)
-            assert got.feature_index == i, where
-            assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
-            assert abs(got.variance - want.variance) <= 1e-12 * max(want.variance, prior), where
+            assert abs(mean - want.mean) <= 1e-12 * max(abs(want.mean), math.sqrt(prior)), where
+            assert abs(variance - want.variance) <= 1e-12 * max(want.variance, prior), where
             if x[i] == z[i]:
-                assert got.mean == 0.0 and got.variance == 0.0, where
+                assert mean == 0.0 and variance == 0.0, where
