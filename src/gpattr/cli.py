@@ -50,6 +50,7 @@ from .data_io import (
 from .gpr import (
     GprModel,
     _all_finite,
+    _model_from_payload,
     _payload_field,
     _write_json,
     fit,
@@ -276,12 +277,13 @@ class _ModelFile:
 
 
 def _read_model_file(path: str) -> _ModelFile:
-    """Parse a model file once; any malformed field raises DataError naming
-    the file and the field."""
+    """Parse a model file once, reading its factor sidecar as load_model
+    does; any malformed field raises DataError naming the file and the
+    field."""
     payload = load_model_payload(path)
     field = functools.partial(_payload_field, payload)
     try:
-        model = load_model(payload)
+        model = _model_from_payload(payload, path)
         dim = model.hyper.dim
         names = payload.get("feature_names", [f"x{j}" for j in range(dim)])
         if not (isinstance(names, list) and len(names) == dim and all(isinstance(n, str) for n in names)):

@@ -7,6 +7,7 @@ header as line 1).
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ def load_csv(path: str, target_column: str) -> Dataset:
             vals = [float(c) for c in row]
         except ValueError:
             vals = []
-        if len(vals) == len(header) and np.all(np.isfinite(vals)):
+        if len(vals) == len(header) and all(map(math.isfinite, vals)):
             table.append(vals)
         else:
             bad_rows.append(r)

@@ -8,9 +8,15 @@ factorization fails. K + noise*I is assembled straight into LAPACK's
 rectangular full packed (RFP) layout, n(n+1)/2 values (see
 kernels.kernel_matrix), and factored in place there, so fitting or loading
 a model holds half an n x n array and never forms a whole one.
+
+save_model writes the model as JSON and stores the factor beside it in a
+sidecar keyed by a hash of everything the factor depends on, so that
+load_model reads the factor back instead of refactoring; a sidecar that does
+not match is ignored and the factor is rebuilt, with the same result.
 """
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -38,6 +44,8 @@ __all__ = [
 
 MODEL_FORMAT = "gpattr-model"
 MODEL_VERSION = 2
+# first bytes hashed into a factor sidecar's key: the layout of the values
+FACTOR_TAG = b"gpattr-factor rfp-N-L float64 v1"
 # starting jitter of jittered_cholesky, relative to the mean diagonal
 SOLVER_JITTER = 1e-10
 
@@ -376,9 +384,12 @@ def _write_json(payload: dict, path) -> None:
 
 def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None:
     """Write the model as versioned JSON: the hyperparameters, training
-    inputs and targets, and jitter, which fix the posterior. The Cholesky
-    factor, the weights and the offset are not stored: load_model derives
-    them again, as fit did.
+    inputs and targets, and jitter, which fix the posterior. The weights and
+    the offset are not stored: load_model derives them again, as fit did.
+    The Cholesky factor goes to the sidecar path + ".factor.npy" as two .npy
+    arrays, its key (_factor_key) and then its n(n+1)/2 values, so that
+    load_model can skip refactoring; writing one model twice gives the same
+    bytes.
 
     metadata entries (feature names, normalization stats, a held-out query)
     ride along under their own keys for tooling; they are ignored by
@@ -397,6 +408,50 @@ def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None
             raise ValueError(f"metadata key {key!r} collides with a model field")
         payload[key] = value
     _write_json(payload, path)
+    with open(_factor_path(path), "wb") as fh:
+        np.save(fh, _factor_key(model.hyper, model.x_train, model.jitter))
+        np.save(fh, model.chol)
+
+
+def _factor_path(path) -> str:
+    return f"{os.fspath(path)}.factor.npy"
+
+
+def _factor_key(hyper: ArdSeHyper, x_train: np.ndarray, jitter: float) -> np.ndarray:
+    """sha256, as 32 uint8 values, of what fixes the factor: FACTOR_TAG, n
+    and d, the signal and noise variances, the lengthscales, the jitter and
+    the training inputs, all little-endian. The targets do not enter."""
+    key = hashlib.sha256(FACTOR_TAG)
+    key.update(np.array(x_train.shape, dtype="<i8"))
+    key.update(np.array([hyper.signal_variance, hyper.noise_variance, *hyper.lengthscales, jitter], dtype="<f8"))
+    key.update(np.ascontiguousarray(x_train, dtype="<f8"))
+    return np.frombuffer(key.digest(), dtype=np.uint8)
+
+
+def _stored_factor(path, key: np.ndarray, n: int) -> np.ndarray | None:
+    """The factor in the sidecar of the model file path when its key is key
+    and it holds n(n+1)/2 finite float64 values; None otherwise, and when the
+    sidecar is missing or cannot be read. Each array's header is checked
+    before its data is read, so no sidecar makes it allocate more."""
+    size = n * (n + 1) // 2
+    try:
+        with open(_factor_path(path), "rb") as fh:
+            if _npy_header(fh) != ((key.size,), False, key.dtype) or fh.read(key.size) != key.tobytes():
+                return None
+            if _npy_header(fh) != ((size,), False, np.dtype(np.float64)):
+                return None
+            factor = np.fromfile(fh, dtype=np.float64, count=size)
+    except (OSError, ValueError):
+        return None
+    return factor if factor.size == size and _all_finite(factor) else None
+
+
+def _npy_header(fh) -> tuple:
+    """(shape, fortran_order, dtype) of the version 1.0 .npy array at fh's
+    position, as np.save writes it; ValueError on anything else."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy array")
+    return np.lib.format.read_array_header_1_0(fh)
 
 
 def load_model_payload(path: str) -> dict:
@@ -417,32 +472,43 @@ def load_model_payload(path: str) -> dict:
 
 def load_model(source: str | dict) -> GprModel:
     """Load a model written by save_model, from its file path or from the
-    payload load_model_payload read from it. K + noise*I is built and
-    factored once in RFP layout with the stored jitter (no retries), so the
-    factor, and the weights GprModel derives with it, are the ones fit made,
-    and the loaded model holds n(n+1)/2 values, not n x n. A missing or
-    malformed field (wrong type or shape, non-finite or out-of-range values)
-    raises DataError naming the field; NumericalError if the factor or the
-    weights fail. Errors from a path name the file."""
-    payload = source if isinstance(source, dict) else load_model_payload(source)
-    where = "" if isinstance(source, dict) else f"{source}: "
-    field = functools.partial(_payload_field, payload)
+    payload load_model_payload read from it. From a path, the factor comes
+    from the file's sidecar when that matches the file's fields (see
+    save_model); otherwise, and always from a payload, K + noise*I is built
+    and factored once in RFP layout with the stored jitter (no retries).
+    Either way the factor, and the weights GprModel derives with it, are the
+    ones fit made, and the loaded model holds n(n+1)/2 values, not n x n. A
+    missing or malformed field (wrong type or shape, non-finite or
+    out-of-range values) raises DataError naming the field; NumericalError
+    if the factor or the weights fail. Errors from a path name the file."""
+    if isinstance(source, dict):
+        return _model_from_payload(source)
+    payload = load_model_payload(source)
     try:
-        jitter = field("jitter", low=0.0)
-        hyper = ArdSeHyper(
-            signal_variance=field("hyper.signal_variance", low=0.0, strict=True),
-            lengthscales=field("hyper.lengthscales", (None,), low=0.0, strict=True),
-            noise_variance=field("hyper.noise_variance", low=0.0),
-        )
-        x_train = field("x_train", (None, hyper.dim))
-        y_train = field("y_train", (len(x_train),))
+        return _model_from_payload(payload, source)
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
+def _model_from_payload(payload: dict, path=None) -> GprModel:
+    """load_model on a payload read from the model file path (None: from no
+    file, so no sidecar), with errors not naming the file."""
+    field = functools.partial(_payload_field, payload)
+    jitter = field("jitter", low=0.0)
+    hyper = ArdSeHyper(
+        signal_variance=field("hyper.signal_variance", low=0.0, strict=True),
+        lengthscales=field("hyper.lengthscales", (None,), low=0.0, strict=True),
+        noise_variance=field("hyper.noise_variance", low=0.0),
+    )
+    x_train = field("x_train", (None, hyper.dim))
+    y_train = field("y_train", (len(x_train),))
+    chol = None if path is None else _stored_factor(path, _factor_key(hyper, x_train, jitter), len(x_train))
+    if chol is None:
         try:
             chol = cholesky(_noisy_kernel_matrix(x_train, hyper, jitter))
         except np.linalg.LinAlgError:
             raise NumericalError(f"not positive definite with the stored jitter {jitter!r}") from None
-        return GprModel(hyper, x_train, y_train, chol, jitter)
-    except (DataError, NumericalError) as exc:
-        raise type(exc)(f"{where}{exc}") from None
+    return GprModel(hyper, x_train, y_train, chol, jitter)
 
 
 def _checked(name: str, value, shape: tuple = (), low: float = -math.inf, strict: bool = False):

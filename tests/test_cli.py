@@ -76,7 +76,7 @@ def workdir(tmp_path_factory):
 
 
 def test_fit_outputs(workdir):
-    for name in ("model.json", "fit_report.json", "manifest.json"):
+    for name in ("model.json", "model.json.factor.npy", "fit_report.json", "manifest.json"):
         assert (workdir["fit"] / name).is_file()
     report = json.loads((workdir["fit"] / "fit_report.json").read_text())
     assert report["format"] == "gpattr-fit-report"
@@ -901,6 +901,37 @@ def test_attribute_parses_the_model_and_reads_the_data_once(workdir, tmp_path, m
                    *flags, "--out-dir", str(tmp_path / command)])
         assert rc == 0
         assert counts == {"json.load": 1, "load_csv": 1}, command
+
+
+def test_fit_writes_the_factor_sidecar_and_every_load_reads_it(workdir, tmp_path, monkeypatch):
+    # fit stores the factor beside model.json; each command that loads the
+    # model reads it from there instead of refactoring, with the same output
+    sidecar = workdir["fit"] / "model.json.factor.npy"
+    n = len(json.loads(workdir["model"].read_text())["y_train"])
+    assert sidecar.stat().st_size > 8 * n * (n + 1) // 2
+    query = ["--query", "6.5,3.5"]
+    small = {
+        "attribute": query,
+        "quad-sweep": ["--queries", "1", "--rules", "simpson", "--l-values", "2"],
+        "rfgp-compare": [*query, "--m-values", "5", "--seeds", "1", "--ensemble", "1", "--ensemble-m", "5"],
+        "mc-validate": ["--samples", "20", "--grid-points", "5", "--queries", "1"],
+    }
+    refactored = tmp_path / "copy" / "model.json"  # copied without its sidecar
+    refactored.parent.mkdir()
+    refactored.write_bytes(workdir["model"].read_bytes())
+    for command, flags in small.items():
+        assert main([command, "--model", str(refactored), *flags, "--out-dir", str(tmp_path / "a" / command)]) == 0
+
+    def fail(mat):
+        raise AssertionError("a command refactored the model")
+
+    monkeypatch.setattr(gpattr.gpr, "cholesky", fail)
+    for command, flags in small.items():
+        out = tmp_path / "b" / command
+        assert main([command, "--model", str(workdir["model"]), *flags, "--out-dir", str(out)]) == 0
+        for path in out.iterdir():
+            if path.name != "manifest.json":  # it records the --model and --out-dir paths
+                assert path.read_bytes() == (tmp_path / "a" / command / path.name).read_bytes(), path
 
 
 def test_python_dash_m_runs_the_cli(workdir, tmp_path):

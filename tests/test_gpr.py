@@ -3,6 +3,7 @@ serialization. Dense linear algebra (explicit inverse, slogdet) on the
 unpacked kernel matrix serves as the oracle for the packed factored solves.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -414,14 +415,17 @@ def _traced_peak(call) -> int:
 def test_fit_and_load_model_hold_half_an_n_by_n_array(tmp_path):
     # K + noise*I is assembled in RFP layout, n(n+1)/2 values, and factored
     # in place there, so the peak stays near half an n x n float64 array
-    # (one dense n x n array would already exceed the limit)
+    # (one dense n x n array would already exceed the limit); a load reads
+    # the factor from the sidecar, or without one refactors as fit does
     n = 1500
     data = _dataset(n, seed=22)
     path = tmp_path / "model.json"
     save_model(fit(data, HYP), str(path))
+    payload = load_model_payload(str(path))
     limit = 0.7 * 8 * n * n
     assert _traced_peak(lambda: fit(data, HYP)) < limit
     assert _traced_peak(lambda: load_model(str(path))) < limit
+    assert _traced_peak(lambda: load_model(payload)) < limit
 
 
 def test_model_round_trip(tmp_path, rng):
@@ -573,3 +577,171 @@ def test_load_model_rejects_corrupted_jitter(tmp_path, bad):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="jitter"):
         load_model(str(path))
+
+
+def _saved_model(tmp_path, seed=30, n=25):
+    model = fit(_dataset(n, seed=seed), HYP)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    return model, path
+
+
+def _count_factorizations(monkeypatch) -> list:
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.size)
+        return cholesky(mat)
+
+    cholesky = gpr.cholesky
+    monkeypatch.setattr(gpr, "cholesky", counting)
+    return calls
+
+
+def test_load_model_reads_the_factor_sidecar(tmp_path, monkeypatch):
+    model, path = _saved_model(tmp_path)
+    refactored = load_model(load_model_payload(str(path)))
+
+    def fail(mat):
+        raise AssertionError("load_model refactored despite a matching sidecar")
+
+    monkeypatch.setattr(gpr, "cholesky", fail)
+    loaded = load_model(str(path))
+    assert np.array_equal(loaded.chol, refactored.chol) and np.array_equal(loaded.chol, model.chol)
+    assert np.array_equal(loaded.alpha, refactored.alpha)
+    assert loaded.y_mean_offset == refactored.y_mean_offset
+    assert not loaded.chol.flags.writeable
+    # the targets are not in the key: an edited y_train keeps the factor and
+    # changes the weights
+    payload = json.loads(path.read_text())
+    payload["y_train"] = [2.0 * v for v in payload["y_train"]]
+    path.write_text(json.dumps(payload))
+    edited = load_model(str(path))
+    assert np.array_equal(edited.chol, model.chol)
+    assert np.array_equal(edited.alpha, 2.0 * model.alpha)
+
+
+def _edit_x_train(payload):
+    payload["x_train"][3][1] += 0.25
+
+
+def _edit_lengthscale(payload):
+    payload["hyper"]["lengthscales"][0] *= 1.5
+
+
+def _edit_jitter(payload):
+    payload["jitter"] = 1e-6
+
+
+@pytest.mark.parametrize("edit", [_edit_x_train, _edit_lengthscale, _edit_jitter])
+def test_load_model_refactors_when_a_keyed_field_changes(tmp_path, monkeypatch, edit):
+    model, path = _saved_model(tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    # a fresh fit of the edited values; an edited jitter is added as fit's retries add theirs
+    hyper = ArdSeHyper(payload["hyper"]["signal_variance"], np.array(payload["hyper"]["lengthscales"]),
+                       payload["hyper"]["noise_variance"])
+    X, y, jitter = np.array(payload["x_train"]), np.array(payload["y_train"]), payload["jitter"]
+    fresh = fit(Dataset(X, y, ("f0", "f1")), hyper) if jitter == 0.0 else GprModel(
+        hyper, X, y, gpr.cholesky(gpr._noisy_kernel_matrix(X, hyper, jitter)), jitter)
+    calls = _count_factorizations(monkeypatch)
+    loaded = load_model(str(path))
+    assert len(calls) == 1
+    assert not np.array_equal(loaded.chol, model.chol)
+    assert np.array_equal(loaded.chol, fresh.chol)
+    assert np.array_equal(loaded.alpha, fresh.alpha)
+
+
+def _sidecar_bytes(model: GprModel, factor) -> bytes:
+    """A sidecar with model's key in front of factor."""
+    buf = io.BytesIO()
+    np.save(buf, gpr._factor_key(model.hyper, model.x_train, model.jitter))
+    np.save(buf, factor)
+    return buf.getvalue()
+
+
+def _npy_header_bytes(shape, descr) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+_KEY_BYTES = len(_npy_header_bytes((32,), "|u1")) + 32  # the key array's length in a sidecar
+
+
+def _other_models_sidecar(tmp_path) -> bytes:
+    """The sidecar of a model with the same n and d fit on other inputs."""
+    (tmp_path / "other").mkdir()
+    _saved_model(tmp_path / "other", seed=31)
+    return (tmp_path / "other" / "model.json.factor.npy").read_bytes()
+
+
+def _nan_at(factor, k):
+    bad = factor.copy()
+    bad[k] = np.nan
+    return bad
+
+
+# each case maps (model, sidecar bytes, tmp_path) to the bytes written in their place
+BAD_SIDECARS = {
+    "truncated": lambda model, blob, tmp_path: blob[: len(blob) // 2],
+    "truncated-key": lambda model, blob, tmp_path: blob[:100],
+    "empty": lambda model, blob, tmp_path: b"",
+    "float32": lambda model, blob, tmp_path: _sidecar_bytes(model, model.chol.astype(np.float32)),
+    "big-endian": lambda model, blob, tmp_path: _sidecar_bytes(model, model.chol.astype(">f8")),
+    "wrong-length": lambda model, blob, tmp_path: _sidecar_bytes(model, model.chol[:-1]),
+    "nan-entry": lambda model, blob, tmp_path: _sidecar_bytes(model, _nan_at(model.chol, 7)),
+    "pickled": lambda model, blob, tmp_path: _sidecar_bytes(model, np.array([None, 1.0], dtype=object)),
+    "another-model": lambda model, blob, tmp_path: _other_models_sidecar(tmp_path),
+    "garbage": lambda model, blob, tmp_path: np.random.default_rng(5).bytes(len(blob)),
+    "zip-magic": lambda model, blob, tmp_path: b"PK\x03\x04" + blob[4:],
+    "huge-key-header": lambda model, blob, tmp_path: _npy_header_bytes((10**13,), "|u1") + blob,
+    "huge-factor-header": lambda model, blob, tmp_path: blob[:_KEY_BYTES] + _npy_header_bytes((10**13,), "<f8"),
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIDECARS)
+def test_load_model_ignores_a_sidecar_that_does_not_match(tmp_path, monkeypatch, case):
+    model, path = _saved_model(tmp_path)
+    sidecar = tmp_path / "model.json.factor.npy"
+    if BAD_SIDECARS[case] is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(BAD_SIDECARS[case](model, sidecar.read_bytes(), tmp_path))
+    refactored = load_model(load_model_payload(str(path)))
+    calls = _count_factorizations(monkeypatch)
+    loaded = load_model(str(path))
+    assert len(calls) == 1
+    assert np.array_equal(loaded.chol, refactored.chol) and np.array_equal(loaded.chol, model.chol)
+    assert np.array_equal(loaded.alpha, refactored.alpha)
+
+
+def test_load_model_ignores_an_unreadable_sidecar(tmp_path, monkeypatch):
+    model, path = _saved_model(tmp_path)
+    sidecar = tmp_path / "model.json.factor.npy"
+    sidecar.unlink()
+    sidecar.mkdir()  # opening a directory raises an OSError
+    calls = _count_factorizations(monkeypatch)
+    assert np.array_equal(load_model(str(path)).chol, model.chol)
+    assert len(calls) == 1
+
+
+def test_save_model_rewrites_identical_sidecar_bytes(tmp_path):
+    model, path = _saved_model(tmp_path)
+    n = model.n_train
+    first = (tmp_path / "model.json.factor.npy").read_bytes()
+    save_model(model, str(path))
+    save_model(model, str(tmp_path / "again.json"))
+    save_model(load_model(str(path)), str(tmp_path / "loaded.json"))
+    for name in ("model.json", "again.json", "loaded.json"):
+        assert (tmp_path / f"{name}.factor.npy").read_bytes() == first
+        assert (tmp_path / name).read_bytes() == path.read_bytes()
+    # the key, then the factor's n(n+1)/2 float64 values
+    with open(tmp_path / "model.json.factor.npy", "rb") as fh:
+        key, factor = np.load(fh), np.load(fh)
+        assert fh.read() == b""
+    assert key.dtype == np.uint8 and key.shape == (32,)
+    assert factor.dtype == np.float64 and factor.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(factor, model.chol)
