@@ -24,8 +24,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import specfun
 from .data_io import DataError, Dataset
 from .kernels import ArdSeHyper, _packed_diagonal, _packed_order, kernel_cross, kernel_matrix
 from .specfun import NumericalError
@@ -82,7 +82,7 @@ class GprModel:
             object.__setattr__(self, name, arr)
         with np.errstate(over="ignore", invalid="ignore"):  # targets near the float range: checked below
             offset = float(self.y_train.mean())
-            alpha = lapack.dpftrs(n, self.chol, (self.y_train - offset)[:, None], transr="N", uplo="L")[0][:, 0]
+            alpha = specfun.dpftrs(n, self.chol, (self.y_train - offset)[:, None], transr="N", uplo="L")[0][:, 0]
         if not _all_finite(alpha):
             raise NumericalError(f"representer weights are not finite (jitter {self.jitter:.3e})")
         alpha.flags.writeable = False
@@ -107,7 +107,7 @@ class GprModel:
             raise ValueError(f"right-hand side of shape {b.shape} for a model fit on {self.n_train} points")
         if not _all_finite(b):
             raise NumericalError("right-hand side of a posterior solve is not finite: an intermediate overflowed")
-        v = lapack.dtfsm(1.0, self.chol, b.reshape(self.n_train, -1), transr="N", side="L", uplo="L")
+        v = specfun.dtfsm(1.0, self.chol, b.reshape(self.n_train, -1), transr="N", side="L", uplo="L")
         return v.reshape(b.shape)
 
 
@@ -141,7 +141,7 @@ def cholesky(mat: np.ndarray) -> np.ndarray:
     """
     if not _all_finite(mat):
         raise NumericalError("matrix to factor has non-finite entries")
-    factor, info = lapack.dpftrf(_packed_order(mat.size), mat, transr="N", uplo="L", overwrite_a=True)
+    factor, info = specfun.dpftrf(_packed_order(mat.size), mat, transr="N", uplo="L", overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"leading minor of order {info} is not positive definite")
     return factor
@@ -191,10 +191,17 @@ def _noisy_kernel_matrix(X, hyper: ArdSeHyper, jitter: float) -> np.ndarray:
 
 def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
     """Fit the GP: factor K + noise*I, retrying with jitter, and build the
-    model on copies of the data, which derives the weights. ValueError when
-    the data's features do not match the hyperparameters (kernel_matrix
-    checks); NumericalError when K is not finite, stays indefinite through
-    the jitter retries, or gives weights that overflow."""
+    model on copies of the data, which derives the weights. DataError naming
+    the column when a feature's range squared overflows, so that squared
+    distances to its extreme rows would too; ValueError when the data's
+    features do not match the hyperparameters (kernel_matrix checks);
+    NumericalError when K is not finite, stays indefinite through the
+    jitter retries, or gives weights that overflow."""
+    with np.errstate(over="ignore"):
+        spans = np.ptp(data.X, axis=0) ** 2
+    bad = [repr(data.feature_names[j]) for j in np.flatnonzero(~np.isfinite(spans))]
+    if bad:
+        raise DataError(f"the range of column(s) {', '.join(bad)} squared overflows: values too large in scale")
     chol, jitter = jittered_cholesky(functools.partial(_noisy_kernel_matrix, data.X, hyper))
     return GprModel(hyper, np.array(data.X, dtype=float), np.array(data.y, dtype=float), chol, jitter)
 

@@ -8,16 +8,17 @@ point sets, the form the regression and attribution layers run on; the
 scalar value and derivative formulas are kept as test oracles. The
 symmetric kernel matrix of one point set is assembled straight into
 LAPACK's rectangular full packed (RFP) layout, n(n+1)/2 values, which the
-regression layer factors and solves with in place.
+regression layer factors and solves with in place. Every block takes its
+distances from one compiled pass, the one cdist(X, Z, "sqeuclidean", w=w)
+calls (specfun.cdist_sqeuclidean), so the two give the same bits.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import NumericalError
+from .specfun import NumericalError, cdist_sqeuclidean
 
 __all__ = [
     "ArdSeHyper",
@@ -35,21 +36,6 @@ __all__ = [
 # d = 8 still leaves 10,511 subnormal entries in 11 of its factors (ROADMAP
 # item 9).
 _LOG_CUTOFF = 2.0 * math.log(np.finfo(float).eps)
-# Until scipy.spatial is loaded, kernel_cross forms blocks of at most this
-# many rows x columns x features with numpy (_sqdist); a larger block
-# imports scipy's compiled cdist, which then serves every block. Both give
-# the same bits. Measured on a 2-core x86-64 host (numpy 2.4, scipy 1.17):
-# numpy costs 1.2-1.8 ns more per term, under 2 ms for a block at the
-# limit, while importing scipy.spatial costs 60-70 ms and 5.6 MB of RSS.
-# Attribution blocks, predict and the validation commands' quadrature
-# blocks (the largest is 2049 x 199 x 2) fall below the limit, so reading a
-# fitted model and attributing never loads scipy.spatial; fit loads it
-# through kernel_matrix.
-_NUMPY_TERMS = 2**20
-# Values per chunk of rows _sqdist works on: its two temporaries, 256 KB
-# each, stay in cache, and memory stays one output block. Chunks of 8,192
-# values took about 1.15x as long on 2049 x 199 x 2 and 257 x 500 x 8 blocks.
-_CHUNK_VALUES = 32768
 # Rows of the packed layout kernel_matrix fills per pair of kernel blocks.
 # The packed matrix is 0.5 * 8n^2 bytes; with 64-row blocks the tracemalloc
 # peak of kernel_matrix at n = 1000, d = 8 was 0.57 * 8n^2, with 256-row
@@ -108,38 +94,6 @@ def _weights(hyper: ArdSeHyper) -> np.ndarray:
     return w
 
 
-def _sqdist(X: np.ndarray, Z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted squared distances sum_j (w_j (x_j - z_j)) (x_j - z_j), summed
-    from the first feature to the last: the order and rounding of
-    cdist(X, Z, "sqeuclidean", w=w), which it equals bit for bit. Works on
-    chunks of about _CHUNK_VALUES values, so the (len(X), len(Z)) result is
-    the only memory of its size; like cdist it does not warn on overflow."""
-    n, m = len(X), len(Z)
-    out = np.zeros((n, m))
-    Zt = Z.T.copy()
-    rows = max(1, _CHUNK_VALUES // max(m, 1))
-    diff = np.empty((min(rows, n), m))
-    term = np.empty_like(diff)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, n, rows):
-            acc = out[r0 : r0 + rows]
-            dk, tk = diff[: len(acc)], term[: len(acc)]
-            for j, wj in enumerate(w):
-                np.subtract(X[r0 : r0 + len(acc), j, None], Zt[j], out=dk)
-                np.multiply(dk, wj, out=tk)
-                tk *= dk
-                acc += tk
-    return out
-
-
-def _cdist(X: np.ndarray, Z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """cdist's weighted squared distances, importing scipy.spatial on first
-    use (see _NUMPY_TERMS)."""
-    from scipy.spatial.distance import cdist
-
-    return cdist(X, Z, "sqeuclidean", w=w)
-
-
 def _kernel_block(sq: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
     """sv * exp(-sq / 2) in place over weighted squared distances, with
     exact zeros below the cutoff. Exponents are raised to the cutoff before
@@ -161,17 +115,13 @@ def kernel_cross(X, Z, hyper: ArdSeHyper) -> np.ndarray:
     One weighted squared-distance pass sums direct differences (x_j - z_j)^2
     weighted by 1/ls_j^2, not the norm expansion: exact symmetry and no
     cancellation for nearby points, with one n x m block as the only memory.
-    Blocks up to _NUMPY_TERMS terms use numpy until scipy.spatial is
-    loaded, others cdist, with the same bits. Values below sv * eps^2 are
-    returned as exact zeros, never subnormal. NumericalError when a
-    lengthscale is so short that 1/ls^2 overflows.
+    Values below sv * eps^2 are returned as exact zeros, never subnormal.
+    NumericalError when a lengthscale is so short that 1/ls^2 overflows.
     """
     X = _as_points(X, hyper, "X")
     Z = _as_points(Z, hyper, "Z")
     w = _weights(hyper)
-    small = X.size * len(Z) <= _NUMPY_TERMS and "scipy.spatial.distance" not in sys.modules
-    sqdist = _sqdist if small else _cdist
-    return _kernel_block(sqdist(X, Z, w), hyper)
+    return _kernel_block(cdist_sqeuclidean(X, Z, w=w), hyper)
 
 
 def _rfp_layout(n: int) -> tuple[int, int, int]:
@@ -208,10 +158,8 @@ def kernel_matrix(X, hyper: ArdSeHyper) -> np.ndarray:
     its n(n+1)/2 values in LAPACK's RFP layout (transr "N", uplo "L").
 
     The layout is filled _BLOCK_ROWS rows at a time, each block from two
-    cdist blocks: the block's columns of A below the diagonal, and the
-    transposed rows of the trailing triangle above them. Always cdist: fit
-    and every search evaluation run here, on _BLOCK_ROWS x n blocks that
-    numpy forms 3-5x slower. Entries equal
+    distance blocks: the block's columns of A below the diagonal, and the
+    transposed rows of the trailing triangle above them. Entries equal
     those of kernel_cross(X, X) bit for bit, and no n x n array is formed.
     """
     X = _as_points(X, hyper, "X")
@@ -224,8 +172,9 @@ def kernel_matrix(X, hyper: ArdSeHyper) -> np.ndarray:
         j1 = min(j0 + _BLOCK_ROWS, k1)
         # row j gets A[j, j:n]; A[j, j0:j] lands left of that, on cells the
         # trailing rows below overwrite
-        R[j0:j1, s + j0 : s + n] = _kernel_block(_cdist(X[j0:j1], X[j0:], w), hyper)
-        top = _kernel_block(_cdist(X[k1 - 1 + s + j0 : k1 - 1 + s + j1], X[k1 : k1 + j1 - 1 + s], w), hyper)
+        R[j0:j1, s + j0 : s + n] = _kernel_block(cdist_sqeuclidean(X[j0:j1], X[j0:], w=w), hyper)
+        trailing = X[k1 - 1 + s + j0 : k1 - 1 + s + j1]
+        top = _kernel_block(cdist_sqeuclidean(trailing, X[k1 : k1 + j1 - 1 + s], w=w), hyper)
         R[j0:j1, :j0] = top[:, :j0]
         rows = np.arange(j1 - j0)[:, None] + s
         np.copyto(R[j0:j1, j0 : j1 - 1 + s], top[:, j0:], where=rows > np.arange(j1 - j0 - 1 + s))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, qr, solve_triangular
 
 from .attrib_exact import _moments, _query_pair
 from .data_io import Dataset
@@ -106,6 +105,8 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     makes A rank deficient whenever 2M > N, which raises NumericalError, as
     does a design matrix (so R), ridge or weights that overflow.
     """
+    from scipy.linalg import cho_solve, cholesky, qr  # here, so that only rfgp commands pay for it
+
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
@@ -188,6 +189,8 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndar
     Completeness holds exactly within the feature class because the
     integral vectors telescope to phi(x) - phi(baseline).
     """
+    from scipy.linalg import solve_triangular
+
     x, z = _query_pair(x, baseline, model.hyper)
     zeta = feature_gradient_integral(x, z, model.frequencies)
     gap = x - z

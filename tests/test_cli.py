@@ -71,8 +71,12 @@ def workdir(tmp_path_factory):
     rows = csv_path.read_text().splitlines()
     rows[5] = rows[5].rsplit(",", 1)[0] + ",1e200"
     tall.write_text("\n".join(rows) + "\n")
-    return {"root": root, "csv": csv_path, "huge": huge, "swapped": swapped, "const": const, "tall": tall, **headers,
-            "fit": fit_dir, "model": fit_dir / "model.json", "wide_model": root / "wide" / "model.json"}
+    far = _write_sim_csv(root / "far.csv", n=20)  # one input at -1e308: distances to it overflow
+    rows = far.read_text().splitlines()
+    rows[5] = "-1e308," + rows[5].split(",", 1)[1]
+    far.write_text("\n".join(rows) + "\n")
+    return {"root": root, "csv": csv_path, "huge": huge, "far": far, "swapped": swapped, "const": const, "tall": tall,
+            **headers, "fit": fit_dir, "model": fit_dir / "model.json", "wide_model": root / "wide" / "model.json"}
 
 
 def test_fit_outputs(workdir):
@@ -186,6 +190,45 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# scipy subpackages, and the numpy submodules their imports load
+SCIPY_SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.spatial", "numpy.f2py", "numpy.testing", "numpy.ma")
+
+
+def test_only_rfgp_commands_import_a_scipy_subpackage(tmp_path):
+    # gpattr.specfun loads scipy's compiled routines without their packages,
+    # so fitting, searching, loading, the exact and quadrature engines, the
+    # sweep and the Monte Carlo check leave every subpackage unimported; an
+    # rfgp command imports scipy.linalg, which the check must see
+    model = str(tmp_path / "fit" / "model.json")
+    runs = [
+        ["fit", "--simulate", "60", *HYPER_FLAGS, "--query-row", "last", "--out-dir", str(tmp_path / "fit")],
+        ["fit", "--simulate", "40", "--optimize", "8", "--out-dir", str(tmp_path / "search")],
+        ["attribute", "--model", model, "--out-dir", str(tmp_path / "exact")],
+        ["attribute", "--model", model, "--engine", "quad:simpson:1024", "--out-dir", str(tmp_path / "quad")],
+        ["quad-sweep", "--model", model, "--queries", "2", "--l-values", "4,64",
+         "--out-dir", str(tmp_path / "sweep")],
+        ["mc-validate", "--model", model, "--samples", "50", "--grid-points", "33", "--queries", "1",
+         "--out-dir", str(tmp_path / "mc")],
+    ]
+    rfgp = ["attribute", "--model", model, "--engine", "rfgp", "--rfgp-features", "10",
+            "--out-dir", str(tmp_path / "rfgp")]
+    code = f"""
+import sys
+import gpattr
+from gpattr.cli import main
+loaded = lambda: [m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules]
+codes = [main(argv) for argv in {runs!r}]
+gpattr.load_model({model!r})
+print("loaded:", codes, loaded())
+print("loaded:", main({rfgp!r}), "scipy.linalg" in sys.modules)
+"""
+    src = str(Path(gpattr.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    lines = [line for line in out.splitlines() if line.startswith("loaded:")]
+    assert lines == [f"loaded: {[0] * len(runs)} []", "loaded: 0 True"]
 
 
 def test_attribute_filter_baseline_from_stored_targets(workdir):
@@ -686,6 +729,10 @@ EXIT_CASES = {
     "csv-out-of-scale": (3, ["fit", "--data", HUGE, "--target", "y"], ["'y'"], None),
     "csv-out-of-scale-normalize": (3, ["fit", "--data", HUGE, "--target", "y", "--normalize"],
                                    ["'x1'", "'x2'"], None),
+    # a column whose range squared overflows exits 3 naming it, whatever the hyperparameters
+    "csv-range-overflow": (3, ["fit", "--data", "<far>", "--target", "y", *HYPER_FLAGS], ["'x1'", "range"], None),
+    "csv-range-overflow-search": (3, ["fit", "--data", "<far>", "--target", "y", *HYPER_FLAGS, "--optimize", "4"],
+                                  ["'x1'", "range"], None),
     # a column whose entries are all equal is constant, whatever its float variance
     "csv-constant-normalize": (3, ["fit", "--data", "<const>", "--target", "y", "--normalize"],
                                ["zero-variance", "'a'"], None),

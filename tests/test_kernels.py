@@ -8,11 +8,7 @@ packed kernel matrix against LAPACK's packing of the dense block.
 """
 
 import functools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,20 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
-import gpattr
 from gpattr import (
     ArdSeHyper,
-    fit,
     grad_i_cross,
     hess_ii_cross,
     kernel_cross,
     kernel_matrix,
-    save_model,
-    simulate,
 )
-from gpattr import kernels
 from gpattr.gpr import _noisy_kernel_matrix, jittered_cholesky
-from gpattr.kernels import _LOG_CUTOFF, _NUMPY_TERMS, _packed_diagonal, _sqdist
+from gpattr.kernels import _LOG_CUTOFF, _kernel_block, _packed_diagonal
 from oracles import (
     FD_STEP,
     ardse_eval,
@@ -196,93 +187,27 @@ def test_cross_matches_direct_differences_on_hostile_inputs():
     assert prescaled_gap > 2e-15
 
 
-def _assert_same_bits(got, want, what):
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes(), (
-        f"{what}: numpy distances differ from cdist of scipy {scipy.__version__}; "
-        "kernel_cross would then change at the _NUMPY_TERMS limit")
-
-
-def test_numpy_distances_equal_cdist_bit_for_bit():
-    # the numpy pass serves small blocks and cdist large ones, so the two
-    # must round alike: on the hostile draws, single rows and columns, and
-    # row counts on, before and after a chunk boundary
-    blocks = [(X, Z, hyper.lengthscales**-2.0) for X, Z, hyper in _hostile_blocks(seed=43)]
+def test_cross_equals_cdist_bit_for_bit():
+    # every block takes its distances from the compiled pass cdist calls: on
+    # the hostile draws, single rows and columns, blocks up to 9000 wide, and
+    # square d = 8 blocks just under (362^2 * 8) and over (363^2 * 8) 2^20 terms
+    blocks = list(_hostile_blocks(seed=43))
     rng = np.random.default_rng(44)
     for dim, m in ((1, 1), (2, 199), (3, 700), (8, 2999), (8, 9000)):
-        w = 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
-        Z = 1e3 + rng.standard_normal((m, dim)) / np.sqrt(w)
-        rows = max(1, kernels._CHUNK_VALUES // m)
-        for n in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows, 3 * rows + 1}):
-            blocks.append((1e3 + rng.standard_normal((n, dim)) / np.sqrt(w), Z, w))
-        blocks.append((Z[:1], Z, w))
-        blocks.append((Z, Z[:1], w))
-    for X, Z, w in blocks:
-        want = cdist(X, Z, "sqeuclidean", w=w)
-        _assert_same_bits(_sqdist(X, Z, w), want, f"block {len(X)}x{len(Z)}x{w.size}")
-
-
-@pytest.mark.parametrize("n", [362, 363])
-def test_cross_block_equals_kernel_matrix_on_both_sides_of_the_limit(n, monkeypatch):
-    # d = 8: 362^2 * 8 terms fall under 2^20 and go through numpy, 363^2 * 8
-    # above it and through cdist; kernel_matrix always uses cdist. Numpy
-    # serves only while scipy.spatial is not loaded, as in a fresh process
-    calls = []
-    monkeypatch.delitem(sys.modules, "scipy.spatial.distance")
-    monkeypatch.setattr(kernels, "_cdist",
-                        lambda X, Z, w: calls.append(X.shape) or cdist(X, Z, "sqeuclidean", w=w))
-    rng = np.random.default_rng(n)
-    X = rng.uniform(0.0, 10.0, size=(n, 8))
-    hyper = ArdSeHyper(1.7, 10.0 ** rng.uniform(-0.5, 1.0, size=8), 0.0)
-    K = kernel_cross(X, X, hyper)
-    assert (len(calls) == 1) == (n * n * 8 > _NUMPY_TERMS)
-    packed = kernel_matrix(X, hyper)
-    assert len(calls) > 1
-    _assert_same_bits(pack(K), packed, f"kernel_cross({n}x{n}x8) against kernel_matrix")
-
-
-def test_cross_uses_cdist_for_every_block_once_scipy_spatial_is_loaded(monkeypatch):
-    # the numpy pass only saves the import: after fit (or a large block) has
-    # loaded scipy.spatial, the compiled pass serves small blocks too
-    calls = []
-    assert "scipy.spatial.distance" in sys.modules
-    monkeypatch.setattr(kernels, "_cdist",
-                        lambda X, Z, w: calls.append(X.shape) or cdist(X, Z, "sqeuclidean", w=w))
-    kernel_cross(np.zeros((2, 2)), np.ones((3, 2)), H2)
-    assert calls == [(2, 2)]
-
-
-def test_reading_a_model_never_loads_scipy_spatial(tmp_path):
-    # only fit (through kernel_matrix) and blocks over _NUMPY_TERMS import
-    # cdist; loading a model from its sidecar and attributing, exactly or by
-    # Simpson-1024 (the validation commands' largest block), do not
-    model = fit(simulate(199, 0.3, seed=2), ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    code = f"""
-import sys
-loaded = lambda: "scipy.spatial" in sys.modules
-stages = []
-import gpattr
-stages.append(("import gpattr", loaded()))
-import gpattr.cli
-stages.append(("import gpattr.cli", loaded()))
-model = gpattr.load_model({str(path)!r})
-x, z = [6.0, 4.0], model.x_train.mean(axis=0)
-gpattr.attribution_report(model, x, z)
-stages.append(("attribution_report", loaded()))
-gpattr.quad_attribution(model, x, z, gpattr.QuadratureSpec("simpson", 1024))
-stages.append(("quad_attribution", loaded()))
-gpattr.fit(gpattr.simulate(20, 0.3, seed=1), model.hyper)
-stages.append(("fit", loaded()))
-print(stages)
-"""
-    src = str(Path(gpattr.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([("import gpattr", False), ("import gpattr.cli", False),
-                               ("attribution_report", False), ("quad_attribution", False),
-                               ("fit", True)])
+        hyper = ArdSeHyper(1.3, 10.0 ** rng.uniform(-1.5, 1.5, size=dim), 0.0)
+        Z = 1e3 + hyper.lengthscales * rng.standard_normal((m, dim))
+        for n in (1, 2, 17, 257):
+            blocks.append((1e3 + hyper.lengthscales * rng.standard_normal((n, dim)), Z, hyper))
+        blocks.append((Z[:1], Z, hyper))
+        blocks.append((Z, Z[:1], hyper))
+    for n in (362, 363):
+        X = rng.uniform(0.0, 10.0, size=(n, 8))
+        blocks.append((X, X, ArdSeHyper(1.7, 10.0 ** rng.uniform(-0.5, 1.0, size=8), 0.0)))
+    for X, Z, hyper in blocks:
+        got = kernel_cross(X, Z, hyper)
+        want = _kernel_block(cdist(X, Z, "sqeuclidean", w=hyper.lengthscales**-2.0), hyper)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+            f"block {len(X)}x{len(Z)}x{hyper.dim}: kernel_cross differs from cdist of scipy {scipy.__version__}")
 
 
 def test_kernel_matrix_d8_symmetric_with_exact_diagonal(rng):

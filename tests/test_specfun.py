@@ -1,4 +1,9 @@
-"""Error function tests against an exact rational-series oracle.
+"""Tests of the compiled routines specfun binds, and of erf against an exact
+rational-series oracle.
+
+The bindings are checked in fresh processes: they are scipy's own public
+objects, and a failed direct load falls back to the public imports with
+the same results.
 
 The oracle sums the alternating Maclaurin series of int_0^x exp(-t^2) dt
 in Fraction arithmetic, so the only inexactness is the truncation tail
@@ -6,15 +11,76 @@ in Fraction arithmetic, so the only inexactness is the truncation tail
 makes it independent of every floating-point erf implementation.
 """
 
+import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpattr
 from gpattr.specfun import NumericalError, erf
+
+SRC = str(Path(gpattr.__file__).resolve().parents[1])
+COMPILED = ("scipy.linalg._flapack", "scipy.special._special_ufuncs", "scipy.spatial._distance_pybind")
+# a fit, its weights and a report: every binding, printed as exact bytes
+RESULTS = """
+import gpattr
+model = gpattr.fit(gpattr.simulate(40, 0.3, seed=4), gpattr.ArdSeHyper(0.6, [1.2, 0.8], 0.1))
+report = gpattr.attribution_report(model, [6.0, 1.5], [4.0, 5.0])
+print("results:", *(a.tobytes().hex() for a in (model.chol, model.alpha, report.means, report.variances)))
+"""
+
+
+@functools.cache
+def _python(code: str) -> list[str]:
+    """Lines of a fresh interpreter's stdout, gpattr importable from src/."""
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_bindings_are_scipys_public_objects():
+    # loaded without the subpackages, the routines are the very objects a
+    # later public import returns, so they give the same bits
+    code = """
+import sys
+from gpattr import specfun
+print([m for m in ("scipy.linalg", "scipy.special", "scipy.spatial") if m in sys.modules])
+from scipy.linalg import lapack
+from scipy.special import erf
+from scipy.spatial.distance import cdist
+print([getattr(specfun, f) is getattr(lapack, f) for f in ("dpftrf", "dpftrs", "dtfsm")], specfun.erf is erf)
+"""
+    assert _python(code) == ["[]", "[True, True, True] True"]
+
+
+@pytest.mark.parametrize("failing", COMPILED)
+def test_a_failed_load_falls_back_to_the_public_imports(failing):
+    # one direct load fails, as on another scipy layout: the public imports
+    # serve and every result keeps its bits
+    code = f"""
+import importlib.util, sys
+real = importlib.util.module_from_spec
+def module_from_spec(spec):
+    if spec.name == {failing!r}:
+        raise ImportError("simulated layout change")
+    return real(spec)
+importlib.util.module_from_spec = module_from_spec
+from gpattr import specfun
+importlib.util.module_from_spec = real
+print("subpackages:", [m for m in ("scipy.linalg", "scipy.special", "scipy.spatial") if m in sys.modules])
+""" + RESULTS
+    direct = [line for line in _python(RESULTS) if line.startswith("results:")]
+    lines = _python(code)
+    assert "subpackages: ['scipy.linalg', 'scipy.special', 'scipy.spatial']" in lines
+    assert [line for line in lines if line.startswith("results:")] == direct
 
 
 def erf_series(x: Fraction, terms: int = 160) -> float:
