@@ -104,6 +104,14 @@ class SweepRow:
     var_abs_err: float
 
 
+def _median(values) -> np.ndarray:
+    """np.median over the last axis, bit for bit (the middle value, or the mean of the two middle
+    values), by a sort: np.median's masked-array check imports numpy.ma."""
+    values = np.sort(values, axis=-1)
+    half = values.shape[-1] // 2
+    return values[..., half] if values.shape[-1] % 2 else (values[..., half - 1] + values[..., half]) / 2.0
+
+
 def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> list[SweepRow]:
     """Benchmark quadrature rules against the exact attribution.
 
@@ -122,9 +130,7 @@ def convergence_sweep(model: GprModel, queries, baseline, rules, l_values) -> li
         for L in l_values:
             spec = QuadratureSpec(rule=rule, partitions=int(L))
             err = np.abs(moments(quad_attribution, spec) - exact).transpose(1, 0, 2).reshape(2, -1)
-            # np.median's values, by a sort: np.median's masked-array check imports numpy.ma
-            err.sort(axis=1)
-            mean_err, var_err = (err[:, (err.shape[1] - 1) // 2] + err[:, err.shape[1] // 2]) / 2.0
+            mean_err, var_err = _median(err)
             rows.append(SweepRow(rule, int(L), nodes_weights(spec)[0].size, float(mean_err), float(var_err)))
     return rows
 

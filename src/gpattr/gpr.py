@@ -477,29 +477,26 @@ def load_model_payload(path: str) -> dict:
     return payload
 
 
-def load_model(source: str | dict) -> GprModel:
-    """Load a model written by save_model, from its file path or from the
-    payload load_model_payload read from it. From a path, the factor comes
-    from the file's sidecar when that matches the file's fields (see
-    save_model); otherwise, and always from a payload, K + noise*I is built
-    and factored once in RFP layout with the stored jitter (no retries).
-    Either way the factor, and the weights GprModel derives with it, are the
-    ones fit made, and the loaded model holds n(n+1)/2 values, not n x n. A
-    missing or malformed field (wrong type or shape, non-finite or
-    out-of-range values) raises DataError naming the field; NumericalError
-    if the factor or the weights fail. Errors from a path name the file."""
-    if isinstance(source, dict):
-        return _model_from_payload(source)
-    payload = load_model_payload(source)
+def load_model(path: str) -> GprModel:
+    """Load a model written by save_model from its file path. The factor
+    comes from the file's sidecar when that matches the file's fields (see
+    save_model); otherwise K + noise*I is built and factored once in RFP
+    layout with the stored jitter (no retries). Either way the factor, and
+    the weights GprModel derives with it, are the ones fit made, and the
+    loaded model holds n(n+1)/2 values, not n x n. A missing or malformed
+    field (wrong type or shape, non-finite or out-of-range values) raises
+    DataError naming the file and the field; NumericalError if the factor
+    or the weights fail."""
+    payload = load_model_payload(path)
     try:
-        return _model_from_payload(payload, source)
+        return _model_from_payload(payload, path)
     except (DataError, NumericalError) as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _model_from_payload(payload: dict, path=None) -> GprModel:
-    """load_model on a payload read from the model file path (None: from no
-    file, so no sidecar), with errors not naming the file."""
+def _model_from_payload(payload: dict, path: str) -> GprModel:
+    """load_model on a payload read from the model file path, with errors
+    not naming the file."""
     field = functools.partial(_payload_field, payload)
     jitter = field("jitter", low=0.0)
     hyper = ArdSeHyper(
@@ -509,7 +506,7 @@ def _model_from_payload(payload: dict, path=None) -> GprModel:
     )
     x_train = field("x_train", (None, hyper.dim))
     y_train = field("y_train", (len(x_train),))
-    chol = None if path is None else _stored_factor(path, _factor_key(hyper, x_train, jitter), len(x_train))
+    chol = _stored_factor(path, _factor_key(hyper, x_train, jitter), len(x_train))
     if chol is None:
         try:
             chol = cholesky(_noisy_kernel_matrix(x_train, hyper, jitter))

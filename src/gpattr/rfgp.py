@@ -22,7 +22,7 @@ from .attrib_exact import _moments, _query_pair
 from .data_io import Dataset
 from .gpr import _all_finite
 from .kernels import ArdSeHyper
-from .specfun import NumericalError
+from .specfun import NumericalError, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "RfgpModel",
@@ -43,7 +43,8 @@ class RfgpModel:
     frequencies: (M, D) spectral draws.
     weights: (2M,) posterior mean weights.
     basis: (2M, k) orthonormal Q of the thin QR Phi = Q R of the (2M, N)
-        design matrix, k = min(2M, N).
+        design matrix, k = min(2M, N): the buffer Phi was built in when
+        k = N, a (2M, 2M) array of its own when 2M < N.
     core_factor: (k, k) lower Cholesky factor C of R R^T + ridge I, with
         ridge = M noise_variance / signal_variance.
     The normal matrix A = Phi Phi^T + ridge I is never formed: it equals
@@ -91,6 +92,13 @@ def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lapack(routine, *args, overwrite_a: bool):
+    """routine(*args) with the workspace its query asks for, as scipy sizes it (a smaller one
+    moves the last digits); the query writes nothing, so it tells f2py not to copy."""
+    lwork = int(routine(*args, lwork=-1, overwrite_a=True)[-2][0])
+    return routine(*args, lwork=lwork, overwrite_a=overwrite_a)[:-2]  # without the workspace and info
+
+
 @np.errstate(over="ignore", invalid="ignore")  # inputs near the float range: checked below
 def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
     """Fit the random-feature regressor.
@@ -99,46 +107,33 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     ridge = M * noise_variance / signal_variance. With the thin QR Phi = Q R
     and C C^T = R R^T + ridge I (k x k, k = min(2M, N)) they are
     w = Q C^{-T} C^{-1} R y_centered: O(M N k) time and O(M N) memory, no
-    2M x 2M matrix. The QR factors the design matrix in its own buffer,
-    which then holds Q; when 2M < N, Q is copied out so the model does not
-    keep the (2M, N) buffer alive behind its (2M, 2M) basis. Zero noise
-    makes A rank deficient whenever 2M > N, which raises NumericalError, as
-    does a design matrix (so R), ridge or weights that overflow.
+    2M x 2M matrix. dgeqrf factors the design matrix in its own buffer, and
+    dorgqr forms Q there when k = N, in a copy of its first 2M columns when
+    2M < N (see RfgpModel). Zero noise makes A rank deficient whenever
+    2M > N, which raises NumericalError, as does a design matrix (so R),
+    ridge or weights that overflow.
     """
-    from scipy.linalg import cho_solve, cholesky, qr  # here, so that only rfgp commands pay for it
-
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
         raise ValueError(f"data has {data.dim} features, hyperparameters expect {hyper.dim}")
-    Q, R = qr(design_matrix(data.X, V), mode="economic", overwrite_a=True, check_finite=False)
-    if Q.shape[1] < data.n:
-        Q = Q.copy(order="F")
+    qr, tau = _lapack(dgeqrf, design_matrix(data.X, V), overwrite_a=True)
+    k = tau.size
+    R = np.triu(qr[:k])
+    (Q,) = _lapack(dorgqr, qr[:, :k], tau, overwrite_a=k == data.n)
     ridge = _ridge(m_features, hyper)
     if not (_all_finite(R) and math.isfinite(ridge)):
         raise NumericalError(f"random-feature design matrix or ridge ({ridge:.3e}) is not finite: inputs too large")
     core = R @ R.T
     core[np.diag_indices_from(core)] += ridge
-    try:
-        if ridge == 0.0 and Q.shape[1] < Q.shape[0]:
-            raise np.linalg.LinAlgError("k < 2M: the ridge must cover the space Q misses")
-        factor = cholesky(core, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"random-feature normal matrix is singular (ridge {ridge:.3e}); "
-            "noise_variance = 0 makes it rank deficient"
-        ) from exc
+    factor, info = dpotrf(core, lower=True)
+    if info or (ridge == 0.0 and k < 2 * m_features):  # with k < 2M the ridge must cover the space Q misses
+        raise NumericalError(f"random-feature normal matrix is singular (ridge {ridge:.3e}); "
+                             "noise_variance = 0 makes it rank deficient")
     offset = float(data.y.mean())
-    weights = Q @ cho_solve((factor, True), R @ (data.y - offset), check_finite=False)
+    weights = Q @ dpotrs(factor, R @ (data.y - offset), lower=True)[0]
     if not _all_finite(weights):
         raise NumericalError("random-feature weights are not finite: targets too large")
-    return RfgpModel(
-        frequencies=V,
-        weights=weights,
-        basis=Q,
-        core_factor=factor,
-        hyper=hyper,
-        y_mean_offset=offset,
-    )
+    return RfgpModel(V, weights, Q, factor, hyper, offset)
 
 
 def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarray:
@@ -189,14 +184,12 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndar
     Completeness holds exactly within the feature class because the
     integral vectors telescope to phi(x) - phi(baseline).
     """
-    from scipy.linalg import solve_triangular
-
     x, z = _query_pair(x, baseline, model.hyper)
     zeta = feature_gradient_integral(x, z, model.frequencies)
     gap = x - z
     means = gap * (model.weights @ zeta)
     proj = model.basis.T @ zeta
-    half = solve_triangular(model.core_factor, proj, lower=True)
+    half = dtrtrs(model.core_factor, proj, lower=True)[0]
     form = np.sum(half * half, axis=0)
     if model.basis.shape[1] < model.basis.shape[0]:
         resid = zeta - model.basis @ proj

@@ -1,16 +1,16 @@
 """The compiled scipy routines the package runs on, and its numerical error type.
 
-The one module that binds scipy's compiled objects: LAPACK's packed (RFP)
-Cholesky routines dpftrf, dpftrs and dtfsm from scipy.linalg._flapack, erf
-from scipy.special._special_ufuncs, and cdist_sqeuclidean, the weighted
-distance pass behind cdist(X, Z, "sqeuclidean", w=w), from
-scipy.spatial._distance_pybind. Each is loaded from its file under its own
-sys.modules name, so no subpackage __init__ runs: those run scipy's
-array-API layer, which loads numpy.f2py, numpy.testing and numpy.ma. On a
-2-core x86-64 host (numpy 2.4, scipy 1.17), after numpy and scipy, the
-public imports took 0.31-0.48 s and left 64.5 MB of RSS, the direct loads
-0.01 s and 32.5 MB. A later public import returns the same objects. If a
-load fails (another layout, an older scipy), the public imports serve.
+The package's one way into scipy's compiled objects. scipy.linalg._flapack
+gives LAPACK's packed (RFP) Cholesky routines dpftrf, dpftrs and dtfsm, and
+dgeqrf, dorgqr, dpotrf, dpotrs and dtrtrs for the random-feature fit. erf
+comes from scipy.special._special_ufuncs, and cdist_sqeuclidean, the pass
+behind cdist(X, Z, "sqeuclidean", w=w), from scipy.spatial._distance_pybind.
+Each is loaded from its file under its own sys.modules name, so no
+subpackage __init__ runs: those run scipy's array-API layer, which loads
+numpy.f2py, numpy.testing and numpy.ma. On a 2-core x86-64 host (numpy 2.4,
+scipy 1.17), after numpy and scipy, the public imports took 0.31-0.48 s and
+left 64.5 MB of RSS, the direct loads 0.01 s and 32.5 MB. A later public
+import returns the same objects. If a load fails, the public imports serve.
 """
 
 import importlib.machinery
@@ -20,7 +20,8 @@ import sys
 
 import scipy
 
-__all__ = ["NumericalError", "cdist_sqeuclidean", "dpftrf", "dpftrs", "dtfsm", "erf"]
+__all__ = ["NumericalError", "cdist_sqeuclidean", "dgeqrf", "dorgqr", "dpftrf", "dpftrs", "dpotrf", "dpotrs",
+           "dtfsm", "dtrtrs", "erf"]
 
 
 class NumericalError(RuntimeError):
@@ -43,11 +44,12 @@ def _load(name: str):
 
 try:
     _flapack = _load("scipy.linalg._flapack")
-    dpftrf, dpftrs, dtfsm = _flapack.dpftrf, _flapack.dpftrs, _flapack.dtfsm
+    dgeqrf, dorgqr, dpftrf, dpftrs = _flapack.dgeqrf, _flapack.dorgqr, _flapack.dpftrf, _flapack.dpftrs
+    dpotrf, dpotrs, dtfsm, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtfsm, _flapack.dtrtrs
     erf = _load("scipy.special._special_ufuncs").erf
     cdist_sqeuclidean = _load("scipy.spatial._distance_pybind").cdist_sqeuclidean
 except (ImportError, AttributeError):  # another layout: no such file, or no such routine in it
-    from scipy.linalg.lapack import dpftrf, dpftrs, dtfsm
+    from scipy.linalg.lapack import dgeqrf, dorgqr, dpftrf, dpftrs, dpotrf, dpotrs, dtfsm, dtrtrs
     from scipy.spatial.distance import cdist
     from scipy.special import erf
 

@@ -8,7 +8,9 @@ feature, and every prior from the J x J kernel block between the path
 nodes) and the random-feature engine (the dense 2M x 2M primal fit, one
 gradient-integral vector and one triangular solve per feature). The
 random-feature fit is also kept in its copying form, a QR of a C-ordered
-design matrix that scipy copies before factoring. The Monte Carlo oracle is
+design matrix that scipy copies before factoring, and with its attribution
+by scipy's solve_triangular it is the scipy.linalg reference for the
+package's direct LAPACK calls. The Monte Carlo oracle is
 kept in its (samples, grid) field-matrix form, and in its direct-law form
 through the dense J x J field covariance. The package
 computes all features in one pass and uses each engine's structure; tests
@@ -46,7 +48,7 @@ from gpattr.attrib_quad import QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
 from gpattr.kernels import ArdSeHyper, _as_points, _check_index, grad_i_cross, hess_ii_cross, kernel_cross
-from gpattr.rfgp import RfgpModel, _ridge, design_matrix, sample_frequencies
+from gpattr.rfgp import RfgpModel, _ridge, design_matrix, feature_gradient_integral, sample_frequencies
 from gpattr.specfun import NumericalError, erf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -450,6 +452,22 @@ def rfgp_fit_copying(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: in
     offset = float(data.y.mean())
     weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
     return RfgpModel(V, weights, Q, factor, hyper, offset)
+
+
+def rfgp_attribution_scipy(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndarray]:
+    """(d,) attribution means and variances of every feature as
+    gpattr.rfgp.rfgp_attribution computes them, with scipy.linalg's
+    solve_triangular for the core solve."""
+    x = np.asarray(x, dtype=float)
+    gap = x - baseline
+    zeta = feature_gradient_integral(x, baseline, model.frequencies)
+    proj = model.basis.T @ zeta
+    half = solve_triangular(model.core_factor, proj, lower=True)
+    form = np.sum(half * half, axis=0)
+    if model.basis.shape[1] < model.basis.shape[0]:
+        resid = zeta - model.basis @ proj
+        form += np.sum(resid * resid, axis=0) / _ridge(model.m_features, model.hyper)
+    return gap * (model.weights @ zeta), gap**2 * model.hyper.noise_variance * form
 
 
 def feature_gradient_integral_per_feature(x, baseline, i: int, frequencies: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from gpattr import (
     quad_attribution,
 )
 from gpattr.attrib_exact import _path_quadrature
+from gpattr.attrib_quad import _median
 from gpattr.data_io import Dataset, simulate
 from oracles import (
     FD_STEP,
@@ -175,6 +176,17 @@ def test_sweep_rows_carry_eval_counts(sim_model):
         sim_model, np.array([[6.0, 3.0]]), [2.0, 2.0], ("simpson",), (4,)
     )
     assert rows[0].function_evals == 9 and rows[0].partitions == 4
+
+
+
+def test_median_is_np_median_bit_for_bit():
+    # the sort that quad-sweep and rfgp-compare take their medians by gives
+    # np.median's values at odd and even counts, along the last axis
+    rng = np.random.default_rng(8)
+    for count in range(1, 8):
+        values = rng.standard_normal((3, count)) * 10.0 ** rng.integers(-150, 150, size=(3, count))
+        assert np.array_equal(_median(values), np.median(values, axis=-1))
+        assert _median(values[0].tolist()) == np.median(values[0])
 
 
 def test_simpson_beats_right_hand_at_equal_partitions(sim_model, rng):

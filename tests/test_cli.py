@@ -196,39 +196,39 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
 SCIPY_SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.spatial", "numpy.f2py", "numpy.testing", "numpy.ma")
 
 
-def test_only_rfgp_commands_import_a_scipy_subpackage(tmp_path):
+def test_no_command_imports_a_scipy_subpackage(tmp_path):
     # gpattr.specfun loads scipy's compiled routines without their packages,
-    # so fitting, searching, loading, the exact and quadrature engines, the
-    # sweep and the Monte Carlo check leave every subpackage unimported; an
-    # rfgp command imports scipy.linalg, which the check must see
+    # so fitting, searching, loading, every attribution engine, the sweep,
+    # the rfgp comparison and the Monte Carlo check leave every subpackage,
+    # and the numpy modules their imports load, unimported
     model = str(tmp_path / "fit" / "model.json")
     runs = [
         ["fit", "--simulate", "60", *HYPER_FLAGS, "--query-row", "last", "--out-dir", str(tmp_path / "fit")],
         ["fit", "--simulate", "40", "--optimize", "8", "--out-dir", str(tmp_path / "search")],
         ["attribute", "--model", model, "--out-dir", str(tmp_path / "exact")],
         ["attribute", "--model", model, "--engine", "quad:simpson:1024", "--out-dir", str(tmp_path / "quad")],
+        ["attribute", "--model", model, "--engine", "rfgp", "--rfgp-features", "10",
+         "--out-dir", str(tmp_path / "rfgp")],
         ["quad-sweep", "--model", model, "--queries", "2", "--l-values", "4,64",
          "--out-dir", str(tmp_path / "sweep")],
+        ["rfgp-compare", "--model", model, "--m-values", "5,40", "--seeds", "2", "--ensemble", "3",
+         "--ensemble-m", "5", "--out-dir", str(tmp_path / "compare")],
         ["mc-validate", "--model", model, "--samples", "50", "--grid-points", "33", "--queries", "1",
          "--out-dir", str(tmp_path / "mc")],
     ]
-    rfgp = ["attribute", "--model", model, "--engine", "rfgp", "--rfgp-features", "10",
-            "--out-dir", str(tmp_path / "rfgp")]
     code = f"""
 import sys
 import gpattr
 from gpattr.cli import main
-loaded = lambda: [m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules]
 codes = [main(argv) for argv in {runs!r}]
 gpattr.load_model({model!r})
-print("loaded:", codes, loaded())
-print("loaded:", main({rfgp!r}), "scipy.linalg" in sys.modules)
+print("loaded:", codes, [m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules])
 """
     src = str(Path(gpattr.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     lines = [line for line in out.splitlines() if line.startswith("loaded:")]
-    assert lines == [f"loaded: {[0] * len(runs)} []", "loaded: 0 True"]
+    assert lines == [f"loaded: {[0] * len(runs)} []"]
 
 
 def test_attribute_filter_baseline_from_stored_targets(workdir):

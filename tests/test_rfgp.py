@@ -27,6 +27,7 @@ from oracles import (
     feature_gradient_integral_per_feature,
     feature_map,
     rfgp_attribution_per_feature,
+    rfgp_attribution_scipy,
     rfgp_fit_copying,
     rfgp_fit_dense,
     rfgp_mean,
@@ -180,6 +181,28 @@ def test_in_place_fit_is_bit_identical_to_copying_fit(n, m):
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.basis, want.basis)
     assert np.array_equal(got.core_factor, want.core_factor)
+
+
+@pytest.mark.parametrize("m, n", [(10, 60), (30, 60), (60, 30)])
+@pytest.mark.parametrize("noise", [0.1, 0.0])
+def test_fit_and_attribution_equal_the_scipy_linalg_reference_bit_for_bit(m, n, noise):
+    # rfgp calls LAPACK's QR, Cholesky and triangular routines directly, with
+    # the workspaces scipy's wrappers ask for, so at 2M < N, 2M = N and
+    # 2M > N it keeps the bits of scipy.linalg's qr, cholesky, cho_solve and
+    # solve_triangular; zero noise is rank deficient only when 2M > N
+    data = simulate(n, 0.5, seed=n + m)
+    hyper = ArdSeHyper(HYP.signal_variance, HYP.lengthscales, noise)
+    if noise == 0.0 and 2 * m > n:
+        with pytest.raises(NumericalError, match="singular"):
+            rfgp_fit(data, hyper, m, seed=m)
+        return
+    got, want = rfgp_fit(data, hyper, m, seed=m), rfgp_fit_copying(data, hyper, m, seed=m)
+    for name in ("basis", "core_factor", "weights"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    rng = np.random.default_rng(m)
+    for x, z in rng.uniform(0.0, 10.0, size=(3, 2, 2)):
+        laws = zip(rfgp_attribution(got, x, z), rfgp_attribution_scipy(want, x, z))
+        assert all(np.array_equal(a, b) for a, b in laws)
 
 
 def test_fit_keeps_no_design_sized_buffer_when_2m_is_below_n():

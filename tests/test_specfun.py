@@ -29,12 +29,19 @@ from gpattr.specfun import NumericalError, erf
 
 SRC = str(Path(gpattr.__file__).resolve().parents[1])
 COMPILED = ("scipy.linalg._flapack", "scipy.special._special_ufuncs", "scipy.spatial._distance_pybind")
-# a fit, its weights and a report: every binding, printed as exact bytes
+LAPACK = ("dgeqrf", "dorgqr", "dpftrf", "dpftrs", "dpotrf", "dpotrs", "dtfsm", "dtrtrs")
+# a fit, its weights and a report, and rfgp fits and attributions at
+# 2M < N and 2M > N: every binding, printed as exact bytes
 RESULTS = """
 import gpattr
-model = gpattr.fit(gpattr.simulate(40, 0.3, seed=4), gpattr.ArdSeHyper(0.6, [1.2, 0.8], 0.1))
+data, hyper = gpattr.simulate(40, 0.3, seed=4), gpattr.ArdSeHyper(0.6, [1.2, 0.8], 0.1)
+model = gpattr.fit(data, hyper)
 report = gpattr.attribution_report(model, [6.0, 1.5], [4.0, 5.0])
 print("results:", *(a.tobytes().hex() for a in (model.chol, model.alpha, report.means, report.variances)))
+for m in (8, 30):
+    rf = gpattr.rfgp_fit(data, hyper, m, seed=m)
+    laws = gpattr.rfgp_attribution(rf, [6.0, 1.5], [4.0, 5.0])
+    print("results:", *(a.tobytes().hex() for a in (rf.basis, rf.core_factor, rf.weights, *laws)))
 """
 
 
@@ -49,16 +56,16 @@ def _python(code: str) -> list[str]:
 def test_bindings_are_scipys_public_objects():
     # loaded without the subpackages, the routines are the very objects a
     # later public import returns, so they give the same bits
-    code = """
+    code = f"""
 import sys
 from gpattr import specfun
 print([m for m in ("scipy.linalg", "scipy.special", "scipy.spatial") if m in sys.modules])
 from scipy.linalg import lapack
 from scipy.special import erf
 from scipy.spatial.distance import cdist
-print([getattr(specfun, f) is getattr(lapack, f) for f in ("dpftrf", "dpftrs", "dtfsm")], specfun.erf is erf)
+print([getattr(specfun, f) is getattr(lapack, f) for f in {LAPACK!r}], specfun.erf is erf)
 """
-    assert _python(code) == ["[]", "[True, True, True] True"]
+    assert _python(code) == ["[]", f"{[True] * len(LAPACK)} True"]
 
 
 @pytest.mark.parametrize("failing", COMPILED)
