@@ -1,9 +1,9 @@
 """Tabular data loading, normalization, baselines, and a simulated generator.
 
-CSV files are comma-separated UTF-8 with a header row. Every non-target
-column becomes a feature, in header order. Cells must parse as finite
-floats; offending rows are reported by number (1-based, counting the
-header as line 1).
+CSV files are comma-separated UTF-8, with or without a byte-order mark,
+and have a header row. Every non-target column becomes a feature, in header
+order. Cells must parse as finite floats; offending rows are reported by
+number (1-based, counting the header as line 1).
 """
 
 import csv
@@ -81,7 +81,7 @@ class Dataset:
 def load_csv(path: str, target_column: str) -> Dataset:
     """Load a CSV into a Dataset, using target_column as y."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

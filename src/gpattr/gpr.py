@@ -10,13 +10,12 @@ kernels.kernel_matrix), and factored in place there, so fitting or loading
 a model holds half an n x n array and never forms a whole one.
 
 save_model writes the model as JSON and stores the factor beside it in a
-sidecar keyed by a hash of everything the factor depends on, so that
+sidecar keyed by the bytes of everything the factor depends on, so that
 load_model reads the factor back instead of refactoring; a sidecar that does
 not match is ignored and the factor is rebuilt, with the same result.
 """
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -44,7 +43,7 @@ __all__ = [
 
 MODEL_FORMAT = "gpattr-model"
 MODEL_VERSION = 2
-# first bytes hashed into a factor sidecar's key: the layout of the values
+# first bytes of a factor sidecar's key: the layout of the values
 FACTOR_TAG = b"gpattr-factor rfp-N-L float64 v1"
 # starting jitter of jittered_cholesky, relative to the mean diagonal
 SOLVER_JITTER = 1e-10
@@ -189,19 +188,24 @@ def _noisy_kernel_matrix(X, hyper: ArdSeHyper, jitter: float) -> np.ndarray:
     return K
 
 
+def _check_ranges(X: np.ndarray, names, where: str = "") -> None:
+    """DataError naming each column of X, by its entry in names, whose range
+    squared overflows, so that squared distances to its extreme rows would too."""
+    with np.errstate(over="ignore"):
+        spans = np.ptp(X, axis=0) ** 2
+    bad = [repr(names[j]) for j in np.flatnonzero(~np.isfinite(spans))]
+    if bad:
+        raise DataError(f"{where}the range of column(s) {', '.join(bad)} squared overflows: values too large in scale")
+
+
 def fit(data: Dataset, hyper: ArdSeHyper) -> GprModel:
     """Fit the GP: factor K + noise*I, retrying with jitter, and build the
     model on copies of the data, which derives the weights. DataError naming
-    the column when a feature's range squared overflows, so that squared
-    distances to its extreme rows would too; ValueError when the data's
-    features do not match the hyperparameters (kernel_matrix checks);
-    NumericalError when K is not finite, stays indefinite through the
-    jitter retries, or gives weights that overflow."""
-    with np.errstate(over="ignore"):
-        spans = np.ptp(data.X, axis=0) ** 2
-    bad = [repr(data.feature_names[j]) for j in np.flatnonzero(~np.isfinite(spans))]
-    if bad:
-        raise DataError(f"the range of column(s) {', '.join(bad)} squared overflows: values too large in scale")
+    the column when a feature's range squared overflows (_check_ranges);
+    ValueError when the data's features do not match the hyperparameters
+    (kernel_matrix checks); NumericalError when K is not finite, stays
+    indefinite through the jitter retries, or gives weights that overflow."""
+    _check_ranges(data.X, data.feature_names)
     chol, jitter = jittered_cholesky(functools.partial(_noisy_kernel_matrix, data.X, hyper))
     return GprModel(hyper, np.array(data.X, dtype=float), np.array(data.y, dtype=float), chol, jitter)
 
@@ -394,9 +398,9 @@ def save_model(model: GprModel, path: str, metadata: dict | None = None) -> None
     inputs and targets, and jitter, which fix the posterior. The weights and
     the offset are not stored: load_model derives them again, as fit did.
     The Cholesky factor goes to the sidecar path + ".factor.npy" as two .npy
-    arrays, its key (_factor_key) and then its n(n+1)/2 values, so that
-    load_model can skip refactoring; writing one model twice gives the same
-    bytes.
+    arrays, its key (the inputs' bytes, _factor_key) and then its n(n+1)/2
+    values, so that load_model can skip refactoring; writing one model twice
+    gives the same bytes.
 
     metadata entries (feature names, normalization stats, a held-out query)
     ride along under their own keys for tooling; they are ignored by
@@ -425,14 +429,12 @@ def _factor_path(path) -> str:
 
 
 def _factor_key(hyper: ArdSeHyper, x_train: np.ndarray, jitter: float) -> np.ndarray:
-    """sha256, as 32 uint8 values, of what fixes the factor: FACTOR_TAG, n
-    and d, the signal and noise variances, the lengthscales, the jitter and
-    the training inputs, all little-endian. The targets do not enter."""
-    key = hashlib.sha256(FACTOR_TAG)
-    key.update(np.array(x_train.shape, dtype="<i8"))
-    key.update(np.array([hyper.signal_variance, hyper.noise_variance, *hyper.lengthscales, jitter], dtype="<f8"))
-    key.update(np.ascontiguousarray(x_train, dtype="<f8"))
-    return np.frombuffer(key.digest(), dtype=np.uint8)
+    """What fixes the factor, verbatim as uint8 values: FACTOR_TAG, n and d,
+    the signal and noise variances, the lengthscales, the jitter and the
+    training inputs, all little-endian. The targets do not enter."""
+    values = np.array([hyper.signal_variance, hyper.noise_variance, *hyper.lengthscales, jitter], dtype="<f8")
+    inputs = (FACTOR_TAG, np.array(x_train.shape, dtype="<i8"), values, np.ascontiguousarray(x_train, dtype="<f8"))
+    return np.frombuffer(b"".join(inputs), dtype=np.uint8)
 
 
 def _stored_factor(path, key: np.ndarray, n: int) -> np.ndarray | None:
@@ -484,9 +486,10 @@ def load_model(path: str) -> GprModel:
     layout with the stored jitter (no retries). Either way the factor, and
     the weights GprModel derives with it, are the ones fit made, and the
     loaded model holds n(n+1)/2 values, not n x n. A missing or malformed
-    field (wrong type or shape, non-finite or out-of-range values) raises
-    DataError naming the file and the field; NumericalError if the factor
-    or the weights fail."""
+    field (wrong type or shape, non-finite or out-of-range values, an x_train
+    column whose range squared overflows, as fit checks) raises DataError
+    naming the file and the field; NumericalError if the factor or the
+    weights fail."""
     payload = load_model_payload(path)
     try:
         return _model_from_payload(payload, path)
@@ -505,6 +508,7 @@ def _model_from_payload(payload: dict, path: str) -> GprModel:
         noise_variance=field("hyper.noise_variance", low=0.0),
     )
     x_train = field("x_train", (None, hyper.dim))
+    _check_ranges(x_train, range(hyper.dim), "model field 'x_train': ")
     y_train = field("y_train", (len(x_train),))
     chol = _stored_factor(path, _factor_key(hyper, x_train, jitter), len(x_train))
     if chol is None:

@@ -216,19 +216,42 @@ def test_no_command_imports_a_scipy_subpackage(tmp_path):
         ["mc-validate", "--model", model, "--samples", "50", "--grid-points", "33", "--queries", "1",
          "--out-dir", str(tmp_path / "mc")],
     ]
+    assert _fresh_process_loads(runs, model, SCIPY_SUBPACKAGES) == [[0] * len(runs), []]
+
+
+def _fresh_process_loads(runs: list, model: str, watched) -> list:
+    """In a fresh process, [the exit code of main on each argv of runs, the
+    watched modules imported after those runs and a load_model of the model
+    file]."""
     code = f"""
-import sys
+import json, sys
 import gpattr
 from gpattr.cli import main
 codes = [main(argv) for argv in {runs!r}]
 gpattr.load_model({model!r})
-print("loaded:", codes, [m for m in {SCIPY_SUBPACKAGES!r} if m in sys.modules])
+print("loaded:", json.dumps([codes, [m for m in {tuple(watched)!r} if m in sys.modules]]))
 """
     src = str(Path(gpattr.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    lines = [line for line in out.splitlines() if line.startswith("loaded:")]
-    assert lines == [f"loaded: {[0] * len(runs)} []"]
+    (line,) = [line for line in out.splitlines() if line.startswith("loaded:")]
+    return json.loads(line[len("loaded:"):])
+
+
+def test_no_model_command_loads_openssl(tmp_path):
+    # the factor sidecar's key is the bytes of its inputs, not their digest,
+    # so fitting from a CSV, the search, the exact and quadrature engines and
+    # load_model never import hashlib, which loads OpenSSL's libcrypto; only
+    # numpy.random (via secrets) does, so no run here draws random numbers
+    csv_path, model = str(_write_sim_csv(tmp_path / "demo.csv")), str(tmp_path / "fit" / "model.json")
+    runs = [
+        ["fit", "--data", csv_path, "--target", "y", *HYPER_FLAGS, "--query-row", "last",
+         "--out-dir", str(tmp_path / "fit")],
+        ["fit", "--data", csv_path, "--target", "y", "--optimize", "8", "--out-dir", str(tmp_path / "search")],
+        ["attribute", "--model", model, "--out-dir", str(tmp_path / "exact")],
+        ["attribute", "--model", model, "--engine", "quad:simpson:1024", "--out-dir", str(tmp_path / "quad")],
+    ]
+    assert _fresh_process_loads(runs, model, ("hashlib", "_hashlib")) == [[0] * len(runs), []]
 
 
 def test_attribute_filter_baseline_from_stored_targets(workdir):
@@ -679,6 +702,20 @@ EXIT_CASES = {
         _edit("y_train"), "y_train",
         argv=("attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp")),
     "no-query-point": (2, ["attribute", "--model", BAD], ["--query"], _edit("holdout")),
+    # an x_train column whose range squared overflows is refused at load, as
+    # fit refuses it, before any engine or the query box of quad-sweep sees it
+    "x_train-range-overflow-exact": _bad_model(
+        _edit("x_train.3.1", -1e308), "x_train", "column(s) 1",
+        argv=("attribute", "--model", BAD, "--query=1,1", "--baseline", "values:5,5")),
+    "x_train-range-overflow-rfgp": _bad_model(
+        _edit("x_train.3.0", 1e308), "x_train", "column(s) 0",
+        argv=("attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp")),
+    "x_train-range-overflow-quad-sweep": _bad_model(
+        _edit("x_train", lambda x: [[1e308, 0.0], [-1e308, 0.0], *x[2:]]), "x_train", "column(s) 0",
+        argv=("quad-sweep", "--model", BAD, "--queries", "1")),
+    "x_train-range-overflow-mc": _bad_model(
+        _edit("x_train.3.1", -1e308), "x_train", "column(s) 1",
+        argv=("mc-validate", "--model", BAD, "--samples", "20", "--grid-points", "5", "--queries", "1")),
     # finite inputs that overflow the numerics exit 4, the same for every engine
     "query-overflow-exact": (4, ["attribute", "--model", MODEL, "--query", "1e308,1"], ["query"], None),
     "query-overflow-rfgp": (4, ["attribute", "--model", MODEL, "--query", "1e308,1", "--engine", "rfgp"],
@@ -705,8 +742,6 @@ EXIT_CASES = {
                                        ["solve", "not finite"], _edit("hyper.signal_variance", 1e308)),
     "signal-variance-overflow-mc": (4, ["mc-validate", "--model", BAD, "--samples", "20", "--grid-points", "5",
                                         "--queries", "1"], ["Monte Carlo"], _edit("hyper.signal_variance", 1e308)),
-    "x_train-overflow-rfgp": (4, ["attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp"],
-                              ["design matrix"], _edit("x_train.3.0", 1e308)),
     "ridge-overflow-rfgp": (4, ["attribute", "--model", BAD, "--query", "1,2", "--engine", "rfgp"],
                             ["ridge (inf)"], _edit("hyper.signal_variance", 1e-320)),
     "y_train-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
@@ -718,8 +753,6 @@ EXIT_CASES = {
     "sym-kl-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
                                          "--seeds", "1", "--ensemble", "1", "--ensemble-m", "5"],
                                      ["divergence", "'x1'"], _edit("y_train.5", 1e160)),
-    "query-box-overflow-quad-sweep": (4, ["quad-sweep", "--model", BAD, "--queries", "1"], ["box"],
-                                      _edit("x_train", lambda x: [[1e308, 0.0], [-1e308, 0.0], *x[2:]])),
     "laws-overflow-rfgp": (4, ["attribute", "--model", "<wide_model>", "--query", "1e100,2", "--engine", "rfgp"],
                            ["law of feature 0", "not finite"], None),
     "lml-overflow-fit": (4, ["fit", "--data", "<tall>", "--target", "y", *HYPER_FLAGS], ["log marginal likelihood"],

@@ -47,6 +47,19 @@ def test_load_csv_reports_bad_rows_with_line_numbers(tmp_path):
     assert "3" in msg and "5" in msg and "6" in msg
 
 
+@pytest.mark.parametrize("header", ["y,a,b", "a,b,y"])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, header):
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark, which must
+    # not become part of the first column's name, target or feature
+    rows = {"y,a,b": "3,1,2\n6,4,5\n", "a,b,y": "1,2,3\n4,5,6\n"}[header]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + header + "\n" + rows).encode("utf-8"))
+    data = load_csv(str(path), "y")
+    assert data.feature_names == ("a", "b")
+    assert np.array_equal(data.X, [[1.0, 2.0], [4.0, 5.0]])
+    assert np.array_equal(data.y, [3.0, 6.0])
+
+
 def test_load_csv_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/nowhere.csv", "y")

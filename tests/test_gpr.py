@@ -3,6 +3,7 @@ serialization. Dense linear algebra (explicit inverse, slogdet) on the
 unpacked kernel matrix serves as the oracle for the packed factored solves.
 """
 
+import hashlib
 import io
 import json
 import multiprocessing
@@ -676,7 +677,20 @@ def _npy_header_bytes(shape, descr) -> bytes:
     return buf.getvalue()
 
 
-_KEY_BYTES = len(_npy_header_bytes((32,), "|u1")) + 32  # the key array's length in a sidecar
+def _key_bytes(model: GprModel) -> int:
+    """The length of the key array that starts model's sidecar."""
+    size = gpr._factor_key(model.hyper, model.x_train, model.jitter).size
+    return len(_npy_header_bytes((size,), "|u1")) + size
+
+
+def _parent_format_sidecar(model: GprModel) -> bytes:
+    """model's sidecar as gpattr wrote it when its key was the sha256, 32
+    uint8 values, of the bytes that are the key now."""
+    buf = io.BytesIO()
+    key = gpr._factor_key(model.hyper, model.x_train, model.jitter)
+    np.save(buf, np.frombuffer(hashlib.sha256(key.tobytes()).digest(), dtype=np.uint8))
+    np.save(buf, model.chol)
+    return buf.getvalue()
 
 
 def _other_models_sidecar(tmp_path) -> bytes:
@@ -706,7 +720,8 @@ BAD_SIDECARS = {
     "garbage": lambda model, blob, tmp_path: np.random.default_rng(5).bytes(len(blob)),
     "zip-magic": lambda model, blob, tmp_path: b"PK\x03\x04" + blob[4:],
     "huge-key-header": lambda model, blob, tmp_path: _npy_header_bytes((10**13,), "|u1") + blob,
-    "huge-factor-header": lambda model, blob, tmp_path: blob[:_KEY_BYTES] + _npy_header_bytes((10**13,), "<f8"),
+    "huge-factor-header": lambda model, blob, tmp_path: blob[:_key_bytes(model)] + _npy_header_bytes((10**13,), "<f8"),
+    "sha256-key": lambda model, blob, tmp_path: _parent_format_sidecar(model),
     "missing": None,
 }
 
@@ -751,6 +766,12 @@ def test_save_model_rewrites_identical_sidecar_bytes(tmp_path):
     with open(tmp_path / "model.json.factor.npy", "rb") as fh:
         key, factor = np.load(fh), np.load(fh)
         assert fh.read() == b""
-    assert key.dtype == np.uint8 and key.shape == (32,)
+    # the key is the verbatim little-endian bytes of what fixes the factor
+    hyper = model.hyper
+    inputs = (gpr.FACTOR_TAG, np.array([n, hyper.dim], dtype="<i8").tobytes(),
+              np.array([hyper.signal_variance, hyper.noise_variance, *hyper.lengthscales, model.jitter],
+                       dtype="<f8").tobytes(), model.x_train.astype("<f8").tobytes())
+    assert key.dtype == np.uint8 and key.shape == (len(b"".join(inputs)),)
+    assert key.tobytes() == b"".join(inputs)
     assert factor.dtype == np.float64 and factor.shape == (n * (n + 1) // 2,)
     assert np.array_equal(factor, model.chol)
