@@ -34,9 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import specfun
 from .gpr import GprModel, _clamp_variance
 from .kernels import ArdSeHyper, _check_index, kernel_cross
-from .specfun import NumericalError, erf
+from .specfun import NumericalError
 
 __all__ = [
     "AttributionGaussian",
@@ -157,7 +158,7 @@ def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdS
     t0, t1 = -(rz @ w) / p2, -(rx @ w) / p2
     r = np.where((t0 <= 0.5)[:, None], rz, rx)
     o = r * (_others(delta * w) / p2) - delta * (_others(r * w) / p2)
-    e0, e1 = np.split(erf(math.sqrt(0.5 * p2) * np.concatenate((t0, t1))), 2)
+    e0, e1 = np.split(specfun.erf(math.sqrt(0.5 * p2) * np.concatenate((t0, t1))), 2)
     gauss = math.sqrt(0.5 * math.pi / p2) * np.exp(-0.5 * ((o * o) @ inv)) * (e0 - e1)
     ez, ex = (np.exp(-0.5 * ((v * v) @ inv)) for v in (rz, rx))
     return -(hyper.signal_variance * w) * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
@@ -197,7 +198,7 @@ def _slices_and_priors(
         others = _others(a)
         one_minus_exp = -math.expm1(-0.5 * p2)
         bracket = r0 * (
-            _SQRT_2PI * erf(math.sqrt(0.5 * p2)) * others / p2**1.5
+            _SQRT_2PI * specfun.erf(math.sqrt(0.5 * p2)) * others / p2**1.5
             - 2.0 * one_minus_exp * (others - a) / p2**2
         )
         A, prior = _slice_matrix(x, z, centers, hyper), delta**2 * bracket

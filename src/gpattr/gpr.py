@@ -252,9 +252,9 @@ def _hyper_from_log(theta: np.ndarray) -> ArdSeHyper:
 
 
 # Training rows from which optimize_hyperparameters forks its starts. Median
-# search in `fit --optimize 60`, d = 8, two vCPUs, BLAS on one thread, one
-# process -> forked: n = 300 0.090 -> 0.073 s, n = 400 0.21 -> 0.13 s, n = 800
-# 0.88 -> 0.45 s; 5-15% slower at every n while the host kept a vCPU busy.
+# 60-evaluation search, d = 8, two vCPUs, BLAS on one thread, one process ->
+# forked (two sets of 7, October 2026): n = 300 0.072 -> 0.058-0.079 s,
+# n = 400 0.13 -> 0.09-0.13 s, n = 800 0.53 -> 0.29 s.
 _FORK_ROWS = 400
 _LOG_BOUND = np.log(1e8)
 
@@ -276,12 +276,14 @@ def _score(data: Dataset, theta: np.ndarray) -> float:
         return -np.inf
 
 
-def _descend(data: Dataset, theta: np.ndarray, share: int, current: float | None = None) -> tuple[np.ndarray, float]:
+def _descend(data: Dataset, theta: np.ndarray, share: int, is_init: bool = False) -> tuple[np.ndarray, float]:
     """One start: coordinate descent from theta in share evaluations, the first
-    scoring theta unless current is its score. Returns the best point and its
-    log marginal likelihood, -inf when theta's is not finite."""
-    current = _score(data, theta) if current is None else current
+    scoring theta. Returns the best point and its log marginal likelihood;
+    when theta's is not finite, -inf, or NumericalError if is_init."""
+    current = _score(data, theta)
     if not np.isfinite(current):
+        if is_init:
+            raise NumericalError("marginal likelihood is not finite at the initial hyperparameters")
         return theta, -np.inf
     evals = 1
     step = np.log(4.0)
@@ -319,7 +321,8 @@ def _run_starts(data: Dataset, starts: list) -> list:
     """(theta, lml) of each start (_descend's arguments after data), in order.
     From _FORK_ROWS rows, with P > 1 usable CPUs and no other thread (a lock
     it held at the fork would stay held in the child), start k runs in
-    process k mod P, and no child outlives the call."""
+    process k mod P, and no child outlives the call. Start 0 runs here after
+    the forks, so an error it raises stops the call at once."""
     cpus = min(len(starts), _usable_cpus()) if data.n >= _FORK_ROWS and threading.active_count() == 1 else 1
     procs, results = [], [None] * len(starts)
     try:
@@ -362,7 +365,10 @@ def optimize_hyperparameters(data: Dataset, init: ArdSeHyper, budget: int) -> Ar
     budget counts marginal-likelihood evaluations across all starts,
     allotted round-robin, so budget=1 evaluates init alone and returns it.
     The returned value never scores worse than init. On large problems the
-    starts run concurrently in forked processes, with identical results.
+    starts run concurrently in forked processes, with identical results;
+    start 0 scores init after the forks, as a factorization before them
+    would leave a second OpenBLAS buffer resident here. A non-finite init
+    score raises NumericalError.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -374,10 +380,7 @@ def optimize_hyperparameters(data: Dataset, init: ArdSeHyper, budget: int) -> Ar
     )
     scales = (1.0, 0.25, 0.0625, 4.0)
     shares = [(budget + len(scales) - 1 - k) // len(scales) for k in range(len(scales))]
-    first = _score(data, theta0)
-    if not np.isfinite(first):
-        raise NumericalError("marginal likelihood is not finite at the initial hyperparameters")
-    starts = [(theta0, shares[0], first)]
+    starts = [(theta0, shares[0], True)]
     for factor, share in zip(scales[1:budget], shares[1:]):
         start = theta0.copy()
         start[2:] = np.clip(start[2:] + np.log(factor), -_LOG_BOUND, _LOG_BOUND)

@@ -219,14 +219,15 @@ def test_no_command_imports_a_scipy_subpackage(tmp_path):
     assert _fresh_process_loads(runs, model, SCIPY_SUBPACKAGES) == [[0] * len(runs), []]
 
 
-def _fresh_process_loads(runs: list, model: str, watched) -> list:
+def _fresh_process_loads(runs: list, model: str, watched, setup: str = "") -> list:
     """In a fresh process, [the exit code of main on each argv of runs, the
-    watched modules imported after those runs and a load_model of the model
-    file]."""
+    watched modules imported after setup (a statement run first), those runs
+    and a load_model of the model file]."""
     code = f"""
 import json, sys
 import gpattr
 from gpattr.cli import main
+{setup}
 codes = [main(argv) for argv in {runs!r}]
 gpattr.load_model({model!r})
 print("loaded:", json.dumps([codes, [m for m in {tuple(watched)!r} if m in sys.modules]]))
@@ -252,6 +253,23 @@ def test_no_model_command_loads_openssl(tmp_path):
         ["attribute", "--model", model, "--engine", "quad:simpson:1024", "--out-dir", str(tmp_path / "quad")],
     ]
     assert _fresh_process_loads(runs, model, ("hashlib", "_hashlib")) == [[0] * len(runs), []]
+
+
+def test_erf_loads_only_where_an_engine_evaluates_it(tmp_path):
+    # specfun binds erf on first use, so a fit and a search forked over two
+    # processes (multiprocessing is imported only to fork) leave scipy.special's
+    # ufunc module unmapped, and OpenSSL unloaded; the exact engine maps it
+    csv_path, model = str(_write_sim_csv(tmp_path / "demo.csv")), str(tmp_path / "fit" / "model.json")
+    watched = ("scipy.special._special_ufuncs", "hashlib", "_hashlib", "multiprocessing")
+    fits = [
+        ["fit", "--data", csv_path, "--target", "y", *HYPER_FLAGS, "--query-row", "last",
+         "--out-dir", str(tmp_path / "fit")],
+        ["fit", "--data", csv_path, "--target", "y", "--optimize", "8", "--out-dir", str(tmp_path / "search")],
+    ]
+    forked = "gpattr.gpr._FORK_ROWS, gpattr.gpr._usable_cpus = 2, lambda: 2"
+    assert _fresh_process_loads(fits, model, watched, forked) == [[0, 0], ["multiprocessing"]]
+    attribute = [["attribute", "--model", model, "--out-dir", str(tmp_path / "exact")]]
+    assert _fresh_process_loads(attribute, model, watched) == [[0], ["scipy.special._special_ufuncs"]]
 
 
 def test_attribute_filter_baseline_from_stored_targets(workdir):

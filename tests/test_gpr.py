@@ -29,7 +29,7 @@ from gpattr import (
     save_model,
 )
 from gpattr.data_io import Dataset, simulate
-from gpattr import gpr
+from gpattr import gpr, specfun
 from gpattr.gpr import jittered_cholesky, load_model_payload
 from gpattr.kernels import grad_i_cross, hess_ii_cross
 from oracles import jittered_cholesky_copying, packed_builder, unpack_factor, unpack_symmetric
@@ -282,19 +282,47 @@ def test_usable_cpus_leave_each_blas_thread_a_cpu(monkeypatch, openblas, omp, pe
 
 
 def test_search_raises_on_non_finite_initial_likelihood_before_forking(monkeypatch):
+    # the init is start 0's first evaluation, made in the caller after the
+    # fork: its failure raises before the caller fits again, and the forked
+    # start is reaped
     data, init = _large_search_case(monkeypatch)
+    calls = []
 
     def no_fit(*args):
+        calls.append(args)
         raise NumericalError("matrix to factor has non-finite entries")
 
-    def no_starts(*args):
-        raise AssertionError("the search ran its starts")
-
     monkeypatch.setattr(gpr, "fit", no_fit)
-    monkeypatch.setattr(gpr, "_run_starts", no_starts)
     monkeypatch.setattr(gpr, "_usable_cpus", lambda: 2)
     with pytest.raises(NumericalError, match="not finite at the initial hyperparameters"):
         optimize_hyperparameters(data, init, 60)
+    assert len(calls) == 1  # fits in the forked process are not counted here
+    assert multiprocessing.active_children() == []
+
+
+def test_search_caller_factors_nothing_before_it_forks(monkeypatch):
+    # a factorization before the fork would leave OpenBLAS's buffer pages
+    # resident in the caller while its next one touches fresh pages
+    data, init = _large_search_case(monkeypatch)
+    caller, events = os.getpid(), []
+    real_fork, real_dpftrf = os.fork, specfun.dpftrf
+
+    def logged_fork():
+        events.append("fork")
+        return real_fork()
+
+    def logged_dpftrf(*args, **kwargs):
+        if os.getpid() == caller:
+            events.append("dpftrf")
+        return real_dpftrf(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(specfun, "dpftrf", logged_dpftrf)
+    monkeypatch.setattr(gpr, "_usable_cpus", lambda: 2)
+    optimize_hyperparameters(data, init, 60)
+    assert multiprocessing.active_children() == []
+    assert events[0] == "fork" and events.count("fork") == 1
+    assert events.count("dpftrf") >= 30  # start 0's and start 2's evaluations
 
 
 def test_jittered_cholesky_clean_matrix_gets_no_jitter():
