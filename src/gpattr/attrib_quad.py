@@ -142,7 +142,6 @@ class McOracleResult:
     empirical_mean: np.ndarray
     empirical_var: np.ndarray
     std_error: np.ndarray
-    samples: int
 
 
 def mc_attribution_oracle(
@@ -183,4 +182,4 @@ def mc_attribution_oracle(
         emp_mean, emp_var = np.mean(attr, axis=1), np.var(attr, axis=1, ddof=1)
     if not (_all_finite(emp_mean) and _all_finite(emp_var)):
         raise NumericalError("Monte Carlo sample moments overflow: the attribution laws are too wide")
-    return McOracleResult(emp_mean, emp_var, np.sqrt(emp_var) / np.sqrt(samples), samples)
+    return McOracleResult(emp_mean, emp_var, np.sqrt(emp_var) / np.sqrt(samples))

@@ -13,8 +13,8 @@ on the same machine reproduces the outputs byte for byte.
 
 Flag syntax and values are checked at parse time, everything that needs
 a file by the command. Exit codes: 0 success, 2 usage (argparse, UsageError),
-3 data problems (DataError, OSError), 4 numerical failures (NumericalError).
-Any other exception is a bug and surfaces with its traceback.
+3 data problems (DataError, OSError), 4 numerical failures (NumericalError,
+MemoryError). Any other exception is a bug and surfaces with its traceback.
 """
 
 import argparse
@@ -51,12 +51,10 @@ from .data_io import (
 )
 from .gpr import (
     GprModel,
-    _model_from_payload,
     _payload_field,
+    _read_model,
     _write_json,
     fit,
-    load_model,
-    load_model_payload,
     log_marginal_likelihood,
     optimize_hyperparameters,
     save_model,
@@ -285,14 +283,14 @@ class _ModelFile:
 
 
 def _read_model_file(path: str) -> _ModelFile:
-    """Parse a model file once, reading its factor sidecar as load_model
-    does; any malformed field raises DataError naming the file and the
-    field."""
-    payload = load_model_payload(path)
+    """The model of a model file, read by gpr._read_model as load_model
+    reads it, and the metadata cmd_fit stores beside it. A malformed
+    metadata field raises DataError naming the file and the field, so every
+    model command accepts and rejects the same files."""
+    model, payload = _read_model(path)
+    dim = model.hyper.dim
     field = functools.partial(_payload_field, payload)
     try:
-        model = _model_from_payload(payload, path)
-        dim = model.hyper.dim
         names = payload.get("feature_names", [f"x{j}" for j in range(dim)])
         if not (isinstance(names, list) and len(names) == dim and all(isinstance(n, str) for n in names)):
             raise DataError(f"model field 'feature_names' must be a list of {dim} strings")
@@ -302,8 +300,8 @@ def _read_model_file(path: str) -> _ModelFile:
             model, names, "feature_names" in payload, stats,
             None if payload.get("holdout") is None else field("holdout.x", (dim,)),
         )
-    except (DataError, NumericalError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
@@ -360,7 +358,7 @@ def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
 
 def _random_queries(model: GprModel, count: int, seed: int) -> np.ndarray:
     """count query points drawn uniformly from the box of the training inputs,
-    which fit and load_model keep within the float range (gpr._check_ranges)."""
+    which fit and the model reader keep within the float range (gpr._check_ranges)."""
     lo, hi = model.x_train.min(axis=0), model.x_train.max(axis=0)
     return np.random.default_rng(seed).uniform(lo, hi, size=(count, model.hyper.dim))
 
@@ -444,7 +442,7 @@ def cmd_attribute(args, out: Path) -> None:
 
 
 def cmd_quad_sweep(args, out: Path) -> None:
-    model = load_model(args.model)
+    model = _read_model_file(args.model).model
     queries = _random_queries(model, args.queries, args.seed)
     baseline = model.x_train.mean(axis=0)
 
@@ -542,7 +540,7 @@ def cmd_rfgp_compare(args, out: Path) -> None:
 
 
 def cmd_mc_validate(args, out: Path) -> None:
-    model = load_model(args.model)
+    model = _read_model_file(args.model).model
     baseline = model.x_train.mean(axis=0)
     # the baseline itself is the degenerate case: exact zeros
     queries = [*_random_queries(model, args.queries, args.seed), baseline]
@@ -690,7 +688,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, MemoryError) as exc:  # an array larger than any address space
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
 

@@ -678,6 +678,8 @@ def _bad_model(edit, *names, argv=("attribute", "--model", BAD, "--query", "1,2"
 
 FIT_HYPER = ["fit", "--simulate", "10", "--signal-variance", "1", "--lengthscales", "1,1",
              "--noise-variance", "0.1"]
+SWEEP_BAD = ("quad-sweep", "--model", BAD, "--queries", "1", "--rules", "simpson", "--l-values", "2")
+MC_BAD = ("mc-validate", "--model", BAD, "--samples", "20", "--grid-points", "5", "--queries", "1")
 
 # id: (exit code, argv, what stderr must name, model-file edit written to BAD)
 EXIT_CASES = {
@@ -711,6 +713,11 @@ EXIT_CASES = {
     "no-y_train": _bad_model(_edit("y_train"), "y_train", argv=("quad-sweep", "--model", BAD)),
     "version-1": _bad_model(_edit("version", 1), "version 1"),
     "feature_names-a-number": _bad_model(_edit("feature_names", 5), "feature_names"),
+    # every model command reads the metadata fit stores, so each rejects the same files
+    "feature_names-a-number-quad-sweep": _bad_model(_edit("feature_names", 5), "feature_names", argv=SWEEP_BAD),
+    "feature_names-a-number-mc": _bad_model(_edit("feature_names", 5), "feature_names", argv=MC_BAD),
+    "holdout-text-quad-sweep": _bad_model(_edit("holdout", {"x": "text"}), "holdout.x", argv=SWEEP_BAD),
+    "holdout-text-mc": _bad_model(_edit("holdout", {"x": "text"}), "holdout.x", argv=MC_BAD),
     # the targets are a model field: without them no command loads the file,
     # whether or not it reads the targets itself
     "no-targets-filter-baseline": _bad_model(
@@ -773,6 +780,10 @@ EXIT_CASES = {
                                      ["divergence", "'x1'"], _edit("y_train.5", 1e160)),
     "laws-overflow-rfgp": (4, ["attribute", "--model", "<wide_model>", "--query", "1e100,2", "--engine", "rfgp"],
                            ["law of feature 0", "not finite"], None),
+    # a size past any address space fails its allocation at once, which numpy's message names
+    "oversized-simulate": (4, ["fit", "--simulate", "100000000000000000"], ["Unable to allocate", "shape"], None),
+    "oversized-mc-samples": (4, ["mc-validate", "--model", MODEL, "--samples", "100000000000000000"],
+                             ["Unable to allocate", "shape"], None),
     "lml-overflow-fit": (4, ["fit", "--data", "<tall>", "--target", "y", *HYPER_FLAGS], ["log marginal likelihood"],
                          None),
     # finite data whose variance overflows exits 3 naming the column

@@ -30,7 +30,7 @@ from gpattr import (
 )
 from gpattr.data_io import Dataset, simulate
 from gpattr import gpr, specfun
-from gpattr.gpr import jittered_cholesky, load_model_payload
+from gpattr.gpr import _read_model, jittered_cholesky
 from gpattr.kernels import grad_i_cross, hess_ii_cross
 from oracles import jittered_cholesky_copying, packed_builder, unpack_factor, unpack_symmetric
 
@@ -475,7 +475,7 @@ def test_model_round_trip(tmp_path, rng):
     for _ in range(5):
         xs = rng.uniform(-2.0, 2.0, size=2)
         assert predict(loaded, xs) == pytest.approx(predict(model, xs), abs=1e-12)
-    payload = load_model_payload(str(path))
+    payload = _read_model(str(path))[1]
     assert payload["feature_names"] == ["f0", "f1"]
     assert payload["version"] == 2
     # the file stores what fixes the posterior; the weights and the offset
@@ -497,11 +497,11 @@ def test_model_load_rejects_foreign_payload(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(ValueError):
-        load_model_payload(str(path))
+        load_model(str(path))
     good = json.loads(json.dumps({"format": "gpattr-model", "version": 99}))
     path.write_text(json.dumps(good))
     with pytest.raises(ValueError):
-        load_model_payload(str(path))
+        load_model(str(path))
 
 
 def test_fit_dimension_mismatch():

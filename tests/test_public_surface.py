@@ -90,3 +90,22 @@ def test_every_public_name_is_used_outside_tests():
 def test_names_kept_alive_only_by_the_tracer_are_the_known_set():
     only = _public_names() & (_live_names() - _live_names(perfbench_strings=False))
     assert only == TRACER_ONLY
+
+
+def test_every_import_is_used_or_exported():
+    # a module's imports are read by its own code or re-exported in its
+    # __all__; the package's __init__ only re-exports, so it is exempt
+    unused = []
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        exported = set(getattr(importlib.import_module(f"gpattr.{path.stem}"), "__all__", ()))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - loaded - exported)]
+    assert not unused, f"imports no code uses: {unused}"
