@@ -23,7 +23,7 @@ import functools
 import gc
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +216,8 @@ def _resolve_hyper(args, data: Dataset) -> ArdSeHyper:
 
 def cmd_fit(args, out: Path) -> None:
     if args.simulate is not None:
+        if args.target is not None:
+            raise UsageError("--target names a column of --data; --simulate has none")
         data = simulate(args.simulate, noise_scale=args.noise_scale, seed=args.data_seed)
     else:
         data = _read_csv(args)
@@ -383,14 +385,12 @@ def _report_doc(report: AttributionReport, names) -> dict:
     }
 
 
-def _attributions_csv(doc: dict, path) -> None:
-    """attributions.csv: one row (feature, mean, std, completeness_residual)
-    per feature of the report doc, every number as its repr."""
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of the header row and then the rows; csv writes a float as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["feature", "mean", "std", "completeness_residual"])
-        for a in doc["attributions"]:
-            writer.writerow([a["feature"], repr(a["mean"]), repr(a["std"]), repr(doc["completeness_residual"])])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _mixture_doc(mixture: AttributionMixture, i: int) -> dict:
@@ -431,7 +431,8 @@ def cmd_attribute(args, out: Path) -> None:
     if mixture is not None and args.rfgp_ensemble > 1:
         doc["mixtures"] = [_mixture_doc(mixture, i) for i in range(len(names))]
     _write_json(doc, out / "attributions.json")
-    _attributions_csv(doc, out / "attributions.csv")
+    _write_csv(out / "attributions.csv", ["feature", "mean", "std", "completeness_residual"],
+               [(a["feature"], a["mean"], a["std"], doc["completeness_residual"]) for a in doc["attributions"]])
 
     for a in doc["attributions"]:
         print(f"attribute: {a['feature']:>12s} mean {a['mean']:+.6f} std {a['std']:.6f}")
@@ -449,14 +450,8 @@ def cmd_quad_sweep(args, out: Path) -> None:
     rows = convergence_sweep(
         model, queries, baseline, _items(args.rules, _rule), _items(args.l_values, _count)
     )
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "L", "function_evals", "mean_abs_err", "var_abs_err"])
-        for row in rows:
-            writer.writerow(
-                [row.rule, row.partitions, row.function_evals,
-                 repr(row.mean_abs_err), repr(row.var_abs_err)]
-            )
+    _write_csv(out / "sweep.csv", ["rule", "L", "function_evals", "mean_abs_err", "var_abs_err"],
+               map(astuple, rows))
 
     for row in rows:
         print(
@@ -468,19 +463,19 @@ def cmd_quad_sweep(args, out: Path) -> None:
 # ---------------------------------------------------------------- rfgp-compare
 
 
-def _sym_kl(feature: str, mean_a: float, var_a: float, mean_b: float, var_b: float) -> float | None:
-    """Symmetric KL divergence of two Gaussian laws of the feature's attribution,
-    None when either is degenerate; NumericalError naming the feature on overflow."""
-    if var_a <= 0.0 or var_b <= 0.0:
-        return None
+def _sym_kl(names, mean_a, var_a, mean_b, var_b) -> np.ndarray:
+    """Symmetric KL divergences of two sets of Gaussian laws, elementwise over
+    arrays whose first axis is the feature: nan where either law is
+    degenerate; NumericalError naming the first feature where one overflows."""
     def kl(m1, v1, m2, v2):
         return 0.5 * (np.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1.0)
+    degenerate = (var_a <= 0.0) | (var_b <= 0.0)
     with np.errstate(all="ignore"):  # in float64 an overflow gives inf, checked below
-        a, b = np.float64([mean_a, var_a]), np.float64([mean_b, var_b])
-        out = float(kl(*a, *b) + kl(*b, *a))
-    if not math.isfinite(out):
-        raise NumericalError(f"symmetric KL divergence overflows for feature {feature!r}")
-    return out
+        out = kl(mean_a, var_a, mean_b, var_b) + kl(mean_b, var_b, mean_a, var_a)
+    overflow = ~(degenerate | np.isfinite(out))
+    if overflow.any():
+        raise NumericalError(f"symmetric KL divergence overflows for feature {names[np.argwhere(overflow)[0, 0]]!r}")
+    return np.where(degenerate, np.nan, out)
 
 
 def cmd_rfgp_compare(args, out: Path) -> None:
@@ -489,32 +484,35 @@ def cmd_rfgp_compare(args, out: Path) -> None:
     model, names = mf.model, mf.names
 
     exact = attribution_report(model, x, baseline)
+    # one ensemble per distinct M, in --m-values order; at --ensemble-m its
+    # first --seeds members are the draws and its first --ensemble the mixture
+    sizes = dict.fromkeys(m_values, args.seeds)
+    sizes[args.ensemble_m] = max(sizes.get(args.ensemble_m, 0), args.ensemble)
+    fits = {m: marginalized_attribution(mf.train, model.hyper, m, x, baseline, ensemble_size=r, seed=args.seed)
+            for m, r in sizes.items()}
+    mixture = fits[args.ensemble_m].first(args.ensemble)
+    draws = [fits[m].first(args.seeds) for m in m_values]
+    # (d, |M|, seeds) component moments against the (d, 1, 1) exact laws
+    means, variances = np.stack([d.means for d in draws], axis=1), np.stack([d.variances for d in draws], axis=1)
+    kls = _sym_kl(names, means, variances, exact.means[:, None, None], exact.variances[:, None, None]).tolist()
+    gaps = _median(np.abs(means - exact.means[:, None, None])).tolist()
+
+    def median_kl(values: list) -> float | None:  # over the draws whose laws are not degenerate
+        values = [k for k in values if not math.isnan(k)]
+        return float(_median(values)) if values else None
+
     seeds = range(args.seed, args.seed + args.seeds)
-    draws = [
-        marginalized_attribution(mf.train, model.hyper, m, x, baseline, ensemble_size=args.seeds, seed=args.seed)
-        for m in m_values
-    ]
-    mixture = marginalized_attribution(
-        mf.train, model.hyper, args.ensemble_m, x, baseline,
-        ensemble_size=args.ensemble, seed=args.seed,
-    )
-
-    def per_m(i: int, mean: float, variance: float, m: int, mix) -> dict:  # feature i's draws at M = m
-        laws = list(zip(mix.means[i].tolist(), mix.variances[i].tolist()))
-        kls = [k for k in (_sym_kl(names[i], a, v, mean, variance) for a, v in laws) if k is not None]
-        return {
-            "m": m,
-            "median_abs_mean_gap": float(_median(np.abs(mix.means[i] - mean))),
-            "median_sym_kl": float(_median(kls)) if kls else None,
-            "draws": [{"seed": s, "mean": a, "variance": v} for s, (a, v) in zip(seeds, laws)],
-        }
-
     features = [
         {
             "feature": names[i],
             "feature_index": i,
             "exact": {"mean": mean, "variance": variance},
-            "per_m": [per_m(i, mean, variance, m, mix) for m, mix in zip(m_values, draws)],
+            "per_m": [
+                {"m": m, "median_abs_mean_gap": gaps[i][j], "median_sym_kl": median_kl(kls[i][j]),
+                 "draws": [{"seed": s, "mean": a, "variance": v}
+                           for s, a, v in zip(seeds, means[i, j].tolist(), variances[i, j].tolist())]}
+                for j, m in enumerate(m_values)
+            ],
             "mixture": _mixture_doc(mixture, i),
         }
         for i, (mean, variance) in enumerate(zip(exact.means.tolist(), exact.variances.tolist()))
@@ -543,37 +541,32 @@ def cmd_mc_validate(args, out: Path) -> None:
     model = _read_model_file(args.model).model
     baseline = model.x_train.mean(axis=0)
     # the baseline itself is the degenerate case: exact zeros
-    queries = [*_random_queries(model, args.queries, args.seed), baseline]
+    queries = np.vstack([_random_queries(model, args.queries, args.seed), baseline])
 
-    rows = []
-    all_ok = True
+    laws = []
     for qi, xq in enumerate(queries):
-        mc = mc_attribution_oracle(
-            model, xq, baseline,
-            grid_points=args.grid_points, samples=args.samples, seed=args.seed + 1000 * qi,
-        )
+        mc = mc_attribution_oracle(model, xq, baseline, grid_points=args.grid_points, samples=args.samples,
+                                   seed=args.seed + 1000 * qi)
         closed = attribution_report(model, xq, baseline)
-        for i, (mean, variance) in enumerate(zip(closed.means.tolist(), closed.variances.tolist())):
-            mean_ok = abs(mc.empirical_mean[i] - mean) <= 3.0 * mc.std_error[i] + 1e-12
-            if variance > 0.0:
-                var_ok = abs(mc.empirical_var[i] - variance) <= 0.10 * variance
-            else:
-                var_ok = mc.empirical_var[i] == 0.0
-            all_ok = all_ok and mean_ok and var_ok
-            rows.append(
-                {
-                    "query_index": qi,
-                    "query": xq.tolist(),
-                    "feature_index": i,
-                    "closed_mean": mean,
-                    "closed_variance": variance,
-                    "empirical_mean": float(mc.empirical_mean[i]),
-                    "empirical_variance": float(mc.empirical_var[i]),
-                    "std_error": float(mc.std_error[i]),
-                    "mean_within_3se": bool(mean_ok),
-                    "variance_within_10pct": bool(var_ok),
-                }
-            )
+        laws.append((closed.means, closed.variances, mc.empirical_mean, mc.empirical_var, mc.std_error))
+    # (Q + 1, d) arrays, one row per query
+    mean, variance, emp_mean, emp_var, std_error = np.array(laws).transpose(1, 0, 2)
+    columns = {
+        "closed_mean": mean,
+        "closed_variance": variance,
+        "empirical_mean": emp_mean,
+        "empirical_variance": emp_var,
+        "std_error": std_error,
+        "mean_within_3se": np.abs(emp_mean - mean) <= 3.0 * std_error + 1e-12,
+        "variance_within_10pct": np.where(variance > 0.0, np.abs(emp_var - variance) <= 0.10 * variance,
+                                          emp_var == 0.0),
+    }
+    all_ok = bool(np.all(columns["mean_within_3se"] & columns["variance_within_10pct"]))
+    columns = {key: value.tolist() for key, value in columns.items()}
+    rows = [
+        {"query_index": qi, "query": xq, "feature_index": i, **{key: col[qi][i] for key, col in columns.items()}}
+        for qi, xq in enumerate(queries.tolist()) for i in range(model.hyper.dim)
+    ]
 
     doc = {
         "format": "gpattr-mc-validation",
@@ -581,7 +574,7 @@ def cmd_mc_validate(args, out: Path) -> None:
         "samples": args.samples,
         "grid_points": args.grid_points,
         "baseline": baseline.tolist(),
-        "all_ok": bool(all_ok),
+        "all_ok": all_ok,
         "rows": rows,
     }
     _write_json(doc, out / "mc_validation.json")

@@ -201,12 +201,29 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndar
 class AttributionMixture:
     """Equal-weight Gaussian mixtures over R frequency draws: row i of the
     C-contiguous (d, R) means and variances holds feature i's components in
-    seed order, entry i of mixture_mean and total_variance its mixture's."""
+    seed order, entry i of mixture_mean and total_variance its mixture's,
+    the average component mean and (law of total variance) the average
+    component variance plus the spread of the component means."""
 
     means: np.ndarray
     variances: np.ndarray
     mixture_mean: np.ndarray
     total_variance: np.ndarray
+
+    @classmethod
+    def of(cls, means, variances) -> "AttributionMixture":
+        """The mixtures of (d, R) components; NumericalError when one is not finite."""
+        # C-contiguous rows, which numpy reduces as it does 1-D arrays
+        means, variances = np.ascontiguousarray(means), np.ascontiguousarray(variances)
+        with np.errstate(over="ignore", invalid="ignore"):  # components near the float range: checked below
+            mixture_mean, total_variance = means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
+        if not (_all_finite(mixture_mean) and _all_finite(total_variance)):
+            raise NumericalError("attribution mixture is not finite: its components are too spread")
+        return cls(means, variances, mixture_mean, total_variance)
+
+    def first(self, k: int) -> "AttributionMixture":
+        """The mixtures of each feature's first k components; self when k covers them all."""
+        return self if k >= self.means.shape[1] else self.of(self.means[:, :k], self.variances[:, :k])
 
 
 def marginalized_attribution(
@@ -218,26 +235,13 @@ def marginalized_attribution(
     ensemble_size: int,
     seed: int = 0,
 ) -> AttributionMixture:
-    """Average the attribution law of every feature over an ensemble of
-    frequency draws.
-
-    Fits ensemble_size models with consecutive seeds, each attributing all
-    features. Per feature, the mixture mean is the average component mean;
-    the total variance adds the spread of the component means to the
-    average component variance (law of total variance for an equal-weight
-    mixture).
-    """
+    """The mixtures of every feature's attribution law over ensemble_size
+    frequency draws, fitted with seeds seed, seed + 1, ... . A draw does not
+    depend on the ensemble size, so .first(k) of the result is the ensemble of k."""
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
     draws = [
         rfgp_attribution(rfgp_fit(data, hyper, m_features, seed + r), x, baseline)
         for r in range(ensemble_size)
     ]
-    # C-contiguous (d, R) rows of the (R, 2, d) moments, which numpy reduces
-    # as it does 1-D arrays
-    means, variances = np.array(draws).transpose(1, 2, 0).copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # components near the float range: checked below
-        mixture_mean, total_variance = means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
-    if not (_all_finite(mixture_mean) and _all_finite(total_variance)):
-        raise NumericalError("attribution mixture is not finite: its components are too spread")
-    return AttributionMixture(means, variances, mixture_mean, total_variance)
+    return AttributionMixture.of(*np.array(draws).transpose(1, 2, 0))  # (R, 2, d) -> (d, R) means, variances

@@ -34,7 +34,9 @@ one-to-one, the reference for the kernel blocks.
 Last come helpers only the tests call: the Bayesian linear model, whose
 attribution is exact by construction and serves as an end-to-end sanity
 case; the random-feature map of one point and the random-feature posterior
-mean at one point; and the inverse of the z-score normalization.
+mean at one point; the inverse of the z-score normalization; and the
+symmetric KL divergence of one pair of laws, the per-draw form of
+rfgp-compare's divergence pass.
 """
 
 import math
@@ -623,3 +625,16 @@ def denormalize(data: Dataset) -> Dataset:
         raise DataError("dataset carries no normalization stats")
     s = data.norm_stats
     return Dataset(data.X * s.std + s.mean, data.y, data.feature_names, norm_stats=None)
+
+
+def sym_kl_scalar(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float | None:
+    """Symmetric KL divergence of two Gaussian laws in float64 scalars, None
+    when either is degenerate."""
+    if var_a <= 0.0 or var_b <= 0.0:
+        return None
+
+    def kl(m1, v1, m2, v2):
+        return 0.5 * (np.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1.0)
+
+    a, b = np.float64([mean_a, var_a]), np.float64([mean_b, var_b])
+    return float(kl(*a, *b) + kl(*b, *a))

@@ -34,7 +34,7 @@ from gpattr import (
     report_from_rows,
 )
 from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _query_pair, _slice_matrix
-from gpattr.cli import _attributions_csv, _report_doc
+from gpattr.cli import _report_doc, _write_csv
 from gpattr.data_io import Dataset
 from gpattr.kernels import hess_ii_cross
 from oracles import (
@@ -563,7 +563,9 @@ def test_report_json_dict_shape(sim_model):
 def test_report_csv_round_trips(sim_model, tmp_path):
     rep = attribution_report(sim_model, [7.0, 2.0], [3.0, 4.0])
     path = tmp_path / "report.csv"
-    _attributions_csv(_report_doc(rep, ["x0", "x1"]), str(path))
+    doc = _report_doc(rep, ["x0", "x1"])
+    _write_csv(str(path), ["feature", "mean", "std", "completeness_residual"],
+               [(a["feature"], a["mean"], a["std"], doc["completeness_residual"]) for a in doc["attributions"]])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["feature", "mean", "std", "completeness_residual"]

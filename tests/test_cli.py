@@ -19,7 +19,7 @@ from gpattr.cli import build_parser, main
 from gpattr.data_io import Dataset, simulate
 from gpattr.gpr import load_model
 from gpattr.rfgp import rfgp_attribution, rfgp_fit
-from oracles import mc_attribution_oracle_direct
+from oracles import mc_attribution_oracle_direct, sym_kl_scalar
 
 HYPER_FLAGS = [
     "--signal-variance", "0.6",
@@ -399,19 +399,30 @@ def test_quad_sweep_outputs(workdir):
 
 
 def test_rfgp_compare_outputs(workdir):
-    out = workdir["root"] / "compare"
-    rc = main(["rfgp-compare", "--model", str(workdir["model"]), "--query", "7.0,2.5",
-               "--m-values", "10,50", "--seeds", "3", "--ensemble", "4",
-               "--ensemble-m", "20", "--out-dir", str(out)])
-    assert rc == 0
-    doc = json.loads((out / "rfgp_compare.json").read_text())
-    assert doc["format"] == "gpattr-rfgp-compare"
-    assert len(doc["features"]) == 2
-    for f in doc["features"]:
-        assert {"exact", "per_m", "mixture"} <= set(f)
-        assert [p["m"] for p in f["per_m"]] == [10, 50]
-        assert all(len(p["draws"]) == 3 for p in f["per_m"])
-        assert len(f["mixture"]["components"]) == 4
+    for baseline in ("mean", "values:7.0,1.0"):
+        out = workdir["root"] / "compare" / baseline.replace(":", "-")
+        rc = main(["rfgp-compare", "--model", str(workdir["model"]), "--query", "7.0,2.5", "--baseline", baseline,
+                   "--m-values", "10,50", "--seeds", "3", "--ensemble", "4",
+                   "--ensemble-m", "20", "--out-dir", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "rfgp_compare.json").read_text())
+        assert doc["format"] == "gpattr-rfgp-compare"
+        assert len(doc["features"]) == 2
+        for f in doc["features"]:
+            assert {"exact", "per_m", "mixture"} <= set(f)
+            assert [p["m"] for p in f["per_m"]] == [10, 50]
+            assert all(len(p["draws"]) == 3 for p in f["per_m"])
+            assert len(f["mixture"]["components"]) == 4
+            # the medians equal those of the per-draw scalar forms bit for
+            # bit; x1 at its baseline has degenerate laws only, so no divergence
+            exact = f["exact"]
+            for p in f["per_m"]:
+                gaps = [abs(d["mean"] - exact["mean"]) for d in p["draws"]]
+                kls = [sym_kl_scalar(d["mean"], d["variance"], exact["mean"], exact["variance"]) for d in p["draws"]]
+                kls = [k for k in kls if k is not None]
+                assert p["median_abs_mean_gap"] == float(np.median(gaps))
+                assert p["median_sym_kl"] == (float(np.median(kls)) if kls else None)
+        assert [f["per_m"][0]["median_sym_kl"] is None for f in doc["features"]] == [baseline != "mean", False]
 
 
 def test_mc_validate_outputs(workdir):
@@ -423,6 +434,13 @@ def test_mc_validate_outputs(workdir):
     assert doc["format"] == "gpattr-mc-validation"
     assert isinstance(doc["all_ok"], bool)
     assert len(doc["rows"]) == 4  # (1 random query + baseline) x 2 features
+    # the pass flags are the per-row rule applied to the stored moments
+    for row in doc["rows"]:
+        closed_var, emp_var = row["closed_variance"], row["empirical_variance"]
+        mean_ok = abs(row["empirical_mean"] - row["closed_mean"]) <= 3.0 * row["std_error"] + 1e-12
+        var_ok = abs(emp_var - closed_var) <= 0.10 * closed_var if closed_var > 0.0 else emp_var == 0.0
+        assert (row["mean_within_3se"], row["variance_within_10pct"]) == (mean_ok, var_ok)
+    assert doc["all_ok"] == all(r["mean_within_3se"] and r["variance_within_10pct"] for r in doc["rows"])
     # the appended baseline query must come out exactly zero on both sides,
     # as +0.0 and never -0.0
     tail = doc["rows"][-2:]
@@ -481,6 +499,8 @@ def test_usage_errors_exit_2(workdir, tmp_path, capsys):
                          "--query-row", "1.5"]),
         ("--simulate", ["fit", "--simulate", "0"]),
         ("--optimize", ["fit", "--simulate", "10", "--optimize", "0"]),
+        ("--target", ["fit", "--simulate", "20", "--target", "foo"]),
+        ("--simulate", ["fit", "--simulate", "20", "--target", "foo"]),
         ("--queries", ["quad-sweep", *model, "--queries", "0"]),
         ("--queries", ["quad-sweep", *model, "--queries", "-1"]),
         ("--queries", ["mc-validate", *model, "--queries", "-1"]),
@@ -565,37 +585,62 @@ def test_mc_validate_zero_queries_checks_the_baseline(workdir):
 
 
 def _count_rfgp_fits(monkeypatch) -> list:
-    """Record the seed of every rfgp_fit call, wherever gpattr looks it up."""
-    seeds, real = [], gpattr.rfgp.rfgp_fit
+    """Record the (M, seed) of every rfgp_fit call, wherever gpattr looks it up."""
+    fits, real = [], gpattr.rfgp.rfgp_fit
 
     def counting(data, hyper, m_features, seed):
-        seeds.append(seed)
+        fits.append((m_features, seed))
         return real(data, hyper, m_features, seed)
 
     for module in (gpattr, gpattr.rfgp, gpattr.cli):
         for name, value in list(vars(module).items()):
             if value is real:
                 monkeypatch.setattr(module, name, counting)
-    return seeds
+    return fits
 
 
 def test_rfgp_engines_fit_once_per_draw(workdir, monkeypatch, capsys):
     # one fit serves every feature: E fits for an E-member ensemble, and
     # |M| * seeds + ensemble fits for rfgp-compare, whatever d is
-    seeds = _count_rfgp_fits(monkeypatch)
+    fits = _count_rfgp_fits(monkeypatch)
     base = ["--model", str(workdir["model"]), "--query", "7.0,2.5"]
     out = workdir["root"] / "fit_counts"
     assert main(["attribute", *base, "--engine", "rfgp", "--rfgp-features", "30",
                  "--rfgp-ensemble", "4", "--seed", "3", "--out-dir", str(out / "ens")]) == 0
-    assert seeds == [3, 4, 5, 6]
-    seeds.clear()
+    assert fits == [(30, 3), (30, 4), (30, 5), (30, 6)]
+    fits.clear()
     assert main(["attribute", *base, "--engine", "rfgp", "--rfgp-features", "30",
                  "--out-dir", str(out / "one")]) == 0
-    assert seeds == [0]
-    seeds.clear()
+    assert fits == [(30, 0)]
+    fits.clear()
     assert main(["rfgp-compare", *base, "--m-values", "10,20,30", "--seeds", "2", "--ensemble", "3",
                  "--ensemble-m", "15", "--out-dir", str(out / "cmp")]) == 0
-    assert sorted(seeds) == sorted([0, 1] * 3 + [0, 1, 2])
+    assert sorted(fits) == sorted([(m, s) for m in (10, 20, 30) for s in (0, 1)] + [(15, 0), (15, 1), (15, 2)])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, want", [
+    # --ensemble-m among --m-values: the mixture's members extend the draws ...
+    (["--m-values", "10,20", "--seeds", "2", "--ensemble", "3", "--ensemble-m", "20"],
+     [(10, 0), (10, 1), (20, 0), (20, 1), (20, 2)]),
+    # ... or are the first of them
+    (["--m-values", "10,20", "--seeds", "3", "--ensemble", "2", "--ensemble-m", "20"],
+     [(10, 0), (10, 1), (10, 2), (20, 0), (20, 1), (20, 2)]),
+    # a repeated M is one ensemble, reported twice
+    (["--m-values", "10,10", "--seeds", "2", "--ensemble", "2", "--ensemble-m", "15"],
+     [(10, 0), (10, 1), (15, 0), (15, 1)]),
+])
+def test_rfgp_compare_fits_each_m_and_seed_once(workdir, monkeypatch, capsys, tmp_path, flags, want):
+    fits = _count_rfgp_fits(monkeypatch)
+    assert main(["rfgp-compare", "--model", str(workdir["model"]), "--query", "7.0,2.5", *flags,
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sorted(fits) == want
+    doc = json.loads((tmp_path / "rfgp_compare.json").read_text())
+    m_values, seeds, ensemble = flags[1], int(flags[3]), int(flags[5])
+    for feature in doc["features"]:
+        assert [p["m"] for p in feature["per_m"]] == [int(m) for m in m_values.split(",")]
+        assert all([d["seed"] for d in p["draws"]] == list(range(seeds)) for p in feature["per_m"])
+        assert len(feature["mixture"]["components"]) == ensemble
     capsys.readouterr()
 
 
@@ -778,6 +823,11 @@ EXIT_CASES = {
     "sym-kl-overflow-rfgp-compare": (4, ["rfgp-compare", "--model", BAD, "--query", "1,2", "--m-values", "5",
                                          "--seeds", "1", "--ensemble", "1", "--ensemble-m", "5"],
                                      ["divergence", "'x1'"], _edit("y_train.5", 1e160)),
+    # x1 at its baseline has degenerate laws, which no divergence compares: x2 is named
+    "sym-kl-overflow-rfgp-compare-x1-degenerate": (
+        4, ["rfgp-compare", "--model", BAD, "--query", "1,5", "--baseline", "values:1,2", "--m-values", "5",
+            "--seeds", "1", "--ensemble", "1", "--ensemble-m", "5"],
+        ["divergence", "'x2'"], _edit("y_train.5", 1e160)),
     "laws-overflow-rfgp": (4, ["attribute", "--model", "<wide_model>", "--query", "1e100,2", "--engine", "rfgp"],
                            ["law of feature 0", "not finite"], None),
     # a size past any address space fails its allocation at once, which numpy's message names

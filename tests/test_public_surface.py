@@ -1,4 +1,4 @@
-"""Every public name of gpattr has a use outside the tests.
+"""Every public name of gpattr, and every private top-level function or class, has a use outside the tests.
 
 A name is in use when live code refers to it. Live code is everything in
 scripts/ and perfbench/ (whose span tracer names functions by string), the
@@ -109,3 +109,17 @@ def test_every_import_is_used_or_exported():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - loaded - exported)]
     assert not unused, f"imports no code uses: {unused}"
+
+
+def test_every_private_function_and_class_is_live():
+    # a _-prefixed helper that only tests call is a scalar twin or an oracle
+    # kept alive by them: it belongs in tests/oracles.py (dunders are exempt)
+    live = _live_names()
+    dead = [
+        f"{path.name}: {stmt.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.endswith("__") and stmt.name not in live
+    ]
+    assert not dead, f"private functions or classes no live code uses: {dead}"

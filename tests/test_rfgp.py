@@ -377,6 +377,22 @@ def test_mixture_uses_consecutive_seeds():
         assert mean == want_means[0] and variance == want_variances[0]
 
 
+def test_first_k_components_are_the_ensemble_of_k_bit_for_bit():
+    # rfgp-compare fits each M once and reads the draws and the mixture at
+    # --ensemble-m as prefixes of one ensemble; from 8 components numpy sums
+    # with eight accumulators, so k runs across that boundary
+    data = simulate(40, 0.3, seed=18)
+    common = dict(data=data, hyper=HYP, m_features=20, x=[6.0, 3.0], baseline=[2.0, 5.0], seed=3)
+    full = marginalized_attribution(**common, ensemble_size=12)
+    assert full.first(12) is full and full.first(20) is full
+    for k in (1, 2, 7, 8, 9, 11):
+        got, want = full.first(k), marginalized_attribution(**common, ensemble_size=k)
+        assert got.means.flags.c_contiguous and got.variances.flags.c_contiguous
+        for field in ("means", "variances", "mixture_mean", "total_variance"):
+            assert getattr(got, field).shape == getattr(want, field).shape, (k, field)
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (k, field)
+
+
 def test_mixture_json_dict():
     data = simulate(30, 0.3, seed=15)
     mix = marginalized_attribution(
