@@ -22,7 +22,7 @@ from .attrib_exact import _moments, _query_pair
 from .data_io import Dataset
 from .gpr import _all_finite
 from .kernels import ArdSeHyper
-from .specfun import NumericalError, dgeqrf, dorgqr, dpotrf, dpotrs, dtrtrs
+from .specfun import NumericalError, dgeqrf, dormqr, dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "RfgpModel",
@@ -42,18 +42,20 @@ class RfgpModel:
 
     frequencies: (M, D) spectral draws.
     weights: (2M,) posterior mean weights.
-    basis: (2M, k) orthonormal Q of the thin QR Phi = Q R of the (2M, N)
-        design matrix, k = min(2M, N): the buffer Phi was built in when
-        k = N, a (2M, 2M) array of its own when 2M < N.
+    reflectors, tau: the QR Phi = Q [R; 0] of the (2M, N) design matrix as
+        dgeqrf leaves it: k = min(2M, N) Householder vectors below the
+        diagonal of the (2M, k) reflectors, their scalars in tau, which
+        dormqr applies as the (2M, 2M) orthogonal Q. reflectors is the buffer
+        Phi was built in when k = N, a (2M, 2M) array of its own when 2M < N.
     core_factor: (k, k) lower Cholesky factor C of R R^T + ridge I, with
         ridge = M noise_variance / signal_variance.
-    The normal matrix A = Phi Phi^T + ridge I is never formed: it equals
-    Q C C^T Q^T + ridge (I - Q Q^T).
+    The normal matrix A = Phi Phi^T + ridge I = Q diag(C C^T, ridge I) Q^T is never formed.
     """
 
     frequencies: np.ndarray
     weights: np.ndarray
-    basis: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     core_factor: np.ndarray
     hyper: ArdSeHyper
     y_mean_offset: float
@@ -92,11 +94,11 @@ def design_matrix(X, frequencies: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lapack(routine, *args, overwrite_a: bool):
-    """routine(*args) with the workspace its query asks for, as scipy sizes it (a smaller one
-    moves the last digits); the query writes nothing, so it tells f2py not to copy."""
-    lwork = int(routine(*args, lwork=-1, overwrite_a=True)[-2][0])
-    return routine(*args, lwork=lwork, overwrite_a=overwrite_a)[:-2]  # without the workspace and info
+def _lapack(routine, *args, **overwrite: bool):
+    """routine(*args, **overwrite) with the workspace its query asks for, as scipy sizes it (a smaller one moves the
+    last digits); the query writes nothing, so it sets the routine's own flag (overwrite_a, overwrite_c): no copy."""
+    lwork = int(routine(*args, lwork=-1, **dict.fromkeys(overwrite, True))[-2][0])
+    return routine(*args, lwork=lwork, **overwrite)[:-2]  # without the workspace and info
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inputs near the float range: checked below
@@ -104,14 +106,13 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     """Fit the random-feature regressor.
 
     The weights solve A w = Phi y_centered with A = Phi Phi^T + ridge I and
-    ridge = M * noise_variance / signal_variance. With the thin QR Phi = Q R
-    and C C^T = R R^T + ridge I (k x k, k = min(2M, N)) they are
-    w = Q C^{-T} C^{-1} R y_centered: O(M N k) time and O(M N) memory, no
-    2M x 2M matrix. dgeqrf factors the design matrix in its own buffer, and
-    dorgqr forms Q there when k = N, in a copy of its first 2M columns when
-    2M < N (see RfgpModel). Zero noise makes A rank deficient whenever
-    2M > N, which raises NumericalError, as does a design matrix (so R),
-    ridge or weights that overflow.
+    ridge = M * noise_variance / signal_variance. dgeqrf factors the design
+    matrix in its own buffer, Phi = Q [R; 0] with k = min(2M, N), and with
+    C C^T = R R^T + ridge I (k x k), A = Q diag(C C^T, ridge I) Q^T, so
+    w = Q [C^{-T} C^{-1} R y_centered; 0], one dormqr on the padded core
+    solve: O(M N k) time and O(M N) memory, no 2M x 2M matrix. Zero noise
+    makes A rank deficient whenever 2M > N, which raises NumericalError, as
+    does a design matrix (so R), ridge or weights that overflow.
     """
     V = sample_frequencies(m_features, hyper, seed)
     if data.dim != hyper.dim:
@@ -119,21 +120,23 @@ def rfgp_fit(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> Rf
     qr, tau = _lapack(dgeqrf, design_matrix(data.X, V), overwrite_a=True)
     k = tau.size
     R = np.triu(qr[:k])
-    (Q,) = _lapack(dorgqr, qr[:, :k], tau, overwrite_a=k == data.n)
+    reflectors = qr if k == data.n else qr[:, :k].copy(order="F")
     ridge = _ridge(m_features, hyper)
     if not (_all_finite(R) and math.isfinite(ridge)):
         raise NumericalError(f"random-feature design matrix or ridge ({ridge:.3e}) is not finite: inputs too large")
     core = R @ R.T
     core[np.diag_indices_from(core)] += ridge
     factor, info = dpotrf(core, lower=True)
-    if info or (ridge == 0.0 and k < 2 * m_features):  # with k < 2M the ridge must cover the space Q misses
+    if info or (ridge == 0.0 and k < 2 * m_features):  # with k < 2M the ridge block must be invertible
         raise NumericalError(f"random-feature normal matrix is singular (ridge {ridge:.3e}); "
                              "noise_variance = 0 makes it rank deficient")
     offset = float(data.y.mean())
-    weights = Q @ dpotrs(factor, R @ (data.y - offset), lower=True)[0]
+    padded = np.zeros(2 * m_features)
+    padded[:k] = dpotrs(factor, R @ (data.y - offset), lower=True)[0]
+    (weights,) = _lapack(dormqr, "L", "N", reflectors, tau, padded, overwrite_c=True)
     if not _all_finite(weights):
         raise NumericalError("random-feature weights are not finite: targets too large")
-    return RfgpModel(V, weights, Q, factor, hyper, offset)
+    return RfgpModel(V, weights, reflectors, tau, factor, hyper, offset)
 
 
 def feature_gradient_integral(x, baseline, frequencies: np.ndarray) -> np.ndarray:
@@ -171,15 +174,15 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndar
 
     mean_i = (x_i - z_i) * zeta_i . weights
     var_i  = (x_i - z_i)^2 * noise_variance * zeta_i^T A^{-1} zeta_i
-    with zeta_i column i of the integral matrix, so one projection onto the
-    fit's basis and one k x k triangular solve with d right-hand sides give
-    every variance. With Q the basis and C the core factor,
+    with zeta_i column i of the integral matrix. As A = Q diag(C C^T, ridge I) Q^T
+    (see RfgpModel), one dormqr gives (h; t) = Q^T zeta, h its first k rows, and
 
-        zeta^T A^{-1} zeta = |C^{-1} Q^T zeta|^2 + |zeta - Q Q^T zeta|^2 / ridge,
+        zeta^T A^{-1} zeta = |C^{-1} h|^2 + |t|^2 / ridge,
 
-    the second term only when k < 2M, where Q misses part of the space. It
-    is the squared norm of the projected residual, so it does not cancel as
-    the ridge shrinks.
+    one k x k triangular solve with d right-hand sides for every variance.
+    t has no rows when 2M <= N, where the ridge may be 0, so t is divided
+    before the sum. Its norm is a sum of squares: it does not cancel as the
+    ridge shrinks.
 
     Completeness holds exactly within the feature class because the
     integral vectors telescope to phi(x) - phi(baseline).
@@ -188,12 +191,9 @@ def rfgp_attribution(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndar
     zeta = feature_gradient_integral(x, z, model.frequencies)
     gap = x - z
     means = gap * (model.weights @ zeta)
-    proj = model.basis.T @ zeta
-    half = dtrtrs(model.core_factor, proj, lower=True)[0]
-    form = np.sum(half * half, axis=0)
-    if model.basis.shape[1] < model.basis.shape[0]:
-        resid = zeta - model.basis @ proj
-        form += np.sum(resid * resid, axis=0) / _ridge(model.m_features, model.hyper)
+    (proj,) = _lapack(dormqr, "L", "T", model.reflectors, model.tau, zeta, overwrite_c=True)
+    half, tail = dtrtrs(model.core_factor, proj[:model.tau.size], lower=True)[0], proj[model.tau.size:]
+    form = np.sum(half * half, axis=0) + np.sum(tail * tail / _ridge(model.m_features, model.hyper), axis=0)
     return _moments(means, gap**2 * model.hyper.noise_variance * form, model.hyper.dim)
 
 
@@ -212,9 +212,15 @@ class AttributionMixture:
 
     @classmethod
     def of(cls, means, variances) -> "AttributionMixture":
-        """The mixtures of (d, R) components; NumericalError when one is not finite."""
+        """The mixtures of (d, R) components, R >= 1; NumericalError when one is not finite."""
         # C-contiguous rows, which numpy reduces as it does 1-D arrays
         means, variances = np.ascontiguousarray(means), np.ascontiguousarray(variances)
+        if means.ndim != 2 or means.shape != variances.shape:
+            raise ValueError(f"means {means.shape} and variances {variances.shape} must be (d, R) arrays of one shape")
+        if means.shape[1] < 1:
+            raise ValueError("an attribution mixture needs at least one component")
+        if np.any(variances < 0.0):
+            raise ValueError("component variances must be nonnegative")
         with np.errstate(over="ignore", invalid="ignore"):  # components near the float range: checked below
             mixture_mean, total_variance = means.mean(axis=1), variances.mean(axis=1) + means.var(axis=1)
         if not (_all_finite(mixture_mean) and _all_finite(total_variance)):
@@ -222,7 +228,9 @@ class AttributionMixture:
         return cls(means, variances, mixture_mean, total_variance)
 
     def first(self, k: int) -> "AttributionMixture":
-        """The mixtures of each feature's first k components; self when k covers them all."""
+        """The mixtures of each feature's first k >= 1 components; self when k covers them all."""
+        if k < 1:
+            raise ValueError(f"a mixture of the first k components needs k >= 1, got {k}")
         return self if k >= self.means.shape[1] else self.of(self.means[:, :k], self.variances[:, :k])
 
 

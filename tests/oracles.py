@@ -438,22 +438,40 @@ def mc_attribution_oracle_direct(
     return McStats(emp_mean, emp_var, sem, samples)
 
 
+def _apply_q(trans: str, reflectors: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Q c (trans "N") or Q^T c (trans "T"), Q the full orthogonal factor of
+    a raw QR, by scipy.linalg.lapack.dormqr with the workspace its query
+    asks for."""
+    lwork = int(lapack.dormqr("L", trans, reflectors, tau, c, -1)[1][0])
+    cq, _, info = lapack.dormqr("L", trans, reflectors, tau, c, lwork)
+    assert info == 0
+    return cq
+
+
+def rfgp_orthogonal_factor(model: RfgpModel) -> np.ndarray:
+    """The (2M, 2M) orthogonal Q that a fitted model's reflectors stand for."""
+    return _apply_q("N", model.reflectors, model.tau, np.eye(model.reflectors.shape[0]))
+
+
 def rfgp_fit_copying(data: Dataset, hyper: ArdSeHyper, m_features: int, seed: int) -> RfgpModel:
     """The random-feature fit with a C-ordered design matrix, filled from
-    a separate (N, M) projection, that scipy's qr copies to Fortran order
-    before factoring; the rest as gpattr.rfgp.rfgp_fit."""
+    a separate (N, M) projection, that scipy's qr (mode "raw") copies to
+    Fortran order before factoring; the rest as gpattr.rfgp.rfgp_fit."""
     V = sample_frequencies(m_features, hyper, seed)
     proj = data.X @ V.T
     Phi = np.empty((2 * m_features, data.X.shape[0]))
     Phi[0::2] = np.sin(proj).T
     Phi[1::2] = np.cos(proj).T
-    Q, R = qr(Phi, mode="economic")
+    (raw, tau), R = qr(Phi, mode="raw")
+    reflectors = raw[:, :tau.size]
     core = R @ R.T
     core[np.diag_indices_from(core)] += _ridge(m_features, hyper)
     factor = cholesky(core, lower=True)
     offset = float(data.y.mean())
-    weights = Q @ cho_solve((factor, True), R @ (data.y - offset))
-    return RfgpModel(V, weights, Q, factor, hyper, offset)
+    padded = np.zeros(2 * m_features)
+    padded[:tau.size] = cho_solve((factor, True), R @ (data.y - offset))
+    weights = _apply_q("N", reflectors, tau, padded)
+    return RfgpModel(V, weights, reflectors, tau, factor, hyper, offset)
 
 
 def rfgp_attribution_scipy(model: RfgpModel, x, baseline) -> tuple[np.ndarray, np.ndarray]:
@@ -463,12 +481,10 @@ def rfgp_attribution_scipy(model: RfgpModel, x, baseline) -> tuple[np.ndarray, n
     x = np.asarray(x, dtype=float)
     gap = x - baseline
     zeta = feature_gradient_integral(x, baseline, model.frequencies)
-    proj = model.basis.T @ zeta
-    half = solve_triangular(model.core_factor, proj, lower=True)
-    form = np.sum(half * half, axis=0)
-    if model.basis.shape[1] < model.basis.shape[0]:
-        resid = zeta - model.basis @ proj
-        form += np.sum(resid * resid, axis=0) / _ridge(model.m_features, model.hyper)
+    proj = _apply_q("T", model.reflectors, model.tau, zeta)
+    half = solve_triangular(model.core_factor, proj[:model.tau.size], lower=True)
+    tail = proj[model.tau.size:]
+    form = np.sum(half * half, axis=0) + np.sum(tail * tail / _ridge(model.m_features, model.hyper), axis=0)
     return gap * (model.weights @ zeta), gap**2 * model.hyper.noise_variance * form
 
 

@@ -9,9 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import block_diag
 
 from gpattr import (
     ArdSeHyper,
+    AttributionMixture,
     NumericalError,
     marginalized_attribution,
     prior_attribution_variance,
@@ -31,6 +33,7 @@ from oracles import (
     rfgp_fit_copying,
     rfgp_fit_dense,
     rfgp_mean,
+    rfgp_orthogonal_factor,
 )
 
 HYP = ArdSeHyper(0.6, np.array([1.2, 0.8]), 0.1)
@@ -117,21 +120,22 @@ def test_fit_matches_dense_ridge_oracle():
     want = np.linalg.solve(A, Phi @ (data.y - data.y.mean()))
     assert np.abs(model.weights - want).max() <= 1e-8
     assert np.abs(rfgp_fit_dense(data, HYP, 30, seed=1).weights - want).max() <= 1e-8
-    # 2M = 60 > N = 40: the thin basis and core factor rebuild the same A
-    Q, C = model.basis, model.core_factor
-    assert Q.shape == (60, 40) and C.shape == (40, 40)
-    assert np.abs(Q.T @ Q - np.eye(40)).max() <= 1e-14
-    rebuilt = Q @ C @ C.T @ Q.T + ridge * (np.eye(60) - Q @ Q.T)
+    # 2M = 60 > N = 40: the reflectors' full Q and the core factor rebuild
+    # the same A = Q diag(C C^T, ridge I) Q^T
+    Q, C = rfgp_orthogonal_factor(model), model.core_factor
+    assert model.reflectors.shape == (60, 40) and model.tau.shape == (40,) and C.shape == (40, 40)
+    assert np.abs(Q.T @ Q - np.eye(60)).max() <= 1e-14
+    rebuilt = Q @ block_diag(C @ C.T, ridge * np.eye(20)) @ Q.T
     assert np.abs(rebuilt - A).max() <= 1e-13 * np.abs(A).max()
     # prediction formula against the same dense system
     x = np.array([2.0, 7.0])
     assert rfgp_mean(model, x) == pytest.approx(data.y.mean() + feature_map(x, V) @ want, abs=1e-9)
 
 
-@pytest.mark.parametrize("m, n", [(10, 60), (60, 30)])
+@pytest.mark.parametrize("m, n", [(10, 60), (30, 60), (60, 30)])
 @pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
 def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
-    # ridge / |Phi|_2^2 = ratio, with 2M < N and 2M > N: weights and laws
+    # ridge / |Phi|_2^2 = ratio, with 2M < N, 2M = N and 2M > N: weights and laws
     # agree with the dense primal solve to its own round-off, eps cond(A)
     # with cond(A) <= 1 + 1/ratio
     rng = np.random.default_rng(5 + n)
@@ -143,7 +147,7 @@ def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
     tol = 10.0 * np.finfo(float).eps * (1.0 + 1.0 / ratio)
     model = rfgp_fit(data, hyper, m, seed=3)
     dense = rfgp_fit_dense(data, hyper, m, seed=3)
-    assert model.basis.shape == (2 * m, min(2 * m, n))
+    assert model.reflectors.shape == (2 * m, min(2 * m, n)) and model.tau.shape == (min(2 * m, n),)
     assert np.abs(model.weights - dense.weights).max() <= tol * np.abs(dense.weights).max()
     for _ in range(3):
         x = rng.uniform(-2.0, 2.0, size=2)
@@ -158,8 +162,8 @@ def test_thin_fit_matches_dense_primal_oracle(m, n, ratio):
 
 def test_fit_memory_is_linear_in_features_times_rows():
     # M = 1000 on N = 199 rows: peak O(M N), one (2M, N) array of 3.2 MB
-    # that the QR overwrites with Q, where one 2M x 2M normal matrix alone
-    # would be 32 MB
+    # that the QR overwrites with its reflectors, where one 2M x 2M normal
+    # matrix alone would be 32 MB
     data = simulate(199, 0.5, seed=5)
     m, n = 1000, 199
     tracemalloc.start()
@@ -168,7 +172,7 @@ def test_fit_memory_is_linear_in_features_times_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.basis.shape == (2 * m, n)
+    assert model.reflectors.shape == (2 * m, n)
     assert peak <= 1.5 * (2 * m) * n * 8
 
 
@@ -179,17 +183,20 @@ def test_in_place_fit_is_bit_identical_to_copying_fit(n, m):
     got = rfgp_fit(data, HYP, m, seed=m)
     want = rfgp_fit_copying(data, HYP, m, seed=m)
     assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.reflectors, want.reflectors)
+    assert np.array_equal(got.tau, want.tau)
     assert np.array_equal(got.core_factor, want.core_factor)
 
 
 @pytest.mark.parametrize("m, n", [(10, 60), (30, 60), (60, 30)])
 @pytest.mark.parametrize("noise", [0.1, 0.0])
 def test_fit_and_attribution_equal_the_scipy_linalg_reference_bit_for_bit(m, n, noise):
-    # rfgp calls LAPACK's QR, Cholesky and triangular routines directly, with
-    # the workspaces scipy's wrappers ask for, so at 2M < N, 2M = N and
-    # 2M > N it keeps the bits of scipy.linalg's qr, cholesky, cho_solve and
-    # solve_triangular; zero noise is rank deficient only when 2M > N
+    # rfgp calls LAPACK's QR, Cholesky, triangular and reflector routines
+    # directly, with the workspaces scipy's wrappers ask for, so at 2M < N,
+    # 2M = N and 2M > N it keeps the bits of scipy.linalg's qr (mode "raw"),
+    # cholesky, cho_solve and solve_triangular and of lapack.dormqr; zero
+    # noise is rank deficient only when 2M > N, and at 2M = N the ridge is 0
+    # and Q^T zeta has no tail rows
     data = simulate(n, 0.5, seed=n + m)
     hyper = ArdSeHyper(HYP.signal_variance, HYP.lengthscales, noise)
     if noise == 0.0 and 2 * m > n:
@@ -197,7 +204,7 @@ def test_fit_and_attribution_equal_the_scipy_linalg_reference_bit_for_bit(m, n, 
             rfgp_fit(data, hyper, m, seed=m)
         return
     got, want = rfgp_fit(data, hyper, m, seed=m), rfgp_fit_copying(data, hyper, m, seed=m)
-    for name in ("basis", "core_factor", "weights"):
+    for name in ("reflectors", "tau", "core_factor", "weights"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     rng = np.random.default_rng(m)
     for x, z in rng.uniform(0.0, 10.0, size=(3, 2, 2)):
@@ -206,11 +213,11 @@ def test_fit_and_attribution_equal_the_scipy_linalg_reference_bit_for_bit(m, n, 
 
 
 def test_fit_keeps_no_design_sized_buffer_when_2m_is_below_n():
-    # with 2M < N the basis is (2M, 2M); it must not hold the (2M, N)
+    # with 2M < N the reflectors are (2M, 2M); they must not hold the (2M, N)
     # buffer the QR factored the design matrix in
     model = rfgp_fit(simulate(500, 0.5, seed=5), HYP, m_features=10, seed=0)
-    assert model.basis.shape == (20, 20)
-    assert model.basis.base is None or model.basis.base.size == model.basis.size
+    assert model.reflectors.shape == (20, 20)
+    assert model.reflectors.base is None or model.reflectors.base.size == model.reflectors.size
 
 
 def test_fit_rejects_zero_noise_rank_deficiency():
@@ -431,6 +438,21 @@ def test_mixture_validation():
             data, HYP, m_features=10, x=[1.0, 1.0], baseline=[0.0, 0.0],
             ensemble_size=0,
         )
+    # components that do not pair up, negative variances, no components,
+    # or a prefix of fewer than one component: each named, not reduced
+    with pytest.raises(ValueError, match="one shape"):
+        AttributionMixture.of(np.zeros((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="one shape"):
+        AttributionMixture.of(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        AttributionMixture.of(np.zeros((2, 3)), np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="at least one component"):
+        AttributionMixture.of(np.zeros((2, 0)), np.zeros((2, 0)))
+    mixture = AttributionMixture.of(np.arange(6.0).reshape(2, 3), np.ones((2, 3)))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            mixture.first(k)
+    assert mixture.first(3) is mixture and mixture.first(2).means.shape == (2, 2)
 
 
 def test_all_features_match_per_feature_oracle():

@@ -29,7 +29,7 @@ from gpattr.specfun import NumericalError, erf
 
 SRC = str(Path(gpattr.__file__).resolve().parents[1])
 COMPILED = ("scipy.linalg._flapack", "scipy.special._special_ufuncs", "scipy.spatial._distance_pybind")
-LAPACK = ("dgeqrf", "dorgqr", "dpftrf", "dpftrs", "dpotrf", "dpotrs", "dtfsm", "dtrtrs")
+LAPACK = ("dgeqrf", "dormqr", "dpftrf", "dpftrs", "dpotrf", "dpotrs", "dtfsm", "dtrtrs")
 # a fit, its weights and a report, and rfgp fits and attributions at
 # 2M < N and 2M > N: every binding, printed as exact bytes
 RESULTS = """
@@ -41,7 +41,7 @@ print("results:", *(a.tobytes().hex() for a in (model.chol, model.alpha, report.
 for m in (8, 30):
     rf = gpattr.rfgp_fit(data, hyper, m, seed=m)
     laws = gpattr.rfgp_attribution(rf, [6.0, 1.5], [4.0, 5.0])
-    print("results:", *(a.tobytes().hex() for a in (rf.basis, rf.core_factor, rf.weights, *laws)))
+    print("results:", *(a.tobytes().hex() for a in (rf.reflectors, rf.tau, rf.core_factor, rf.weights, *laws)))
 """
 
 
