@@ -25,7 +25,9 @@ Every feature shares the path and every training point shares the
 feature-free part of its integrand, so a report for all d features costs
 one erf sweep over 2n points and one triangular solve with the lower
 Cholesky factor on d + 2 right-hand sides: every data correction is a
-squared norm of a column of that solve.
+squared norm of a column of that solve. The sweep runs over row blocks of
+the training points, so a report's working set is its (n, d + 2)
+right-hand side plus 64 KiB blocks.
 """
 
 import math
@@ -51,6 +53,14 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a path with p2 = sum((x - z)^2 / ls^2) at or below this is degenerate
 SINGULAR_THRESHOLD = 1e-12
+# Values per row block of _slice_matrix: 8,192 float64s are 64 KiB, under
+# glibc's default 128 KiB mmap threshold, so a block's (rows, d) temporaries
+# reuse the heap from report to report instead of mapping fresh pages. A
+# final block shorter than _MIN_TAIL_ROWS joins the one before it: a short
+# block can take another BLAS path (a 1-row one a dot product) and move the
+# last digits of its rows.
+_BLOCK_VALUES = 8192
+_MIN_TAIL_ROWS = 64
 
 
 class AttributionGaussian(NamedTuple):
@@ -147,21 +157,33 @@ def _slice_matrix(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdS
     exactly: r + t0 delta would keep an along-path residual of eps |r|.
     Near either end the slices are exact to round-off at any path length; a
     center whose closest approach lies D lengthscales from both ends loses
-    about eps * D, as forming its offset from z does. One erf sweep over
-    the 2n arguments serves every feature.
+    about eps * D, as forming its offset from z does. The centers go in
+    row blocks of about _BLOCK_VALUES values, written into one (n, d)
+    result, so no temporary grows with n; the path's own terms are formed
+    once. The erf sweep over the 2n arguments runs block by block and
+    serves every feature.
     """
     inv = hyper.lengthscales**-2.0
     delta = x - z
     w = delta * inv
     p2 = float(delta @ w)
-    rz, rx = z - centers, x - centers
-    t0, t1 = -(rz @ w) / p2, -(rx @ w) / p2
-    r = np.where((t0 <= 0.5)[:, None], rz, rx)
-    o = r * (_others(delta * w) / p2) - delta * (_others(r * w) / p2)
-    e0, e1 = np.split(specfun.erf(math.sqrt(0.5 * p2) * np.concatenate((t0, t1))), 2)
-    gauss = math.sqrt(0.5 * math.pi / p2) * np.exp(-0.5 * ((o * o) @ inv)) * (e0 - e1)
-    ez, ex = (np.exp(-0.5 * ((v * v) @ inv)) for v in (rz, rx))
-    return -(hyper.signal_variance * w) * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
+    along = _others(delta * w) / p2
+    root, width = math.sqrt(0.5 * p2), math.sqrt(0.5 * math.pi / p2)
+    scale = -(hyper.signal_variance * w)
+    n, d = centers.shape
+    rows = max(1, _BLOCK_VALUES // d)
+    bounds = [0, *range(rows, n - _MIN_TAIL_ROWS + 1, rows), n]
+    A = np.empty((n, d))
+    for i0, i1 in zip(bounds, bounds[1:]):
+        rz, rx = z - centers[i0:i1], x - centers[i0:i1]
+        t0, t1 = -(rz @ w) / p2, -(rx @ w) / p2
+        r = np.where((t0 <= 0.5)[:, None], rz, rx)
+        o = r * along - delta * (_others(r * w) / p2)
+        e0, e1 = np.split(specfun.erf(root * np.concatenate((t0, t1))), 2)
+        gauss = width * np.exp(-0.5 * ((o * o) @ inv)) * (e0 - e1)
+        ez, ex = (np.exp(-0.5 * ((v * v) @ inv)) for v in (rz, rx))
+        A[i0:i1] = scale * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
+    return A
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -79,7 +79,12 @@ class Dataset:
 
 
 def load_csv(path: str, target_column: str) -> Dataset:
-    """Load a CSV into a Dataset, using target_column as y."""
+    """Load a CSV into a Dataset, using target_column as y, parsing each row
+    as it is read. A file that is not UTF-8 text, or whose CSV syntax fails
+    (a cell past csv.field_size_limit(), say), raises DataError naming the
+    file and, for the syntax, the line."""
+    bad_rows: list[int] = []
+    table: list[list[float]] = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -87,9 +92,21 @@ def load_csv(path: str, target_column: str) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
-            rows = list(reader)
+            for r, row in enumerate(reader, start=2):  # header is line 1
+                try:
+                    vals = [float(c) for c in row]
+                except ValueError:
+                    vals = []
+                if len(vals) == len(header) and all(map(math.isfinite, vals)):
+                    table.append(vals)
+                else:
+                    bad_rows.append(r)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} cannot be decoded") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
     header = [h.strip() for h in header]
     if "" in header or len(set(header)) < len(header):
@@ -100,18 +117,6 @@ def load_csv(path: str, target_column: str) -> Dataset:
     feature_names = tuple(h for j, h in enumerate(header) if j != target_idx)
     if not feature_names:
         raise DataError(f"{path}: no feature columns besides the target")
-
-    bad_rows: list[int] = []
-    table: list[list[float]] = []
-    for r, row in enumerate(rows, start=2):  # header is line 1
-        try:
-            vals = [float(c) for c in row]
-        except ValueError:
-            vals = []
-        if len(vals) == len(header) and all(map(math.isfinite, vals)):
-            table.append(vals)
-        else:
-            bad_rows.append(r)
 
     if bad_rows:
         shown = ", ".join(str(r) for r in bad_rows[:20])

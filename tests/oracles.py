@@ -15,9 +15,10 @@ kept in its (samples, grid) field-matrix form, and in its direct-law form
 through the dense J x J field covariance. The package
 computes all features in one pass and uses each engine's structure; tests
 check it against these functions, and these functions against quadrature
-and kernel derivatives. The GP variance corrections here
-are full Cholesky solves q^T (K + noise*I)^{-1} q, independent of the
-package's one triangular pass |L^{-1} q|^2.
+and kernel derivatives. The all-features slice matrix is also kept in its
+single-pass form, the reference for the package's row blocks. The GP
+variance corrections here are full Cholesky solves q^T (K + noise*I)^{-1} q,
+independent of the package's one triangular pass |L^{-1} q|^2.
 
 The jittered Cholesky factor is kept in its copying form: every attempt
 packs a fresh copy of the dense matrix, plus the jitter, and factors it by
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, qr, solve_triangular
 
-from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian
+from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _others
 from gpattr.attrib_quad import QuadratureSpec, nodes_weights
 from gpattr.data_io import DataError, Dataset
 from gpattr.gpr import SOLVER_JITTER, GprModel, _clamp_variance
@@ -225,6 +226,24 @@ def slice_attribution_vector(
     gauss *= erf(root * t0) - erf(root * t1)
     ends = np.exp(-0.5 * np.sum(rz**2 / ls2, axis=1)) - np.exp(-0.5 * np.sum(rx**2 / ls2, axis=1))
     return -hyper.signal_variance * delta[i] / ls2[i] * (delta[i] / p2 * ends + o[:, i] * gauss)
+
+
+def slice_matrix_single_pass(x: np.ndarray, z: np.ndarray, centers: np.ndarray, hyper: ArdSeHyper) -> np.ndarray:
+    """attrib_exact._slice_matrix in one pass over every center: the same
+    formulas on (n, d) temporaries, with one erf call over all 2n
+    arguments. The package forms the same matrix in row blocks."""
+    inv = hyper.lengthscales**-2.0
+    delta = x - z
+    w = delta * inv
+    p2 = float(delta @ w)
+    rz, rx = z - centers, x - centers
+    t0, t1 = -(rz @ w) / p2, -(rx @ w) / p2
+    r = np.where((t0 <= 0.5)[:, None], rz, rx)
+    o = r * (_others(delta * w) / p2) - delta * (_others(r * w) / p2)
+    e0, e1 = np.split(erf(math.sqrt(0.5 * p2) * np.concatenate((t0, t1))), 2)
+    gauss = math.sqrt(0.5 * math.pi / p2) * np.exp(-0.5 * ((o * o) @ inv)) * (e0 - e1)
+    ez, ex = (np.exp(-0.5 * ((v * v) @ inv)) for v in (rz, rx))
+    return -(hyper.signal_variance * w) * ((ez - ex)[:, None] * delta / p2 + o * gauss[:, None])
 
 
 def kernel_slice_attribution(x, baseline, x_center, i: int, hyper: ArdSeHyper) -> float:

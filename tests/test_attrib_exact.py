@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -33,9 +34,9 @@ from gpattr import (
     prior_attribution_variance,
     report_from_rows,
 )
-from gpattr.attrib_exact import SINGULAR_THRESHOLD, AttributionGaussian, _query_pair, _slice_matrix
+from gpattr.attrib_exact import _BLOCK_VALUES, SINGULAR_THRESHOLD, AttributionGaussian, _query_pair, _slice_matrix
 from gpattr.cli import _report_doc, _write_csv
-from gpattr.data_io import Dataset
+from gpattr.data_io import Dataset, simulate
 from gpattr.kernels import hess_ii_cross
 from oracles import (
     ardse_eval,
@@ -46,6 +47,7 @@ from oracles import (
     gpr_attribution_per_feature,
     kernel_slice_attribution,
     slice_attribution_vector,
+    slice_matrix_single_pass,
 )
 
 
@@ -455,12 +457,74 @@ def test_report_costs_one_solve_and_one_erf_sweep(rng, monkeypatch):
     assert solves == [(n, dim + 2)]
     assert sorted(erf_sizes) == [1, 2 * n]
     assert factor_solves == ["dtfsm"]
+    # three row blocks of centers, the short tail joined to the last: the
+    # erf sweep is split, not repeated, and the solve is still one
+    wide, rows = 64, _BLOCK_VALUES // 64
+    m = 3 * rows + 10
+    Xw = rng.uniform(-2.0, 2.0, size=(m, wide))
+    data = Dataset(Xw, np.cos(Xw).sum(axis=1), tuple(f"f{j}" for j in range(wide)))
+    wide_model = fit(data, ArdSeHyper(0.8, np.full(wide, 6.0), 0.1))
+    solves.clear(), erf_sizes.clear(), factor_solves.clear()
+    attribution_report(wide_model, rng.uniform(-2.0, 2.0, size=wide), Xw.mean(axis=0))
+    assert solves == [(m, wide + 2)]
+    assert sorted(erf_sizes) == [1, 2 * rows, 2 * rows, 2 * (m - 2 * rows)]
+    assert sum(erf_sizes) == 2 * m + 1
+    assert factor_solves == ["dtfsm"]
     # the degenerate path takes the one-node fallback: still one solve, no erf
     solves.clear(), erf_sizes.clear(), factor_solves.clear()
     rep = attribution_report(model, X.mean(axis=0), X.mean(axis=0))
     assert solves == [(n, dim + 2)] and erf_sizes == []
     assert factor_solves == ["dtfsm"]
     assert np.all(rep.means == 0.0) and np.all(rep.variances == 0.0)
+
+
+def test_report_working_set_is_its_right_hand_side_plus_blocks(rng):
+    # the slice matrix is built in 64 KiB row blocks, so one report's traced
+    # peak stays within a few copies of its (n, d + 2) right-hand side; the
+    # single pass over every center held about eight (n, d) temporaries
+    n, dim = 3000, 8
+    X = rng.uniform(-2.0, 2.0, size=(n, dim))
+    data = Dataset(X, np.cos(X).sum(axis=1), tuple(f"f{j}" for j in range(dim)))
+    model = fit(data, ArdSeHyper(1.0, np.full(dim, 1.5), 0.1))
+    x = rng.uniform(-2.0, 2.0, size=dim)
+    attribution_report(model, x, X.mean(axis=0))  # first use loads erf
+    tracemalloc.start()
+    try:
+        attribution_report(model, x, X.mean(axis=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * (dim + 2) * 8, peak / (n * (dim + 2) * 8)
+
+
+def test_one_block_slice_matrix_is_the_single_pass_bit_for_bit(rng):
+    # n = 199 at d = 2 fits in one block: the README model's rows and the
+    # validate workload's uniform rows give the single pass's bits
+    readme = simulate(200, 0.5, seed=5).X[:-1]
+    uniform = rng.uniform(0.0, 10.0, size=(199, 2))
+    hyper = ArdSeHyper(0.5, np.array([0.71, 0.74]), 0.2)
+    for centers in (readme, uniform):
+        for _ in range(20):
+            x, z = rng.uniform(0.0, 10.0, size=(2, 2))
+            got = _slice_matrix(x, z, centers, hyper)
+            assert np.array_equal(got, slice_matrix_single_pass(x, z, centers, hyper))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 33, 100])
+def test_blocked_slice_matrix_matches_single_pass_across_blocks(dim):
+    # every n around one and two block lengths, the joined tail included;
+    # a short block may take another BLAS path, so the rows agree to
+    # round-off of the largest slice, not bit for bit
+    rng = np.random.default_rng(dim)
+    rows = _BLOCK_VALUES // dim
+    for n in (rows - 1, rows, rows + 1, rows + 63, 2 * rows + 3):
+        hyper = ArdSeHyper(float(rng.uniform(0.3, 2.0)), math.sqrt(dim) * rng.uniform(0.5, 2.0, size=dim), 0.0)
+        centers = rng.uniform(-2.0, 2.0, size=(n, dim))
+        x, z = rng.uniform(-2.0, 2.0, size=(2, dim))
+        got = _slice_matrix(x, z, centers, hyper)
+        want = slice_matrix_single_pass(x, z, centers, hyper)
+        assert got.shape == want.shape == (n, dim)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
 
 
 @functools.cache

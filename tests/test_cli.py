@@ -57,6 +57,10 @@ def workdir(tmp_path_factory):
     swapped = root / "swapped.csv"  # the demo data with its feature columns in x2, x1 order
     with open(csv_path, newline="") as src, open(swapped, "w", newline="") as dst:
         csv.writer(dst).writerows([b, a, y] for a, b, y in csv.reader(src))
+    notutf8 = root / "notutf8.csv"  # a 0xff byte, which no UTF-8 text holds
+    notutf8.write_bytes(b"x1,x2,y\n1,2,3\n4,\xff5,6\n")
+    longcell = root / "longcell.csv"  # a cell past csv.field_size_limit()
+    longcell.write_text("x1,x2,y\n1,2,3\n4," + "5" * (csv.field_size_limit() + 1) + ",6\n")
     const = root / "const.csv"  # column a never varies, yet np.var gives 7.9e-31 for it
     const.write_text("a,b,y\n" + "".join(f"2.0540891014965688,{k},{k % 3}\n" for k in range(20)))
     # one input and one target at 1e154: the fit is finite, and an rfgp
@@ -76,6 +80,7 @@ def workdir(tmp_path_factory):
     rows[5] = "-1e308," + rows[5].split(",", 1)[1]
     far.write_text("\n".join(rows) + "\n")
     return {"root": root, "csv": csv_path, "huge": huge, "far": far, "swapped": swapped, "const": const, "tall": tall,
+            "notutf8": notutf8, "longcell": longcell,
             **headers, "fit": fit_dir, "model": fit_dir / "model.json", "wide_model": root / "wide" / "model.json"}
 
 
@@ -852,6 +857,9 @@ EXIT_CASES = {
     "csv-duplicate-feature": (3, ["fit", "--data", "<dup>", "--target", "y"], ["<dup>", "'a', 'a'"], None),
     "csv-duplicate-target": (3, ["fit", "--data", "<twin>", "--target", "y"], ["<twin>", "'y', 'y'"], None),
     "csv-empty-name": (3, ["fit", "--data", "<blank>", "--target", "y"], ["<blank>", "''"], None),
+    "csv-not-utf8": (3, ["fit", "--data", "<notutf8>", "--target", "y"], ["<notutf8>", "UTF-8", "0xff"], None),
+    "csv-cell-too-long": (3, ["fit", "--data", "<longcell>", "--target", "y"], ["<longcell>", "line 3", "field limit"],
+                          None),
     # --data must hold the model's features, by name and in order
     "data-swapped-query-row": (3, ["attribute", "--model", MODEL, "--data", "<swapped>", "--target", "y",
                                    "--query-row", "0"], ["<swapped>", "['x2', 'x1']", "['x1', 'x2']"], None),
