@@ -93,6 +93,8 @@ def load_csv(path: str, target_column: str) -> Dataset:
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             for r, row in enumerate(reader, start=2):  # header is line 1
+                if not row:  # a blank line, which still counts as a line
+                    continue
                 try:
                     vals = [float(c) for c in row]
                 except ValueError:

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driving main() in-process."""
 
 import csv
+import importlib.metadata
 import json
 import math
 import os
@@ -105,6 +106,7 @@ def test_fit_manifest_contents(workdir):
     assert doc["format"] == "gpattr-manifest" and doc["command"] == "fit"
     for key in ("package_version", "numpy_version", "scipy_version"):
         assert key in doc
+    assert doc["scipy_version"] == importlib.metadata.version("scipy")  # read without importing scipy
     assert doc["options"]["target"] == "y"
     assert doc["seeds"] == {"data_seed": 0}
 
@@ -197,15 +199,17 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert out.strip() == "False"
 
 
-# scipy subpackages, and the numpy submodules their imports load
-SCIPY_SUBPACKAGES = ("scipy.linalg", "scipy.special", "scipy.spatial", "numpy.f2py", "numpy.testing", "numpy.ma")
+# scipy's package and subpackages, and the numpy submodules their imports load
+SCIPY_SUBPACKAGES = ("scipy", "scipy.linalg", "scipy.special", "scipy.spatial",
+                     "numpy.f2py", "numpy.testing", "numpy.ma")
 
 
 def test_no_command_imports_a_scipy_subpackage(tmp_path):
-    # gpattr.specfun loads scipy's compiled routines without their packages,
-    # so fitting, searching, loading, every attribution engine, the sweep,
-    # the rfgp comparison and the Monte Carlo check leave every subpackage,
-    # and the numpy modules their imports load, unimported
+    # gpattr.specfun loads scipy's compiled routines and its version without
+    # their packages, so fitting, searching, loading, every attribution
+    # engine, the sweep, the rfgp comparison, the Monte Carlo check and a
+    # library report leave scipy's package, every subpackage, and the numpy
+    # modules their imports load, unimported
     model = str(tmp_path / "fit" / "model.json")
     runs = [
         ["fit", "--simulate", "60", *HYPER_FLAGS, "--query-row", "last", "--out-dir", str(tmp_path / "fit")],
@@ -222,6 +226,8 @@ def test_no_command_imports_a_scipy_subpackage(tmp_path):
          "--out-dir", str(tmp_path / "mc")],
     ]
     assert _fresh_process_loads(runs, model, SCIPY_SUBPACKAGES) == [[0] * len(runs), []]
+    report = f"gpattr.attribution_report(gpattr.load_model({model!r}), [6.0, 1.5], [4.0, 5.0])"
+    assert _fresh_process_loads([], model, SCIPY_SUBPACKAGES, report) == [[], []]
 
 
 def _fresh_process_loads(runs: list, model: str, watched, setup: str = "") -> list:

@@ -47,6 +47,31 @@ def test_load_csv_reports_bad_rows_with_line_numbers(tmp_path):
     assert "3" in msg and "5" in msg and "6" in msg
 
 
+@pytest.mark.parametrize("text", [
+    "x1,x2,y\n1,2,3\n4,5,6\n7,8,9\n\n",  # a trailing blank line, as an editor may leave
+    "x1,x2,y\n1,2,3\n\n4,5,6\r\n\r\n\n7,8,9\n",  # blank lines between rows, \n and \r\n
+])
+def test_load_csv_skips_blank_lines(tmp_path, text):
+    # csv.reader yields [] for a blank line: it is no row, and no bad one
+    data = load_csv(_write(tmp_path, text), "y")
+    assert data.feature_names == ("x1", "x2")
+    assert np.array_equal(data.X, [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]])
+    assert np.array_equal(data.y, [3.0, 6.0, 9.0])
+
+
+def test_load_csv_counts_blank_lines_in_line_numbers(tmp_path):
+    # the blank lines 2 and 4 are skipped but counted, and whitespace cells
+    # (lines 5 and 6) are still no numbers
+    path = _write(tmp_path, "a,y\n\n1,2\n\n , \n \n3,4\n")
+    with pytest.raises(DataError, match=r"missing or non-numeric cells in rows 5, 6$"):
+        load_csv(path, "y")
+
+
+def test_load_csv_with_blank_lines_only_has_no_rows(tmp_path):
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(_write(tmp_path, "x1,x2,y\n\n\n"), "y")
+
+
 @pytest.mark.parametrize("header", ["y,a,b", "a,b,y"])
 def test_load_csv_drops_a_byte_order_mark(tmp_path, header):
     # a spreadsheet's "CSV UTF-8" starts with a byte-order mark, which must

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +31,14 @@ from gpattr.specfun import NumericalError, erf
 SRC = str(Path(gpattr.__file__).resolve().parents[1])
 COMPILED = ("scipy.linalg._flapack", "scipy.special._special_ufuncs", "scipy.spatial._distance_pybind")
 LAPACK = ("dgeqrf", "dormqr", "dpftrf", "dpftrs", "dpotrf", "dpotrs", "dtfsm", "dtrtrs")
-# a fit, its weights and a report, and rfgp fits and attributions at
-# 2M < N and 2M > N: every binding, printed as exact bytes
+# a fit, its weights and a report, rfgp fits and attributions at 2M < N
+# and 2M > N, and a command's manifest: every binding, and scipy's version,
+# printed as exact bytes
 RESULTS = """
 import gpattr
+from gpattr.cli import main
+main(["fit", "--simulate", "20", "--out-dir", "fit"])
+print("results:", open("fit/manifest.json", "rb").read().hex())
 data, hyper = gpattr.simulate(40, 0.3, seed=4), gpattr.ArdSeHyper(0.6, [1.2, 0.8], 0.1)
 model = gpattr.fit(data, hyper)
 report = gpattr.attribution_report(model, [6.0, 1.5], [4.0, 5.0])
@@ -47,33 +52,39 @@ for m in (8, 30):
 
 @functools.cache
 def _python(code: str) -> list[str]:
-    """Lines of a fresh interpreter's stdout, gpattr importable from src/."""
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
-                          capture_output=True, text=True, check=True)
+    """Lines of a fresh interpreter's stdout, gpattr importable from src/,
+    run in an empty directory of its own."""
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, cwd=cwd,
+                              capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()
 
 
 def test_bindings_are_scipys_public_objects():
-    # loaded without the subpackages, the routines are the very objects a
-    # later public import returns, so they give the same bits
+    # loaded without scipy's package or its subpackages, the routines are
+    # the very objects a later public import returns, so they give the same
+    # bits; the version is the public one, and scipy.version still binds
     code = f"""
 import sys
 from gpattr import specfun
-print([m for m in ("scipy.linalg", "scipy.special", "scipy.spatial") if m in sys.modules])
+print([m for m in ("scipy", "scipy.linalg", "scipy.special", "scipy.spatial") if m in sys.modules])
+import scipy
 from scipy.linalg import lapack
 from scipy.special import erf
 from scipy.spatial.distance import cdist
 print([getattr(specfun, f) is getattr(lapack, f) for f in {LAPACK!r}], specfun.erf is erf)
+print(specfun.scipy_version == scipy.__version__ == scipy.version.version)
 """
-    assert _python(code) == ["[]", f"{[True] * len(LAPACK)} True"]
+    assert _python(code) == ["[]", f"{[True] * len(LAPACK)} True", "True"]
 
 
-@pytest.mark.parametrize("failing", COMPILED)
+@pytest.mark.parametrize("failing", (*COMPILED, "scipy.version"))
 def test_a_failed_load_falls_back_to_the_public_imports(failing):
     # one direct load fails, as on another scipy layout: the public imports
-    # serve and every result keeps its bits; erf loads on first use, in
-    # RESULTS, so the subpackages are listed after it, and it falls back on
-    # its own while the LAPACK and distance routines fall back together
+    # serve and every result, the manifest included, keeps its bits; erf
+    # loads on first use, in RESULTS, so the subpackages are listed after
+    # it, and it falls back on its own while the version, the LAPACK and the
+    # distance routines fall back together
     code = f"""
 import importlib.util, sys
 real = importlib.util.module_from_spec
