@@ -200,9 +200,10 @@ def _slices_and_priors(
     with r0 = sv / ls_i^2 and r2 = -sv (x_i - z_i)^2 / ls_i^4, so one scalar
     erf serves every feature. With a_j = (x_j - z_j)^2 / ls_j^2 (so
     p2 = sum_j a_j and r2 = -r0 a_i) the two polynomials are
-    r0 * sum_{j != i} a_j and r0 * (sum_{j != i} a_j - a_i), and each sum
-    over j != i adds a prefix and a suffix sum: forming p2 r0 + r2 directly
-    cancels to nothing when feature i carries nearly all of p2. On a
+    r0 * sum_{j != i} a_j and r0 * (sum_{j != i} a_j - a_i), and every sum
+    over j != i is _others(a), a product with a zero-diagonal matrix, so the
+    j = i term enters as an exact zero: forming p2 r0 + r2 directly cancels
+    to nothing when feature i carries nearly all of p2. On a
     degenerate path (p2 ~ 0), where the closed forms divide by ~0, both
     come from their p2 -> 0 limit: one quadrature node at t = 1/2 with
     weight 1, whose error is O(p2) relative. Overflow is silent here and in

@@ -306,14 +306,16 @@ def _read_model_file(path: str) -> _ModelFile:
 
 def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
     """Model file, model-space query and baseline for a command that
-    attributes one query point. The model file is parsed once, and --data
-    is read at most once, when the query or baseline needs it; its features
-    must be the model's, by name and in order when the model names them.
+    attributes one query point. The model file is parsed once; --data is
+    read once when the query or baseline needs it and refused otherwise, and
+    its features must be the model's, by name and in order when the model names them.
 
     The query is --query, a row of --data (--query-row) or the row held out
     at fit time. The baseline policy is mean (training mean), values:... or
     filter:lo:hi (mean of the rows of --data, or else of the stored training
     rows, whose target falls in the window)."""
+    if args.target is not None and args.data is None:
+        raise UsageError("--target names a column of --data; no --data was given")
     mf = _read_model_file(args.model)
     dim = mf.model.hyper.dim
 
@@ -353,6 +355,8 @@ def _load_query_context(args) -> tuple[_ModelFile, np.ndarray, np.ndarray]:
         baseline = model_space(target_filtered_baseline(dataset(), *arg), "--data")
     else:  # the stored training rows are already in model space
         baseline = target_filtered_baseline(mf.train, *arg)
+    if args.data is not None and not dataset.cache_info().misses:
+        raise UsageError("--data is read only by --query-row or --baseline filter:")
     return mf, x, baseline
 
 

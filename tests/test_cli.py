@@ -62,6 +62,8 @@ def workdir(tmp_path_factory):
     notutf8.write_bytes(b"x1,x2,y\n1,2,3\n4,\xff5,6\n")
     longcell = root / "longcell.csv"  # a cell past csv.field_size_limit()
     longcell.write_text("x1,x2,y\n1,2,3\n4," + "5" * (csv.field_size_limit() + 1) + ",6\n")
+    three = root / "three.csv"  # three feature columns, where the demo model has two
+    three.write_text("x1,x2,x3,y\n1,2,3,4\n5,6,7,8\n")
     const = root / "const.csv"  # column a never varies, yet np.var gives 7.9e-31 for it
     const.write_text("a,b,y\n" + "".join(f"2.0540891014965688,{k},{k % 3}\n" for k in range(20)))
     # one input and one target at 1e154: the fit is finite, and an rfgp
@@ -80,8 +82,8 @@ def workdir(tmp_path_factory):
     rows = far.read_text().splitlines()
     rows[5] = "-1e308," + rows[5].split(",", 1)[1]
     far.write_text("\n".join(rows) + "\n")
-    return {"root": root, "csv": csv_path, "huge": huge, "far": far, "swapped": swapped, "const": const, "tall": tall,
-            "notutf8": notutf8, "longcell": longcell,
+    return {"root": root, "csv": csv_path, "huge": huge, "far": far, "swapped": swapped, "three": three,
+            "const": const, "tall": tall, "notutf8": notutf8, "longcell": longcell,
             **headers, "fit": fit_dir, "model": fit_dir / "model.json", "wide_model": root / "wide" / "model.json"}
 
 
@@ -751,6 +753,16 @@ EXIT_CASES = {
     "query-row-without-data": (2, ["attribute", "--model", MODEL, "--query-row", "0"], ["--query-row"], None),
     "query-row-out-of-range": (3, ["attribute", "--model", MODEL, "--data", DATA, "--target", "y",
                                    "--query-row", "60"], ["--query-row"], None),
+    "query-row-feature-count": (3, ["attribute", "--model", MODEL, "--data", "<three>", "--target", "y",
+                                    "--query-row", "0"], ["<three>", "3 features", "expects 2"], None),
+    # --data and --target are read only for --query-row or --baseline filter:;
+    # a file nothing reads would pass unchecked
+    "data-unread": (2, ["attribute", "--model", MODEL, "--query", "1,2", "--data", "<three>", "--target", "y"],
+                    ["--data"], None),
+    "target-without-data": (2, ["attribute", "--model", MODEL, "--query", "1,2", "--target", "y"], ["--target"],
+                            None),
+    "data-unread-rfgp-compare": (2, ["rfgp-compare", "--model", MODEL, "--query", "1,2", "--data", DATA,
+                                     "--target", "y", "--m-values", "5", "--seeds", "2"], ["--data"], None),
     "holdout-leaves-no-rows": (3, ["fit", "--simulate", "1", "--query-row", "0"], ["query row"], None),
     "not-an-object": _bad_model(lambda payload: "[1, 2]"),
     "empty": _bad_model(lambda payload: ""),

@@ -83,6 +83,12 @@ def test_solve_is_half_of_the_dense_quadratic_form(rng):
         model.solve(np.full(data.n, np.nan))
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    model = fit(_dataset(10, seed=2), HYP)
+    with pytest.raises(ValueError, match=r"shape \(9,\) for a model fit on 10 points"):
+        model.solve(np.ones(9))
+
+
 def test_prediction_matches_dense_formulas(rng):
     data = _dataset(35, seed=3)
     model = fit(data, HYP)
@@ -205,6 +211,69 @@ def test_search_discounts_pure_noise_feature():
     best = optimize_hyperparameters(aug, init, 60)
     relevance = 1.0 / best.lengthscales
     assert relevance[2] < 0.5 * relevance[:2].min()
+
+
+def _log_theta(hyper: ArdSeHyper) -> np.ndarray:
+    """The search's coordinates of hyper: log signal variance, log noise variance, log lengthscales."""
+    return np.log([hyper.signal_variance, hyper.noise_variance, *hyper.lengthscales])
+
+
+def test_search_drops_a_start_whose_first_score_is_not_finite(monkeypatch):
+    # start 1 (every lengthscale / 4) fails at its first point: it ends
+    # there, spending one evaluation of its share, and the search returns
+    # the best of the other starts
+    data = _dataset(25, seed=12)
+    init = ArdSeHyper(0.4, np.array([0.9, 1.1]), 0.3)
+    starts = [_log_theta(init) + [0.0, 0.0, s, s] for s in np.log([1.0, 0.25, 0.0625, 4.0])]
+    real_fit, calls = gpr.fit, []
+
+    def failing_at_start_1(data, hyper):
+        calls.append(hyper)
+        if np.array_equal(hyper.lengthscales, np.exp(starts[1][2:])):
+            raise NumericalError("matrix to factor has non-finite entries")
+        return real_fit(data, hyper)
+
+    monkeypatch.setattr(gpr, "fit", failing_at_start_1)
+    theta, lml = gpr._descend(data, starts[1], 10)
+    assert lml == -np.inf and np.array_equal(theta, starts[1]) and len(calls) == 1
+    best_theta, best_lml = max((gpr._descend(data, starts[k], 10) for k in (0, 2, 3)), key=lambda result: result[1])
+    assert np.isfinite(best_lml)
+    calls.clear()
+    found = optimize_hyperparameters(data, init, 40)
+    assert len(calls) == 31  # 10 for each of the three other starts
+    best = gpr._hyper_from_log(best_theta)
+    assert (found.signal_variance, found.noise_variance) == (best.signal_variance, best.noise_variance)
+    assert np.array_equal(found.lengthscales, best.lengthscales)
+
+
+def test_search_skips_a_candidate_clipped_onto_its_own_point(monkeypatch):
+    # a lengthscale of exactly 1e8 sits at the search's bound: the step up
+    # clips back onto the current point, which the descent skips without
+    # fitting it again, so no candidate repeats the best point before it
+    # and the search still spends its whole budget
+    data = _dataset(25, seed=12)
+    init = ArdSeHyper(0.4, np.array([1e8, 1.1]), 0.3)
+    real_score, scores = gpr._score, []
+
+    def recorded_score(data, theta):
+        scores.append((theta, real_score(data, theta)))
+        return scores[-1][1]
+
+    monkeypatch.setattr(gpr, "_score", recorded_score)
+    theta0 = _log_theta(init)
+    assert theta0[2] == gpr._LOG_BOUND
+    gpr._descend(data, theta0, 12, True)
+    assert len(scores) == 12
+    (current, best), at_bound = scores[0], 0
+    for theta, score in scores[1:]:
+        assert not np.array_equal(theta, current)
+        at_bound += current[2] == gpr._LOG_BOUND and theta[2] < current[2]
+        if score > best:
+            current, best = theta, score
+    assert at_bound  # the step down from the bound was tried, so the step up was skipped
+    scores.clear()
+    optimize_hyperparameters(data, init, 40)
+    assert len(scores) == 40
 
 
 def _large_search_case(monkeypatch):
@@ -750,6 +819,8 @@ BAD_SIDECARS = {
     "huge-key-header": lambda model, blob, tmp_path: _npy_header_bytes((10**13,), "|u1") + blob,
     "huge-factor-header": lambda model, blob, tmp_path: blob[:_key_bytes(model)] + _npy_header_bytes((10**13,), "<f8"),
     "sha256-key": lambda model, blob, tmp_path: _parent_format_sidecar(model),
+    # the key's header as np.save writes it, but marked .npy version 1.1, which no numpy reads
+    "npy-version-1.1": lambda model, blob, tmp_path: blob[:7] + b"\x01" + blob[8:],
     "missing": None,
 }
 

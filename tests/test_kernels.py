@@ -26,7 +26,7 @@ from gpattr import (
     kernel_matrix,
 )
 from gpattr.gpr import _noisy_kernel_matrix, jittered_cholesky
-from gpattr.kernels import _LOG_CUTOFF, _kernel_block, _packed_diagonal
+from gpattr.kernels import _LOG_CUTOFF, _kernel_block, _packed_diagonal, _packed_order
 from oracles import (
     FD_STEP,
     ardse_eval,
@@ -154,6 +154,13 @@ def test_kernel_matrix_is_the_packed_dense_block_bit_for_bit(n):
     # the diagonal positions fit, load_model and the likelihood use, in order
     ramp = np.arange(1.0, n + 1)
     assert np.array_equal(pack(np.diag(ramp))[_packed_diagonal(n)], ramp)
+
+
+def test_packed_order_rejects_a_size_no_packed_matrix_has():
+    assert [_packed_order(n * (n + 1) // 2) for n in (0, 1, 2, 3, 64)] == [0, 1, 2, 3, 64]
+    # 5 lies between 3 (n = 2) and 6 (n = 3)
+    with pytest.raises(ValueError, match="5 values are not a packed symmetric matrix"):
+        _packed_order(5)
 
 
 def _hostile_blocks(seed):

@@ -70,16 +70,32 @@ def _live_names(perfbench_strings: bool = True) -> set[str]:
     return live
 
 
-def _public_names() -> set[str]:
-    names = {
+def _exported() -> set[str]:
+    """The public names of the package itself, leaving out its submodules."""
+    return {
         name
         for name, value in vars(gpattr).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
+
+
+def _public_names() -> set[str]:
+    names = _exported()
     for path in SRC.glob("*.py"):
         if path.stem not in ("__init__", "__main__"):
             names |= set(importlib.import_module(f"gpattr.{path.stem}").__all__)
     return names
+
+
+LAYERS = ("attrib_exact", "attrib_quad", "data_io", "gpr", "kernels", "rfgp")
+
+
+def test_package_exports_exactly_the_layers_all():
+    # each layer module's __all__ is the one declaration of what gpattr
+    # exports; NumericalError comes from specfun, whose other names stay there
+    declared = {"NumericalError"}.union(*(importlib.import_module(f"gpattr.{m}").__all__ for m in LAYERS))
+    assert _exported() == declared
+    assert len(declared) == 43
 
 
 def test_every_public_name_is_used_outside_tests():

@@ -50,6 +50,11 @@ def test_frequencies_deterministic_and_lengthscale_scaled():
     assert not np.array_equal(sample_frequencies(50, HYP, seed=4), a)
 
 
+def test_frequencies_need_at_least_one_feature_pair():
+    with pytest.raises(ValueError, match="m_features must be >= 1, got 0"):
+        sample_frequencies(0, HYP, seed=3)
+
+
 def test_frequency_marginals_match_spectral_density():
     hyper = ArdSeHyper(1.0, np.array([0.5, 2.0]), 0.0)
     V = sample_frequencies(20000, hyper, seed=0)
@@ -218,6 +223,13 @@ def test_fit_keeps_no_design_sized_buffer_when_2m_is_below_n():
     model = rfgp_fit(simulate(500, 0.5, seed=5), HYP, m_features=10, seed=0)
     assert model.reflectors.shape == (20, 20)
     assert model.reflectors.base is None or model.reflectors.base.size == model.reflectors.size
+
+
+def test_fit_rejects_data_of_another_feature_count():
+    data = simulate(20, 0.3, seed=7)
+    hyper = ArdSeHyper(0.6, np.array([1.2, 0.8, 1.0]), 0.1)
+    with pytest.raises(ValueError, match="data has 2 features, hyperparameters expect 3"):
+        rfgp_fit(data, hyper, m_features=5, seed=0)
 
 
 def test_fit_rejects_zero_noise_rank_deficiency():

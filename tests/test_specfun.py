@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpattr
+from gpattr import specfun
 from gpattr.specfun import NumericalError, erf
 
 SRC = str(Path(gpattr.__file__).resolve().parents[1])
@@ -102,6 +103,13 @@ print("subpackages:", [m for m in ("scipy.linalg", "scipy.special", "scipy.spati
         "scipy.linalg", "scipy.special", "scipy.spatial"]
     assert f"subpackages: {public}" in lines
     assert [line for line in lines if line.startswith("results:")] == direct
+
+
+def test_a_load_with_no_file_raises_the_import_error_the_fallback_catches():
+    name = "scipy.linalg._no_such_module"
+    with pytest.raises(ImportError, match=f"no {name} in "):
+        specfun._load(name)
+    assert name not in sys.modules
 
 
 def erf_series(x: Fraction, terms: int = 160) -> float:
